@@ -1,4 +1,4 @@
-// Fleet-scale gateway sweep: one manager + gateway clients running
+// Fleet-scale gateway sweep: one manager + a gateway client running
 // closed-loop reads over N Things (see src/core/gateway_bench.h for the
 // scenario).
 //
@@ -6,20 +6,15 @@
 // and the pending-table high-water mark per cell, and writes the same data
 // machine-readably to BENCH_gateway.json (schema in docs/BENCHMARKS.md).
 //
-//   bench_gateway [--smoke] [--full] [--threads LIST] [--out PATH]
+//   bench_gateway [--smoke] [--full] [--out PATH]
 //
 //   --smoke     tiny fleet (CI: validates the scenario + JSON end to end)
 //   --full      adds the N=100k stretch cell to the default {1k, 10k} sweep
-//   --threads   comma-separated worker-thread axis, e.g. 1,2,4,8 (default 1;
-//               threads=1 is the deterministic single-threaded runtime)
 //   --out       JSON output path (default BENCH_gateway.json)
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/gateway_bench.h"
@@ -27,8 +22,7 @@
 namespace micropnp {
 namespace {
 
-int Run(bool smoke, bool full, const std::vector<int>& threads_axis,
-        const std::string& out_path) {
+int Run(bool smoke, bool full, const std::string& out_path) {
   std::vector<GatewayBenchOptions> cells;
   if (smoke) {
     GatewayBenchOptions tiny;
@@ -53,59 +47,27 @@ int Run(bool smoke, bool full, const std::vector<int>& threads_axis,
     }
   }
 
-  int max_threads = 1;
-  for (int t : threads_axis) {
-    max_threads = std::max(max_threads, t);
-  }
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores != 0 && static_cast<unsigned>(max_threads) > cores) {
-    std::printf("!! warning: %d threads requested but only %u hardware core%s available —\n"
-                "   multi-threaded cells will time-share and speedups will not be "
-                "representative\n",
-                max_threads, cores, cores == 1 ? "" : "s");
-  }
-
   std::printf("=== gateway: closed-loop reads, window-bounded, N things ===\n");
-  std::printf("%8s %4s %6s %7s | %9s %9s | %8s %12s | %12s\n", "things", "thr", "loss", "reads",
-              "p50 (ms)", "p99 (ms)", "peak", "sim events", "events/s");
+  std::printf("%8s %6s %7s | %9s %9s | %8s %12s | %12s\n", "things", "loss", "reads", "p50 (ms)",
+              "p99 (ms)", "peak", "sim events", "events/s");
   std::vector<GatewayBenchResult> results;
   bool ok = true;
-  for (const GatewayBenchOptions& base : cells) {
-    for (int threads : threads_axis) {
-      GatewayBenchOptions opt = base;
-      opt.threads = threads;
-      GatewayBenchResult r = RunGatewayBench(opt);
-      std::printf("%8d %4d %5.0f%% %7llu | %9.1f %9.1f | %8llu %12llu | %12.0f\n", r.num_things,
-                  r.threads, r.loss_rate * 100.0, static_cast<unsigned long long>(r.issued),
-                  r.p50_ms, r.p99_ms, static_cast<unsigned long long>(r.peak_in_flight),
-                  static_cast<unsigned long long>(r.scheduler_events), r.events_per_second);
-      if (r.completed + r.deadline_exceeded != r.issued || r.final_in_flight != 0) {
-        std::printf("!! cell did not drain: %llu issued, %llu completed, %llu deadline, "
-                    "%llu still in flight\n",
-                    static_cast<unsigned long long>(r.issued),
-                    static_cast<unsigned long long>(r.completed),
-                    static_cast<unsigned long long>(r.deadline_exceeded),
-                    static_cast<unsigned long long>(r.final_in_flight));
-        ok = false;
-      }
-      results.push_back(r);
+  for (const GatewayBenchOptions& opt : cells) {
+    GatewayBenchResult r = RunGatewayBench(opt);
+    std::printf("%8d %5.0f%% %7llu | %9.1f %9.1f | %8llu %12llu | %12.0f\n", r.num_things,
+                r.loss_rate * 100.0, static_cast<unsigned long long>(r.issued), r.p50_ms,
+                r.p99_ms, static_cast<unsigned long long>(r.peak_in_flight),
+                static_cast<unsigned long long>(r.scheduler_events), r.events_per_second);
+    if (r.completed + r.deadline_exceeded != r.issued || r.final_in_flight != 0) {
+      std::printf("!! cell did not drain: %llu issued, %llu completed, %llu deadline, "
+                  "%llu still in flight\n",
+                  static_cast<unsigned long long>(r.issued),
+                  static_cast<unsigned long long>(r.completed),
+                  static_cast<unsigned long long>(r.deadline_exceeded),
+                  static_cast<unsigned long long>(r.final_in_flight));
+      ok = false;
     }
-  }
-
-  if (threads_axis.size() > 1) {
-    std::printf("\n--- scaling vs threads=1 (events/s) ---\n");
-    for (const GatewayBenchResult& base : results) {
-      if (base.threads != 1) {
-        continue;
-      }
-      for (const GatewayBenchResult& r : results) {
-        if (r.num_things == base.num_things && r.loss_rate == base.loss_rate &&
-            r.threads != 1 && base.events_per_second > 0.0) {
-          std::printf("  N=%d: %dx threads -> %.2fx throughput\n", r.num_things, r.threads,
-                      r.events_per_second / base.events_per_second);
-        }
-      }
-    }
+    results.push_back(r);
   }
 
   const std::string json = GatewayBenchJson(results);
@@ -121,50 +83,24 @@ int Run(bool smoke, bool full, const std::vector<int>& threads_axis,
   return ok ? 0 : 1;
 }
 
-bool ParseThreadsList(const char* arg, std::vector<int>* out) {
-  out->clear();
-  const char* p = arg;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const long value = std::strtol(p, &end, 10);
-    if (end == p || value < 1 || value > 64) {
-      return false;
-    }
-    out->push_back(static_cast<int>(value));
-    p = end;
-    if (*p == ',') {
-      ++p;
-    } else if (*p != '\0') {
-      return false;
-    }
-  }
-  return !out->empty();
-}
-
 }  // namespace
 }  // namespace micropnp
 
 int main(int argc, char** argv) {
   bool smoke = false;
   bool full = false;
-  std::vector<int> threads_axis{1};
   std::string out_path = "BENCH_gateway.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--full") == 0) {
       full = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!micropnp::ParseThreadsList(argv[++i], &threads_axis)) {
-        std::printf("bad --threads list (expected e.g. 1,2,4,8)\n");
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      std::printf("usage: bench_gateway [--smoke] [--full] [--threads LIST] [--out PATH]\n");
+      std::printf("usage: bench_gateway [--smoke] [--full] [--out PATH]\n");
       return 2;
     }
   }
-  return micropnp::Run(smoke, full, threads_axis, out_path);
+  return micropnp::Run(smoke, full, out_path);
 }

@@ -1,4 +1,4 @@
-// Northbound model-gateway sweep: M ModelClients over per-shard ModelServers
+// Northbound model-gateway sweep: M ModelClients over one ModelServer
 // against N Things (see src/core/model_bench.h for the scenario and phases).
 //
 // Reports the last-value-cache hit rate, device-transaction amplification
@@ -7,19 +7,14 @@
 // ledger, and writes the same data machine-readably to BENCH_model.json
 // (schema in docs/BENCHMARKS.md).
 //
-//   bench_model [--smoke] [--threads LIST] [--out PATH]
+//   bench_model [--smoke] [--out PATH]
 //
 //   --smoke     tiny sweep (CI: validates the scenario + JSON end to end)
-//   --threads   comma-separated worker-thread axis, e.g. 1,2,4 (default 1;
-//               threads=1 is the deterministic single-threaded runtime)
 //   --out       JSON output path (default BENCH_model.json)
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/model_bench.h"
@@ -62,7 +57,7 @@ bool CheckInvariants(const ModelBenchResult& r) {
   return ok;
 }
 
-int Run(bool smoke, const std::vector<int>& threads_axis, const std::string& out_path) {
+int Run(bool smoke, const std::string& out_path) {
   std::vector<ModelBenchOptions> cells;
   if (smoke) {
     ModelBenchOptions tiny;
@@ -93,38 +88,22 @@ int Run(bool smoke, const std::vector<int>& threads_axis, const std::string& out
     }
   }
 
-  int max_threads = 1;
-  for (int t : threads_axis) {
-    max_threads = std::max(max_threads, t);
-  }
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores != 0 && static_cast<unsigned>(max_threads) > cores) {
-    std::printf("!! warning: %d threads requested but only %u hardware core%s available —\n"
-                "   multi-threaded cells will time-share and speedups will not be "
-                "representative\n",
-                max_threads, cores, cores == 1 ? "" : "s");
-  }
-
   std::printf("=== model: M clients x N things — cache, single-flight, fan-out ===\n");
-  std::printf("%7s %7s %4s %6s | %8s %9s %9s | %8s %10s | %12s %12s\n", "clients", "things",
-              "thr", "loss", "reads", "hit rate", "amplif.", "dev rds", "hot dev", "fanout evts",
+  std::printf("%7s %7s %6s | %8s %9s %9s | %8s %10s | %12s %12s\n", "clients", "things",
+              "loss", "reads", "hit rate", "amplif.", "dev rds", "hot dev", "fanout evts",
               "reads/s");
   std::vector<ModelBenchResult> results;
   bool ok = true;
-  for (const ModelBenchOptions& base : cells) {
-    for (int threads : threads_axis) {
-      ModelBenchOptions opt = base;
-      opt.threads = threads;
-      ModelBenchResult r = RunModelBench(opt);
-      std::printf("%7d %7d %4d %5.0f%% | %8llu %9.4f %9.5f | %8llu %10llu | %12llu %12.0f\n",
-                  r.num_clients, r.num_things, r.threads, r.loss_rate * 100.0,
-                  static_cast<unsigned long long>(r.reads), r.hit_rate, r.amplification,
-                  static_cast<unsigned long long>(r.device_reads),
-                  static_cast<unsigned long long>(r.hotspot_device_reads),
-                  static_cast<unsigned long long>(r.fanout_delivered), r.reads_per_second);
-      ok = CheckInvariants(r) && ok;
-      results.push_back(r);
-    }
+  for (const ModelBenchOptions& opt : cells) {
+    ModelBenchResult r = RunModelBench(opt);
+    std::printf("%7d %7d %5.0f%% | %8llu %9.4f %9.5f | %8llu %10llu | %12llu %12.0f\n",
+                r.num_clients, r.num_things, r.loss_rate * 100.0,
+                static_cast<unsigned long long>(r.reads), r.hit_rate, r.amplification,
+                static_cast<unsigned long long>(r.device_reads),
+                static_cast<unsigned long long>(r.hotspot_device_reads),
+                static_cast<unsigned long long>(r.fanout_delivered), r.reads_per_second);
+    ok = CheckInvariants(r) && ok;
+    results.push_back(r);
   }
 
   const std::string json = ModelBenchJson(results);
@@ -140,47 +119,21 @@ int Run(bool smoke, const std::vector<int>& threads_axis, const std::string& out
   return ok ? 0 : 1;
 }
 
-bool ParseThreadsList(const char* arg, std::vector<int>* out) {
-  out->clear();
-  const char* p = arg;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const long value = std::strtol(p, &end, 10);
-    if (end == p || value < 1 || value > 64) {
-      return false;
-    }
-    out->push_back(static_cast<int>(value));
-    p = end;
-    if (*p == ',') {
-      ++p;
-    } else if (*p != '\0') {
-      return false;
-    }
-  }
-  return !out->empty();
-}
-
 }  // namespace
 }  // namespace micropnp
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::vector<int> threads_axis{1};
   std::string out_path = "BENCH_model.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!micropnp::ParseThreadsList(argv[++i], &threads_axis)) {
-        std::printf("bad --threads list (expected e.g. 1,2,4)\n");
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      std::printf("usage: bench_model [--smoke] [--threads LIST] [--out PATH]\n");
+      std::printf("usage: bench_model [--smoke] [--out PATH]\n");
       return 2;
     }
   }
-  return micropnp::Run(smoke, threads_axis, out_path);
+  return micropnp::Run(smoke, out_path);
 }

@@ -16,13 +16,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "src/dsl/bytecode.h"
@@ -80,97 +75,21 @@ struct CycleModelMetrics {
   double handler_us = 0.0;
 };
 
-// One cell of the multi-threaded handler-mix sweep: T threads, each with a
-// private Vm, dispatching from ONE shared immutable DecodedImage.
-struct ThreadSweepCell {
-  int threads = 1;
-  uint64_t dispatches = 0;
-  double wall_seconds = 0.0;
-  double dispatches_per_second = 0.0;
-};
-
-void WriteVmJson(const CycleModelMetrics& m, const std::vector<ThreadSweepCell>& sweep,
-                 const char* path) {
+void WriteVmJson(const CycleModelMetrics& m, const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::printf("!! could not write %s\n", path);
     return;
   }
-  // Schema 2: the deterministic object is unchanged from schema 1; the new
-  // wall_clock section carries the per-thread-count dispatch throughput.
   std::fprintf(f,
-               "{\"bench\": \"vm\", \"schema_version\": 2, \"deterministic\": "
+               "{\"bench\": \"vm\", \"schema_version\": 3, \"deterministic\": "
                "{\"avg_instruction_us\": %.6f, \"push_us\": %.6f, \"pop_us\": %.6f, "
                "\"router_us_per_event\": %.6f, \"handler_instructions\": %llu, "
-               "\"handler_us\": %.6f}, \"wall_clock\": {\"cells\": [",
+               "\"handler_us\": %.6f}}\n",
                m.avg_instruction_us, m.push_us, m.pop_us, m.router_us_per_event,
                static_cast<unsigned long long>(m.handler_instructions), m.handler_us);
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    std::fprintf(f,
-                 "%s{\"threads\": %d, \"dispatches\": %llu, \"wall_seconds\": %.6f, "
-                 "\"dispatches_per_second\": %.6f}",
-                 i == 0 ? "" : ", ", sweep[i].threads,
-                 static_cast<unsigned long long>(sweep[i].dispatches), sweep[i].wall_seconds,
-                 sweep[i].dispatches_per_second);
-  }
-  std::fprintf(f, "]}}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
-}
-
-// Fixed total work split across T threads: each worker owns a Vm but all
-// execute the same decoded image, exercising the verify-once / shared
-// read-only image path the sharded runtime relies on.
-std::vector<ThreadSweepCell> RunThreadSweep(const std::vector<int>& axis) {
-  std::vector<ThreadSweepCell> cells;
-  std::shared_ptr<const DecodedImage> decoded = DecodeMixDriver();
-  if (decoded == nullptr) {
-    std::printf("!! thread sweep skipped: compile/decode failed\n");
-    return cells;
-  }
-  constexpr uint64_t kTotalDispatches = 1ull << 18;
-  std::printf("\n--- handler-mix dispatch, %llu total dispatches, shared decoded image ---\n",
-              static_cast<unsigned long long>(kTotalDispatches));
-  const unsigned cores = std::thread::hardware_concurrency();
-  for (int threads : axis) {
-    std::atomic<uint64_t> instructions{0};
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      const uint64_t budget = kTotalDispatches / static_cast<uint64_t>(threads) +
-                              (static_cast<uint64_t>(t) < kTotalDispatches %
-                                                              static_cast<uint64_t>(threads)
-                                   ? 1
-                                   : 0);
-      workers.emplace_back([&decoded, &instructions, budget] {
-        Vm vm(decoded);
-        uint64_t local = 0;
-        for (uint64_t i = 0; i < budget; ++i) {
-          Vm::ExecResult r = vm.Dispatch(Event::Of(kEventInit), nullptr);
-          local += r.instructions;
-        }
-        instructions.fetch_add(local, std::memory_order_relaxed);
-      });
-    }
-    for (std::thread& worker : workers) {
-      worker.join();
-    }
-    const auto end = std::chrono::steady_clock::now();
-    ThreadSweepCell cell;
-    cell.threads = threads;
-    cell.dispatches = kTotalDispatches;
-    cell.wall_seconds = std::chrono::duration<double>(end - start).count();
-    cell.dispatches_per_second =
-        cell.wall_seconds > 0.0 ? static_cast<double>(kTotalDispatches) / cell.wall_seconds : 0.0;
-    std::printf("  threads=%d: %.3f s, %.0f dispatches/s%s\n", threads, cell.wall_seconds,
-                cell.dispatches_per_second,
-                (cores != 0 && static_cast<unsigned>(threads) > cores)
-                    ? "  (more threads than cores: time-shared)"
-                    : "");
-    cells.push_back(cell);
-  }
-  return cells;
 }
 
 CycleModelMetrics ReportCycleModel() {
@@ -236,26 +155,6 @@ CycleModelMetrics ReportCycleModel() {
     metrics.handler_us = static_cast<double>(r.cycles) / kMcuClockHz * 1e6;
   }
   return metrics;
-}
-
-bool ParseThreadsList(const char* arg, std::vector<int>* out) {
-  out->clear();
-  const char* p = arg;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const long value = std::strtol(p, &end, 10);
-    if (end == p || value < 1 || value > 64) {
-      return false;
-    }
-    out->push_back(static_cast<int>(value));
-    p = end;
-    if (*p == ',') {
-      ++p;
-    } else if (*p != '\0') {
-      return false;
-    }
-  }
-  return !out->empty();
 }
 
 // ---- host wall-clock benchmarks ---------------------------------------------
@@ -411,25 +310,7 @@ BENCHMARK(BM_CompileTmp36Driver);
 }  // namespace micropnp
 
 int main(int argc, char** argv) {
-  // Strip --threads before google-benchmark sees the argv (it rejects
-  // unknown flags).
-  std::vector<int> threads_axis{1, 2, 4};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!micropnp::ParseThreadsList(argv[i + 1], &threads_axis)) {
-        std::printf("bad --threads list (expected e.g. 1,2,4,8)\n");
-        return 2;
-      }
-      for (int j = i + 2; j < argc; ++j) {
-        argv[j - 2] = argv[j];
-      }
-      argc -= 2;
-      break;
-    }
-  }
-  micropnp::CycleModelMetrics metrics = micropnp::ReportCycleModel();
-  std::vector<micropnp::ThreadSweepCell> sweep = micropnp::RunThreadSweep(threads_axis);
-  micropnp::WriteVmJson(metrics, sweep, "BENCH_vm.json");
+  micropnp::WriteVmJson(micropnp::ReportCycleModel(), "BENCH_vm.json");
   std::printf("\n--- host wall-clock throughput (google-benchmark) ---\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

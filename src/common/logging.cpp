@@ -1,14 +1,11 @@
 #include "src/common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace micropnp {
 namespace {
 
-// Relaxed is enough: the level is a filter, not a synchronization point, and
-// any thread observing a slightly stale level only logs (or drops) a line.
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
+LogLevel g_level = LogLevel::kWarning;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -30,17 +27,13 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
+void SetLogLevel(LogLevel level) { g_level = level; }
+LogLevel GetLogLevel() { return g_level; }
 
 void LogMessage(LogLevel level, const char* tag, const std::string& message) {
-  if (level < GetLogLevel()) {
+  if (level < g_level) {
     return;
   }
-  // Shard workers log concurrently.  POSIX guarantees stdio calls are
-  // atomic with respect to each other (flockfile internally), so emitting
-  // the whole line in ONE fprintf keeps concurrent lines from interleaving
-  // mid-line; a line assembled from several calls would not be safe.
   std::fprintf(stderr, "[%s] %s: %s\n", LevelName(level), tag, message.c_str());
 }
 

@@ -3,20 +3,6 @@
 // Every stochastic element of the reproduction (component tolerances, CSMA
 // jitter, environment noise) draws from a seeded SplitMix64 stream so that
 // simulations and benchmarks are reproducible run-to-run.
-//
-// Threading contract (the parallel runtime depends on this):
-//
-//   An Rng is NOT thread-safe and must be *shard-confined*: every stream is
-//   owned by exactly one shard (or by the single-threaded setup phase) and
-//   only ever advanced from that shard's context.  Nothing in the codebase
-//   may share one Rng across worker threads — concurrent NextU64 calls race
-//   on state_ and, worse, silently destroy reproducibility.  Components that
-//   exist per shard or per node (the fabric's route contexts, each Thing,
-//   each Shard) derive their own independent stream at construction via
-//   Fork() / Fork(salt) from a parent stream, which keeps the scenario seed
-//   the single source of randomness while giving every owner a private
-//   stream.  Fork(salt) is deterministic in (parent state, salt), so forking
-//   N shard streams from one parent is itself reproducible.
 
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_
@@ -73,16 +59,6 @@ class Rng {
   // Derives an independent child stream (useful for giving each simulated
   // node its own stream while keeping the scenario seed stable).
   Rng Fork() { return Rng(NextU64() ^ 0xa02bdbf7bb3c0a7ull); }
-
-  // Salted fork: derives the child stream from the current state and `salt`
-  // WITHOUT advancing this stream.  Used to give each shard its own
-  // deterministic stream (salt = shard index) so the set of streams does not
-  // depend on the order shards are constructed in.
-  Rng Fork(uint64_t salt) const {
-    Rng child(state_ ^ (0x9e3779b97f4a7c15ull * (salt + 0x51ed2701)));
-    child.NextU64();  // decorrelate from the raw seed
-    return child;
-  }
 
  private:
   uint64_t state_;

@@ -1,7 +1,5 @@
 #include "src/core/deployment.h"
 
-#include <functional>
-
 namespace micropnp {
 
 Deployment::Deployment(const DeploymentConfig& config)
@@ -9,44 +7,8 @@ Deployment::Deployment(const DeploymentConfig& config)
       rng_(config.seed),
       environment_(config.environment),
       fabric_(scheduler_, config.seed ^ 0x6e657477ull, config.link) {
-  if (config.num_shards > 1) {
-    runtime_ = std::make_unique<ShardedRuntime>(config.num_shards, config.seed ^ 0x73686172ull,
-                                                config.shard_inbox_capacity);
-    fabric_.EnableSharding(runtime_->shard_pointers());
-  }
   root_ = fabric_.CreateNode("border-router", NextUnicastAddress(), NodeProfile::Server(),
                              /*parent=*/nullptr);
-}
-
-Deployment::~Deployment() {
-  // Workers reference the fabric and the shards; they must be parked before
-  // any member destructs.
-  StopShardWorkers();
-}
-
-uint32_t Deployment::ShardForAddress(const Ip6Address& address) const {
-  return runtime_ ? runtime_->ShardOfHash(std::hash<Ip6Address>{}(address)) : 0;
-}
-
-Scheduler& Deployment::SchedulerForShard(uint32_t shard) {
-  return runtime_ ? runtime_->shard(shard).scheduler() : scheduler_;
-}
-
-void Deployment::StartShardWorkers() {
-  if (!runtime_) {
-    return;
-  }
-  // The quantum must not exceed the minimum cross-shard event latency
-  // (conservative lookahead); 0.9x leaves margin for floating-point
-  // accumulation in the per-hop latency sums.
-  runtime_->set_quantum_ms(0.9 * fabric_.MinCrossShardLatencyMs());
-  runtime_->StartWorkers();
-}
-
-void Deployment::StopShardWorkers() {
-  if (runtime_) {
-    runtime_->StopWorkers();
-  }
 }
 
 Ip6Address Deployment::NextUnicastAddress() {
@@ -60,10 +22,9 @@ Ip6Address Deployment::NextUnicastAddress() {
 
 MicroPnpManager& Deployment::AddManager(const std::string& name, NetNode* parent,
                                         bool preload_bundled_drivers) {
-  // The manager is infrastructure: pinned to shard 0 with the root.
   NetNode* node = fabric_.CreateNode(name, NextUnicastAddress(), NodeProfile::Server(),
-                                     parent != nullptr ? parent : root_, /*shard=*/0);
-  managers_.push_back(std::make_unique<MicroPnpManager>(SchedulerForShard(0), node));
+                                     parent != nullptr ? parent : root_);
+  managers_.push_back(std::make_unique<MicroPnpManager>(scheduler_, node));
   if (preload_bundled_drivers) {
     Status preloaded = managers_.back()->PreloadBundledDrivers();
     (void)preloaded;
@@ -73,28 +34,18 @@ MicroPnpManager& Deployment::AddManager(const std::string& name, NetNode* parent
 
 MicroPnpThing& Deployment::AddThing(const std::string& name, NetNode* parent,
                                     const ThingConfig& thing_config) {
-  const Ip6Address address = NextUnicastAddress();
-  // Stable affinity: the owning shard is a pure function of the address, so
-  // a device keeps its shard across re-plugs and restarts.
-  const uint32_t shard = ShardForAddress(address);
-  NetNode* node = fabric_.CreateNode(name, address, NodeProfile::Embedded(),
-                                     parent != nullptr ? parent : root_, shard);
-  things_.push_back(std::make_unique<MicroPnpThing>(SchedulerForShard(shard), node,
-                                                    ControlBoardConfig{}, rng_.NextU64(),
-                                                    thing_config, &decode_cache_));
+  NetNode* node = fabric_.CreateNode(name, NextUnicastAddress(), NodeProfile::Embedded(),
+                                     parent != nullptr ? parent : root_);
+  things_.push_back(std::make_unique<MicroPnpThing>(
+      scheduler_, node, ControlBoardConfig{}, rng_.NextU64(), thing_config, &decode_cache_));
   return *things_.back();
 }
 
 MicroPnpClient& Deployment::AddClient(const std::string& name, NetNode* parent,
-                                      size_t max_in_flight, int shard_pin) {
-  uint32_t shard = 0;
-  if (shard_pin >= 0 && runtime_ != nullptr) {
-    shard = static_cast<uint32_t>(shard_pin) % runtime_->num_shards();
-  }
+                                      size_t max_in_flight) {
   NetNode* node = fabric_.CreateNode(name, NextUnicastAddress(), NodeProfile::Server(),
-                                     parent != nullptr ? parent : root_, shard);
-  clients_.push_back(
-      std::make_unique<MicroPnpClient>(SchedulerForShard(shard), node, max_in_flight));
+                                     parent != nullptr ? parent : root_);
+  clients_.push_back(std::make_unique<MicroPnpClient>(scheduler_, node, max_in_flight));
   return *clients_.back();
 }
 

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/sharded_runtime.h"
 #include "src/periph/bmp180.h"
 #include "src/periph/environment.h"
 #include "src/periph/hih4030.h"
@@ -33,43 +32,25 @@ struct DeploymentConfig {
   std::string prefix = "2001:db8";
   LinkModel link;
   EnvironmentConfig environment;
-  // Runtime shards (worker threads).  1 keeps the historical single-threaded
-  // path (one Scheduler, bit-identical results); >1 partitions Things across
-  // per-shard schedulers with stable address-hash affinity and runs them in
-  // conservative lockstep (see src/core/sharded_runtime.h).
-  uint32_t num_shards = 1;
-  // Capacity of each shard's cross-shard MPSC inbox.
-  size_t shard_inbox_capacity = 1 << 16;
 };
 
 class Deployment {
  public:
   explicit Deployment(const DeploymentConfig& config = DeploymentConfig{});
-  ~Deployment();
 
-  // Shard 0's scheduler when sharded (infrastructure — manager, clients by
-  // default — is pinned there), the sole scheduler otherwise.
-  Scheduler& scheduler() { return runtime_ ? runtime_->shard(0).scheduler() : scheduler_; }
+  Scheduler& scheduler() { return scheduler_; }
   Fabric& fabric() { return fabric_; }
   Environment& environment() { return environment_; }
   NetNode* root() { return root_; }
 
-  // The parallel runtime, or nullptr when num_shards == 1.
-  ShardedRuntime* runtime() { return runtime_.get(); }
-  uint32_t num_shards() const { return runtime_ ? runtime_->num_shards() : 1; }
-
   // --- node factories --------------------------------------------------------
   // `parent == nullptr` attaches directly to the border router (one hop).
-  // Things get stable shard affinity by address hash; the manager and (by
-  // default) clients are pinned to shard 0.  `shard_pin >= 0` on AddClient
-  // places that client's endpoint on a specific shard, which the sharded
-  // gateway bench uses to give every shard its own closed read loop.
   MicroPnpManager& AddManager(const std::string& name = "manager", NetNode* parent = nullptr,
                               bool preload_bundled_drivers = true);
   MicroPnpThing& AddThing(const std::string& name, NetNode* parent = nullptr,
                           const ThingConfig& thing_config = ThingConfig{});
   MicroPnpClient& AddClient(const std::string& name, NetNode* parent = nullptr,
-                            size_t max_in_flight = 64, int shard_pin = -1);
+                            size_t max_in_flight = 64);
   // A bare relay node extending the tree (for multi-hop topologies).
   NetNode* AddRelayNode(const std::string& name, NetNode* parent = nullptr);
 
@@ -81,49 +62,26 @@ class Deployment {
   Relay& MakeRelay();
 
   // --- simulation control ------------------------------------------------------
-  // Advances simulated time by `ms` (lockstep quanta across shards when
-  // sharded; plain scheduler run otherwise).
+  // Advances simulated time by `ms`.
   void RunForMillis(double ms) {
-    if (runtime_) {
-      runtime_->RunForMillis(ms);
-    } else {
-      scheduler_.RunUntil(scheduler_.now() + SimTime::FromMillis(ms));
-    }
+    scheduler_.RunUntil(scheduler_.now() + SimTime::FromMillis(ms));
   }
   // Runs until no events remain.
-  void RunUntilIdle() {
-    if (runtime_) {
-      runtime_->RunUntilIdle();
-    } else {
-      scheduler_.Run();
-    }
-  }
-  double NowMillis() const {
-    return (runtime_ ? runtime_->now() : scheduler_.now()).millis();
-  }
+  void RunUntilIdle() { scheduler_.Run(); }
+  double NowMillis() const { return scheduler_.now().millis(); }
 
-  // Starts/stops the worker threads (no-ops when num_shards == 1).  Between
-  // Start and Stop, RunForMillis advances all shards in parallel; every
-  // other Deployment method is main-thread-only.  Start derives the
-  // conservative quantum from the fabric's link model.
-  void StartShardWorkers();
-  void StopShardWorkers();
-
-  // Shared verify-once decoded-image store handed to every Thing.
-  SharedDecodeCache& decode_cache() { return decode_cache_; }
+  // Verify-once decoded-image store shared by every Thing: a fleet running
+  // one driver type verifies and decodes its image once.
+  const DecodeCache& decode_cache() const { return decode_cache_; }
 
  private:
   Ip6Address NextUnicastAddress();
-  // Owning shard for a node address (0 when not sharded).
-  uint32_t ShardForAddress(const Ip6Address& address) const;
-  Scheduler& SchedulerForShard(uint32_t shard);
 
   DeploymentConfig config_;
   Scheduler scheduler_;
   Rng rng_;
   Environment environment_;
-  std::unique_ptr<ShardedRuntime> runtime_;  // null when num_shards == 1
-  SharedDecodeCache decode_cache_;
+  DecodeCache decode_cache_;
   Fabric fabric_;
   NetNode* root_;
   // 32-bit so 100k-node fleets still get unique addresses (the host part

@@ -55,170 +55,15 @@ void AppendDeterministicCell(std::string& out, const GatewayBenchResult& r) {
 void AppendWallClockCell(std::string& out, const GatewayBenchResult& r) {
   out += "{";
   AppendField(out, "num_things", static_cast<uint64_t>(r.num_things));
-  AppendField(out, "threads", static_cast<uint64_t>(r.threads));
   AppendField(out, "loss_rate", r.loss_rate);
   AppendField(out, "wall_seconds", r.wall_seconds);
   AppendField(out, "events_per_second", r.events_per_second, /*last=*/true);
   out += "}";
 }
 
-// The multi-threaded scenario: the fleet is sharded across `threads` workers
-// and each shard gets its own pinned gateway client running an independent
-// closed read loop (window/threads in flight, total_reads/threads budget).
-// Loop state is confined to the owning shard's worker; the main thread only
-// reads it between lockstep quanta (the runtime's barriers order those
-// accesses) and after the workers stop.
-GatewayBenchResult RunGatewayBenchSharded(const GatewayBenchOptions& options) {
-  const int threads = options.threads;
-  DeploymentConfig config;
-  config.seed = options.seed;
-  config.num_shards = static_cast<uint32_t>(threads);
-  Deployment deployment(config);
-  ShardedRuntime& runtime = *deployment.runtime();
-  (void)deployment.AddManager();
-
-  RequestOptions read_options;
-  read_options.deadline_ms = options.deadline_ms;
-  read_options.max_retransmits = options.max_retransmits;
-  read_options.initial_backoff_ms = options.initial_backoff_ms;
-
-  struct ClientLoop {
-    MicroPnpClient* client = nullptr;
-    Scheduler* clock = nullptr;  // the owning shard's clock
-    EndpointCounters before;
-    int offset = 0;
-    int budget = 0;
-    int issued = 0;
-    int resolved = 0;
-    std::vector<double> latencies;
-    std::function<void()> issue_next;
-  };
-
-  const int per_window = std::max(1, options.window / std::max(threads, 1));
-  std::vector<std::unique_ptr<ClientLoop>> loops;
-  loops.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    auto loop = std::make_unique<ClientLoop>();
-    loop->client = &deployment.AddClient(
-        "gateway-" + std::to_string(i), nullptr,
-        /*max_in_flight=*/static_cast<size_t>(per_window) + 64, /*shard_pin=*/i);
-    loop->clock = &runtime.shard(static_cast<uint32_t>(i)).scheduler();
-    loop->offset = i;
-    loop->budget = options.total_reads / threads + (i < options.total_reads % threads ? 1 : 0);
-    loops.push_back(std::move(loop));
-  }
-
-  ThingConfig thing_config;
-  thing_config.readvertise_min_ms = 0.0;
-  Result<DriverImage> image = CompileDriver(FindBundledDriver(kTmp36TypeId)->source);
-  std::vector<MicroPnpThing*> things;
-  things.reserve(static_cast<size_t>(options.num_things));
-  for (int i = 0; i < options.num_things; ++i) {
-    MicroPnpThing& thing = deployment.AddThing("thing-" + std::to_string(i), nullptr, thing_config);
-    (void)thing.PreinstallDriver(*image);
-    Tmp36& sensor = deployment.MakeTmp36();
-    if (thing.Plug(0, &sensor).ok()) {
-      things.push_back(&thing);
-    }
-  }
-  // Bring-up runs sequential lockstep quanta on the main thread.
-  deployment.RunForMillis(1000);
-
-  LinkModel lossy = config.link;
-  lossy.loss_rate = options.loss_rate;
-  deployment.fabric().set_link(lossy);
-
-  GatewayBenchResult result;
-  result.num_things = options.num_things;
-  result.threads = threads;
-  result.loss_rate = options.loss_rate;
-  result.seed = options.seed;
-  if (things.empty() || options.total_reads <= 0) {
-    return result;
-  }
-
-  for (auto& loop : loops) {
-    ClientLoop& state = *loop;
-    state.before = state.client->endpoint().counters();
-    state.issue_next = [&state, &things, threads, read_options] {
-      if (state.issued >= state.budget) {
-        return;
-      }
-      MicroPnpThing* thing =
-          things[static_cast<size_t>(state.offset + state.issued * threads) % things.size()];
-      ++state.issued;
-      const double started_ms = state.clock->now().millis();
-      state.client->Read(
-          thing->node().address(), kTmp36TypeId,
-          [&state, started_ms](Result<WireValue> value) {
-            ++state.resolved;
-            if (value.ok()) {
-              state.latencies.push_back(state.clock->now().millis() - started_ms);
-            }
-            state.issue_next();
-          },
-          read_options);
-    };
-  }
-
-  const uint64_t events_before = runtime.TotalExecuted();
-  const double sim_start_ms = deployment.NowMillis();
-  // Prime every loop's window from the main thread (workers not running yet).
-  for (auto& loop : loops) {
-    const int window = std::min(per_window, loop->budget);
-    for (int i = 0; i < window; ++i) {
-      loop->issue_next();
-    }
-  }
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  deployment.StartShardWorkers();
-  const double guard_ms =
-      deployment.NowMillis() +
-      (static_cast<double>(options.total_reads) + 1.0) * (options.deadline_ms + 1000.0);
-  auto total_resolved = [&loops] {
-    int total = 0;
-    for (const auto& loop : loops) {
-      total += loop->resolved;
-    }
-    return total;
-  };
-  while (total_resolved() < options.total_reads && deployment.NowMillis() < guard_ms) {
-    deployment.RunForMillis(500.0);
-  }
-  deployment.StopShardWorkers();
-  const auto wall_end = std::chrono::steady_clock::now();
-
-  std::vector<double> latencies;
-  latencies.reserve(static_cast<size_t>(options.total_reads));
-  for (auto& loop : loops) {
-    const EndpointCounters& after = loop->client->endpoint().counters();
-    result.issued += static_cast<uint64_t>(loop->issued);
-    result.completed += after.completed_ok - loop->before.completed_ok;
-    result.deadline_exceeded += after.deadline_exceeded - loop->before.deadline_exceeded;
-    result.retransmits += after.retransmits - loop->before.retransmits;
-    result.peak_in_flight += after.peak_in_flight;
-    result.final_in_flight += loop->client->endpoint().in_flight();
-    latencies.insert(latencies.end(), loop->latencies.begin(), loop->latencies.end());
-  }
-  result.scheduler_events = runtime.TotalExecuted() - events_before;
-  result.sim_duration_ms = deployment.NowMillis() - sim_start_ms;
-  std::sort(latencies.begin(), latencies.end());
-  result.p50_ms = Percentile(latencies, 0.5);
-  result.p99_ms = Percentile(latencies, 0.99);
-  result.wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
-  result.events_per_second =
-      result.wall_seconds > 0.0 ? static_cast<double>(result.scheduler_events) / result.wall_seconds
-                                : 0.0;
-  return result;
-}
-
 }  // namespace
 
 GatewayBenchResult RunGatewayBench(const GatewayBenchOptions& options) {
-  if (options.threads > 1) {
-    return RunGatewayBenchSharded(options);
-  }
   DeploymentConfig config;
   config.seed = options.seed;
   Deployment deployment(config);
@@ -327,28 +172,19 @@ GatewayBenchResult RunGatewayBench(const GatewayBenchOptions& options) {
 }
 
 std::string DeterministicCellsJson(const std::vector<GatewayBenchResult>& results) {
-  // Multi-threaded cells are excluded: their event interleaving comes from
-  // real concurrency, so only wall_clock reports them.  The cell format is
-  // unchanged from schema 1, keeping single-threaded output byte-comparable
-  // across versions.
   std::string out = "{\"cells\": [";
-  bool first = true;
-  for (const GatewayBenchResult& r : results) {
-    if (r.threads != 1) {
-      continue;
-    }
-    if (!first) {
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (i != 0) {
       out += ", ";
     }
-    first = false;
-    AppendDeterministicCell(out, r);
+    AppendDeterministicCell(out, results[i]);
   }
   out += "]}";
   return out;
 }
 
 std::string GatewayBenchJson(const std::vector<GatewayBenchResult>& results) {
-  std::string out = "{\"bench\": \"gateway\", \"schema_version\": 2, \"deterministic\": ";
+  std::string out = "{\"bench\": \"gateway\", \"schema_version\": 3, \"deterministic\": ";
   out += DeterministicCellsJson(results);
   out += ", \"wall_clock\": {\"cells\": [";
   for (size_t i = 0; i < results.size(); ++i) {

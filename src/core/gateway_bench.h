@@ -35,19 +35,11 @@ struct GatewayBenchOptions {
   double deadline_ms = 2000.0;
   int max_retransmits = 3;
   double initial_backoff_ms = 200.0;
-  // Worker threads (runtime shards).  1 runs the historical single-threaded
-  // scenario — deterministic, bit-identical run to run.  >1 shards the fleet
-  // across per-thread schedulers and runs one pinned gateway client per
-  // shard, each with its own slice of the window and read budget, so pending
-  // tables never cross shards.  Multi-threaded results are wall-clock-only
-  // (the interleaving is real concurrency, not a pure function of the seed).
-  int threads = 1;
 };
 
 struct GatewayBenchResult {
   // --- deterministic: a pure function of GatewayBenchOptions -----------------
   int num_things = 0;
-  int threads = 1;
   double loss_rate = 0.0;
   uint64_t seed = 0;
   uint64_t issued = 0;
@@ -68,14 +60,10 @@ struct GatewayBenchResult {
 // Runs the scenario to completion (every read resolves: reply or deadline).
 GatewayBenchResult RunGatewayBench(const GatewayBenchOptions& options);
 
-// Serializes results as a JSON document: {"bench": ..., "schema_version": 2,
+// Serializes results as a JSON document: {"bench": ..., "schema_version": 3,
 // "deterministic": {"cells": [...]}, "wall_clock": {"cells": [...]}}.
 // DeterministicCellsJson emits just the deterministic object, byte-stable
 // for a fixed option set — the determinism test compares it across runs.
-// Only threads == 1 results appear there (and the cell format is unchanged
-// from schema 1, so single-threaded output stays comparable across
-// versions); every result appears in wall_clock, whose cells carry the new
-// "threads" field.
 std::string DeterministicCellsJson(const std::vector<GatewayBenchResult>& results);
 std::string GatewayBenchJson(const std::vector<GatewayBenchResult>& results);
 

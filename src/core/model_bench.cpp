@@ -73,7 +73,6 @@ void AppendWallClockCell(std::string& out, const ModelBenchResult& r) {
   out += "{";
   AppendField(out, "num_things", static_cast<uint64_t>(r.num_things));
   AppendField(out, "num_clients", static_cast<uint64_t>(r.num_clients));
-  AppendField(out, "threads", static_cast<uint64_t>(r.threads));
   AppendField(out, "loss_rate", r.loss_rate);
   AppendField(out, "wall_seconds", r.wall_seconds);
   AppendField(out, "reads_per_second", r.reads_per_second);
@@ -86,32 +85,11 @@ struct ThingRef {
   DeviceTypeId device = 0;
 };
 
-// One per shard: a pinned MicroPnpClient, the ModelServer riding it, and
-// this shard's slice of the ModelClients plus its closed-loop pump state.
-struct ServerLoop {
-  MicroPnpClient* client = nullptr;
-  Scheduler* clock = nullptr;
-  std::unique_ptr<ModelServer> server;
-  std::vector<std::unique_ptr<ModelClient>> model_clients;
-  int offset = 0;
-  int budget = 0;  // phase-1 operations owned by this loop
-  int issued = 0;
-  int resolved = 0;
-  bool pumping = false;
-  int hotspot_issued = 0;
-  int hotspot_resolved = 0;
-  bool hotspot_pumping = false;
-  std::vector<double> latencies;
-  std::function<void()> pump;
-};
-
 }  // namespace
 
 ModelBenchResult RunModelBench(const ModelBenchOptions& options) {
-  const int threads = std::max(options.threads, 1);
   DeploymentConfig config;
   config.seed = options.seed;
-  config.num_shards = static_cast<uint32_t>(threads);
   Deployment deployment(config);
   (void)deployment.AddManager();
 
@@ -119,34 +97,18 @@ ModelBenchResult RunModelBench(const ModelBenchOptions& options) {
   server_config.default_ttl_ms = options.ttl_ms;
   server_config.stream_period_ms = options.stream_period_ms;
 
-  const int per_window = std::max(1, options.read_window / threads);
-  std::vector<std::unique_ptr<ServerLoop>> loops;
-  loops.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    auto loop = std::make_unique<ServerLoop>();
-    loop->client = &deployment.AddClient(
-        "model-gw-" + std::to_string(i), nullptr,
-        /*max_in_flight=*/static_cast<size_t>(per_window) + 64,
-        /*shard_pin=*/threads > 1 ? i : -1);
-    loop->clock = threads > 1 ? &deployment.runtime()->shard(static_cast<uint32_t>(i)).scheduler()
-                              : &deployment.scheduler();
-    loop->server = std::make_unique<ModelServer>(*loop->clock, *loop->client,
-                                                 ModelCatalog::BuiltIn(), server_config);
-    loop->offset = i;
-    loop->budget =
-        options.total_reads / threads + (i < options.total_reads % threads ? 1 : 0);
-    const int clients =
-        options.num_clients / threads + (i < options.num_clients % threads ? 1 : 0);
-    loop->model_clients.reserve(static_cast<size_t>(clients));
-    for (int c = 0; c < clients; ++c) {
-      loop->model_clients.push_back(std::make_unique<ModelClient>(*loop->server));
-    }
-    loops.push_back(std::move(loop));
+  const int window = std::max(1, options.read_window);
+  MicroPnpClient& gateway = deployment.AddClient(
+      "model-gw", nullptr, /*max_in_flight=*/static_cast<size_t>(window) + 64);
+  ModelServer server(deployment.scheduler(), gateway, ModelCatalog::BuiltIn(), server_config);
+  std::vector<std::unique_ptr<ModelClient>> model_clients;
+  for (int c = 0; c < options.num_clients; ++c) {
+    model_clients.push_back(std::make_unique<ModelClient>(server));
   }
 
   // Fleet bring-up: mostly TMP36 sensors, every 8th Thing a writable relay.
   // Drivers are preinstalled (the OTA path is bench_multihop's subject) and
-  // re-advertisement trickle is off; the servers learn the fleet from the
+  // re-advertisement trickle is off; the server learns the fleet from the
   // plug-time unsolicited (1)s — the advertisement-driven tracking path.
   ThingConfig thing_config;
   thing_config.readvertise_min_ms = 0.0;
@@ -183,158 +145,102 @@ ModelBenchResult RunModelBench(const ModelBenchOptions& options) {
   ModelBenchResult result;
   result.num_things = options.num_things;
   result.num_clients = options.num_clients;
-  result.threads = threads;
   result.loss_rate = options.loss_rate;
   result.seed = options.seed;
-  for (const auto& loop : loops) {
-    result.fleet_size += loop->server->fleet_size();
-  }
+  result.fleet_size = server.fleet_size();
   if (things.empty() || options.num_clients <= 0) {
     return result;
   }
 
-  auto sum_counters = [&loops] {
-    ModelServerCounters total;
-    for (const auto& loop : loops) {
-      const ModelServerCounters& c = loop->server->counters();
-      total.reads += c.reads;
-      total.cache_hits += c.cache_hits;
-      total.cache_misses += c.cache_misses;
-      total.coalesced_reads += c.coalesced_reads;
-      total.device_reads += c.device_reads;
-      total.read_failures += c.read_failures;
-      total.writes += c.writes;
-      total.device_writes += c.device_writes;
-      total.write_failures += c.write_failures;
-      total.fanout_delivered += c.fanout_delivered;
-      total.upstream_events += c.upstream_events;
-      total.upstream_restarts += c.upstream_restarts;
-    }
-    return total;
-  };
   auto run_phase = [&](const std::function<bool()>& done, double guard_ms) {
-    if (threads > 1) {
-      deployment.StartShardWorkers();
-    }
     while (!done() && deployment.NowMillis() < guard_ms) {
       deployment.RunForMillis(500.0);
     }
-    if (threads > 1) {
-      deployment.StopShardWorkers();
-    }
   };
 
-  const uint64_t events_before =
-      threads > 1 ? deployment.runtime()->TotalExecuted() : deployment.scheduler().executed();
+  const uint64_t events_before = deployment.scheduler().executed();
   const double sim_start_ms = deployment.NowMillis();
 
   // ---- phase 1: closed-loop read/write mix ---------------------------------
-  for (auto& loop_ptr : loops) {
-    ServerLoop& loop = *loop_ptr;
-    loop.pump = [&loop, &things, &relay_things, &options, threads, per_window] {
-      if (loop.pumping) {
-        return;
-      }
-      // Cache hits complete synchronously, so recursing from the completion
-      // callback would nest `budget` deep; the flag flattens the loop into
-      // an iterative pump.
-      loop.pumping = true;
-      while (loop.issued < loop.budget && loop.issued - loop.resolved < per_window) {
-        const int global_op = loop.offset + loop.issued * threads;
-        ++loop.issued;
-        ModelClient& actor =
-            *loop.model_clients[static_cast<size_t>(global_op) % loop.model_clients.size()];
-        const bool is_write = options.write_every > 0 && !relay_things.empty() &&
-                              (global_op + 1) % options.write_every == 0;
-        if (is_write) {
-          const ThingRef& target = things[relay_things[static_cast<size_t>(
-              global_op / options.write_every) % relay_things.size()]];
-          actor.WriteValue(target.address, target.device, global_op % 2, [&loop](Status) {
-            ++loop.resolved;
-            loop.pump();
-          });
-        } else {
-          const ThingRef& target = things[static_cast<size_t>(global_op) % things.size()];
-          const double started_ms = loop.clock->now().millis();
-          actor.ReadValue(target.address, target.device,
-                          [&loop, started_ms](Result<WireValue> value) {
-                            ++loop.resolved;
-                            if (value.ok()) {
-                              loop.latencies.push_back(loop.clock->now().millis() - started_ms);
-                            }
-                            loop.pump();
-                          });
-        }
-      }
-      loop.pumping = false;
-    };
-  }
-
-  const auto wall_start = std::chrono::steady_clock::now();
-  for (auto& loop : loops) {
-    loop->pump();
-  }
-  auto all_resolved = [&loops] {
-    for (const auto& loop : loops) {
-      if (loop->resolved < loop->budget) {
-        return false;
+  int issued = 0;
+  int resolved = 0;
+  bool pumping = false;
+  std::vector<double> latencies;
+  std::function<void()> pump = [&] {
+    if (pumping) {
+      return;
+    }
+    // Cache hits complete synchronously, so recursing from the completion
+    // callback would nest `total_reads` deep; the flag flattens the loop
+    // into an iterative pump.
+    pumping = true;
+    while (issued < options.total_reads && issued - resolved < window) {
+      const int op = issued++;
+      ModelClient& actor = *model_clients[static_cast<size_t>(op) % model_clients.size()];
+      const bool is_write = options.write_every > 0 && !relay_things.empty() &&
+                            (op + 1) % options.write_every == 0;
+      if (is_write) {
+        const ThingRef& target = things[relay_things[static_cast<size_t>(
+            op / options.write_every) % relay_things.size()]];
+        actor.WriteValue(target.address, target.device, op % 2, [&](Status) {
+          ++resolved;
+          pump();
+        });
+      } else {
+        const ThingRef& target = things[static_cast<size_t>(op) % things.size()];
+        const double started_ms = deployment.NowMillis();
+        actor.ReadValue(target.address, target.device,
+                        [&, started_ms](Result<WireValue> value) {
+                          ++resolved;
+                          if (value.ok()) {
+                            latencies.push_back(deployment.NowMillis() - started_ms);
+                          }
+                          pump();
+                        });
       }
     }
-    return true;
+    pumping = false;
   };
+
+  const auto wall_start = std::chrono::steady_clock::now();
+  pump();
   const double phase1_guard =
       deployment.NowMillis() +
       (static_cast<double>(options.total_reads) + 1.0) * (2000.0 + 1000.0);
-  run_phase(all_resolved, phase1_guard);
+  run_phase([&] { return resolved >= options.total_reads; }, phase1_guard);
 
   // ---- phase 2: hotspot (every client reads one Thing once) ----------------
-  const ModelServerCounters before_hotspot = sum_counters();
+  const ModelServerCounters before_hotspot = server.counters();
   const ThingRef hot = things.front();
-  for (auto& loop_ptr : loops) {
-    ServerLoop& loop = *loop_ptr;
-    loop.pump = [&loop, &hot, per_window] {
-      if (loop.hotspot_pumping) {
-        return;
-      }
-      loop.hotspot_pumping = true;
-      const int budget = static_cast<int>(loop.model_clients.size());
-      while (loop.hotspot_issued < budget &&
-             loop.hotspot_issued - loop.hotspot_resolved < per_window) {
-        ModelClient& actor = *loop.model_clients[static_cast<size_t>(loop.hotspot_issued)];
-        ++loop.hotspot_issued;
-        actor.ReadValue(hot.address, hot.device, [&loop](Result<WireValue>) {
-          ++loop.hotspot_resolved;
-          loop.pump();
-        });
-      }
-      loop.hotspot_pumping = false;
-    };
-  }
-  for (auto& loop : loops) {
-    loop->pump();
-  }
-  auto hotspot_resolved = [&loops] {
-    for (const auto& loop : loops) {
-      if (loop->hotspot_resolved < static_cast<int>(loop->model_clients.size())) {
-        return false;
-      }
+  const int hotspot_budget = static_cast<int>(model_clients.size());
+  int hotspot_issued = 0;
+  int hotspot_resolved = 0;
+  pump = [&] {
+    if (pumping) {
+      return;
     }
-    return true;
+    pumping = true;
+    while (hotspot_issued < hotspot_budget && hotspot_issued - hotspot_resolved < window) {
+      ModelClient& actor = *model_clients[static_cast<size_t>(hotspot_issued++)];
+      actor.ReadValue(hot.address, hot.device, [&](Result<WireValue>) {
+        ++hotspot_resolved;
+        pump();
+      });
+    }
+    pumping = false;
   };
-  run_phase(hotspot_resolved, deployment.NowMillis() + 60000.0);
+  pump();
+  run_phase([&] { return hotspot_resolved >= hotspot_budget; },
+            deployment.NowMillis() + 60000.0);
   const auto wall_reads_end = std::chrono::steady_clock::now();
-  const ModelServerCounters after_hotspot = sum_counters();
-  result.hotspot_reads = after_hotspot.reads - before_hotspot.reads;
-  result.hotspot_device_reads = after_hotspot.device_reads - before_hotspot.device_reads;
+  result.hotspot_reads = server.counters().reads - before_hotspot.reads;
+  result.hotspot_device_reads = server.counters().device_reads - before_hotspot.device_reads;
 
   // ---- phase 3: subscription fan-out ---------------------------------------
-  int client_index = 0;
-  for (auto& loop : loops) {
-    for (auto& actor : loop->model_clients) {
-      const ThingRef& target = things[static_cast<size_t>(client_index++) % things.size()];
-      if (actor->Subscribe(target.address, target.device, [](const WireValue&) {}).ok()) {
-        ++result.subscriptions;
-      }
+  for (size_t c = 0; c < model_clients.size(); ++c) {
+    const ThingRef& target = things[c % things.size()];
+    if (model_clients[c]->Subscribe(target.address, target.device, [](const WireValue&) {}).ok()) {
+      ++result.subscriptions;
     }
   }
   const double fanout_until = deployment.NowMillis() + options.stream_phase_ms;
@@ -345,25 +251,23 @@ ModelBenchResult RunModelBench(const ModelBenchOptions& options) {
   // Snapshot the exactly-once ledger while every subscription is still
   // registered: each fan-out must have delivered every upstream event to
   // every subscriber, no more, no fewer.
-  for (const auto& loop : loops) {
-    for (const ModelServer::FanoutStat& stat : loop->server->FanoutStats()) {
-      result.fanout_expected += stat.upstream_events * stat.subscribers;
-    }
+  for (const ModelServer::FanoutStat& stat : server.FanoutStats()) {
+    result.fanout_expected += stat.upstream_events * stat.subscribers;
   }
-  const ModelServerCounters final_counters = sum_counters();
-  result.reads = final_counters.reads;
-  result.cache_hits = final_counters.cache_hits;
-  result.cache_misses = final_counters.cache_misses;
-  result.coalesced_reads = final_counters.coalesced_reads;
-  result.device_reads = final_counters.device_reads;
-  result.read_failures = final_counters.read_failures;
-  result.writes = final_counters.writes;
-  result.device_writes = final_counters.device_writes;
-  result.write_failures = final_counters.write_failures;
-  result.upstream_events = final_counters.upstream_events;
-  result.fanout_delivered = final_counters.fanout_delivered;
+  const ModelServerCounters& counters = server.counters();
+  result.reads = counters.reads;
+  result.cache_hits = counters.cache_hits;
+  result.cache_misses = counters.cache_misses;
+  result.coalesced_reads = counters.coalesced_reads;
+  result.device_reads = counters.device_reads;
+  result.read_failures = counters.read_failures;
+  result.writes = counters.writes;
+  result.device_writes = counters.device_writes;
+  result.write_failures = counters.write_failures;
+  result.upstream_events = counters.upstream_events;
+  result.fanout_delivered = counters.fanout_delivered;
   result.fanout_exact = result.fanout_delivered == result.fanout_expected ? 1 : 0;
-  result.upstream_restarts = final_counters.upstream_restarts;
+  result.upstream_restarts = counters.upstream_restarts;
   result.hit_rate =
       result.reads > 0 ? static_cast<double>(result.cache_hits) / static_cast<double>(result.reads)
                        : 0.0;
@@ -371,14 +275,8 @@ ModelBenchResult RunModelBench(const ModelBenchOptions& options) {
                                                 static_cast<double>(result.reads)
                                           : 0.0;
   result.sim_duration_ms = deployment.NowMillis() - sim_start_ms;
-  result.scheduler_events =
-      (threads > 1 ? deployment.runtime()->TotalExecuted() : deployment.scheduler().executed()) -
-      events_before;
+  result.scheduler_events = deployment.scheduler().executed() - events_before;
 
-  std::vector<double> latencies;
-  for (auto& loop : loops) {
-    latencies.insert(latencies.end(), loop->latencies.begin(), loop->latencies.end());
-  }
   std::sort(latencies.begin(), latencies.end());
   result.p50_ms = Percentile(latencies, 0.5);
   result.p99_ms = Percentile(latencies, 0.99);
@@ -395,10 +293,8 @@ ModelBenchResult RunModelBench(const ModelBenchOptions& options) {
 
   // Orderly teardown (outside the measured window): drop every subscription
   // and let the stream stops resolve.
-  for (auto& loop : loops) {
-    for (auto& actor : loop->model_clients) {
-      actor->UnsubscribeAll();
-    }
+  for (auto& actor : model_clients) {
+    actor->UnsubscribeAll();
   }
   deployment.RunForMillis(3000);
   return result;
@@ -406,23 +302,18 @@ ModelBenchResult RunModelBench(const ModelBenchOptions& options) {
 
 std::string ModelDeterministicCellsJson(const std::vector<ModelBenchResult>& results) {
   std::string out = "{\"cells\": [";
-  bool first = true;
-  for (const ModelBenchResult& r : results) {
-    if (r.threads != 1) {
-      continue;
-    }
-    if (!first) {
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (i != 0) {
       out += ", ";
     }
-    first = false;
-    AppendDeterministicCell(out, r);
+    AppendDeterministicCell(out, results[i]);
   }
   out += "]}";
   return out;
 }
 
 std::string ModelBenchJson(const std::vector<ModelBenchResult>& results) {
-  std::string out = "{\"bench\": \"model\", \"schema_version\": 1, \"deterministic\": ";
+  std::string out = "{\"bench\": \"model\", \"schema_version\": 2, \"deterministic\": ";
   out += ModelDeterministicCellsJson(results);
   out += ", \"wall_clock\": {\"cells\": [";
   for (size_t i = 0; i < results.size(); ++i) {

@@ -1,7 +1,6 @@
 // Reusable northbound model-gateway benchmark scenario.
 //
-// M ModelClients over per-shard ModelServers against N Things, in three
-// phases:
+// M ModelClients over one ModelServer against N Things, in three phases:
 //
 //  1. Read mix (closed loop): `total_reads` property reads round-robin over
 //     clients and Things, `read_window` in flight, with a write to a
@@ -21,7 +20,7 @@
 // Like gateway_bench, the scenario lives in the library because three
 // consumers share it: bench_model, the CI smoke step, and the determinism
 // regression test.  Results split into deterministic fields (a pure
-// function of the options at threads == 1) and wall-clock fields.
+// function of the options) and wall-clock fields.
 
 #ifndef SRC_CORE_MODEL_BENCH_H_
 #define SRC_CORE_MODEL_BENCH_H_
@@ -43,19 +42,15 @@ struct ModelBenchOptions {
   double stream_phase_ms = 2000.0;  // phase-3 duration
   double loss_rate = 0.0;
   uint64_t seed = 2015;
-  // Worker threads (runtime shards); >1 runs one ModelServer per shard on a
-  // shard-pinned client, and only wall-clock fields are reported.
-  int threads = 1;
 };
 
 struct ModelBenchResult {
   // --- deterministic: a pure function of ModelBenchOptions -------------------
   int num_things = 0;
   int num_clients = 0;
-  int threads = 1;
   double loss_rate = 0.0;
   uint64_t seed = 0;
-  uint64_t fleet_size = 0;  // Things tracked from advertisements (sum/shards)
+  uint64_t fleet_size = 0;  // Things tracked from advertisements
   // Phase 1+2 cache ledger (invariants: hits + misses == reads,
   // coalesced + device_reads == misses).
   uint64_t reads = 0;
@@ -91,10 +86,10 @@ struct ModelBenchResult {
 
 ModelBenchResult RunModelBench(const ModelBenchOptions& options);
 
-// {"cells": [...]} with only threads == 1 results — byte-stable for a fixed
-// option set; the determinism test compares it across runs.
+// {"cells": [...]} — byte-stable for a fixed option set; the determinism
+// test compares it across runs.
 std::string ModelDeterministicCellsJson(const std::vector<ModelBenchResult>& results);
-// {"bench": "model", "schema_version": 1, "deterministic": ..., "wall_clock": ...}
+// {"bench": "model", "schema_version": 2, "deterministic": ..., "wall_clock": ...}
 std::string ModelBenchJson(const std::vector<ModelBenchResult>& results);
 
 }  // namespace micropnp

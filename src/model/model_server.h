@@ -21,12 +21,6 @@
 //    deadline) re-establishes with capped doubling backoff for as long as
 //    subscribers remain.
 //
-// Threading: a ModelServer is shard-affine.  It runs entirely on the
-// scheduler of the shard its MicroPnpClient is pinned to and takes no
-// locks; a multi-shard deployment runs one ModelServer per shard (see
-// RunModelBenchSharded), exactly like every other per-shard actor on the
-// PR 9 runtime.
-//
 // Counter invariants (checked by tests and the bench):
 //   cache_hits + cache_misses == reads
 //   coalesced_reads + device_reads == cache_misses

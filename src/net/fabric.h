@@ -17,41 +17,14 @@
 //
 // Per-frame transmissions are counted globally and per delivery, which is
 // what the SMRF-vs-flooding ablation measures.
-//
-// Threading model.  The fabric is the one component the parallel runtime
-// cannot shard outright: any node may send to any other node.  It is split
-// into three classes of state:
-//
-//  * Immutable-after-setup: the node tree (parent/children/depth), the
-//    address index, link model and profiles.  Built single-threaded before
-//    workers start; read lock-free afterwards.
-//  * Per-shard RouteContext: the RNG stream and the routing scratch buffers.
-//    Routing always runs on the *sending* node's shard, using that shard's
-//    context, so the hot path stays allocation- and lock-free.  In the
-//    non-sharded (single-threaded) build there is exactly one context,
-//    seeded as before, which preserves the historical RNG draw order bit
-//    for bit.
-//  * Shared mutable: multicast/anycast membership (guarded by a
-//    shared_mutex; reads are the common case) and the global frame counters
-//    (relaxed atomics).
-//
-// Delivery crossing shards is not a direct Scheduler call: the sender
-// computes the absolute due time and hands the delivery closure to the
-// destination shard's MPSC inbox (Shard::PostAt).  The link model gives
-// every cross-node delivery a latency of at least tx processing + CSMA
-// backoff + airtime + rx processing, which is the lookahead that makes the
-// conservative quantum scheme in ShardedRuntime sound; see
-// MinCrossShardLatencyMs().
 
 #ifndef SRC_NET_FABRIC_H_
 #define SRC_NET_FABRIC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -65,8 +38,6 @@
 #include "src/sim/scheduler.h"
 
 namespace micropnp {
-
-class Shard;
 
 // 802.15.4 / 6LoWPAN link model.
 struct LinkModel {
@@ -125,8 +96,8 @@ class NetNode {
   // so SMRF can prune).
   void JoinGroup(const Ip6Address& group);
   void LeaveGroup(const Ip6Address& group);
-  bool InGroup(const Ip6Address& group) const;
-  size_t group_count() const;
+  bool InGroup(const Ip6Address& group) const { return groups_.count(group) != 0; }
+  size_t group_count() const { return groups_.size(); }
 
   // Anycast service binding (the μPnP Manager address, Section 5).
   void BindAnycast(const Ip6Address& anycast);
@@ -135,17 +106,13 @@ class NetNode {
   const std::vector<NetNode*>& children() const { return children_; }
   int depth() const { return depth_; }
 
-  // Shard owning this node in the parallel runtime (0 when not sharded).
-  // All of the node's handlers and timers run on that shard's scheduler.
-  uint32_t shard() const { return shard_; }
-
   uint64_t datagrams_sent() const { return datagrams_sent_; }
   uint64_t datagrams_received() const { return datagrams_received_; }
 
  private:
   friend class Fabric;
   NetNode(Fabric& fabric, std::string name, Ip6Address unicast, NodeProfile profile,
-          NetNode* parent, uint32_t shard);
+          NetNode* parent);
 
   void Deliver(const Ip6Address& src, const Ip6Address& dst, uint16_t port,
                const std::vector<uint8_t>& payload);
@@ -157,16 +124,10 @@ class NetNode {
   NetNode* parent_;
   std::vector<NetNode*> children_;
   int depth_ = 0;
-  uint32_t shard_ = 0;
   std::unordered_map<uint16_t, UdpHandler> handlers_;
-  // groups_ / subtree_members_ are guarded by Fabric::membership_mutex_
-  // (written by the owner shard, read by any routing shard during SMRF
-  // descent).
   std::unordered_set<Ip6Address> groups_;
   // Groups joined by this node or any descendant (SMRF pruning state).
   std::unordered_map<Ip6Address, int> subtree_members_;
-  // Owner-shard-only counters: bumped on the node's own shard (send from the
-  // owner, delivery closures run on the owner), so no atomics needed.
   uint64_t datagrams_sent_ = 0;
   uint64_t datagrams_received_ = 0;
 };
@@ -176,9 +137,8 @@ class Fabric {
   Fabric(Scheduler& scheduler, uint64_t seed, const LinkModel& link = LinkModel{});
 
   // Creates a node.  parent == nullptr makes a DODAG root (border router).
-  // `shard` pins the node to a runtime shard (ignored until EnableSharding).
   NetNode* CreateNode(const std::string& name, const Ip6Address& unicast,
-                      const NodeProfile& profile, NetNode* parent, uint32_t shard = 0);
+                      const NodeProfile& profile, NetNode* parent);
 
   Scheduler& scheduler() { return scheduler_; }
   const LinkModel& link() const { return link_; }
@@ -187,26 +147,10 @@ class Fabric {
   MulticastMode multicast_mode() const { return multicast_mode_; }
   void set_multicast_mode(MulticastMode mode) { multicast_mode_ = mode; }
 
-  // Switches delivery to the sharded runtime: each node's delivery closures
-  // are scheduled on (or posted to) its owning shard, and routing uses the
-  // calling shard's RouteContext.  Must be called after the topology is
-  // built and before workers start; shards[i] must be shard id i.
-  void EnableSharding(const std::vector<Shard*>& shards);
-  bool sharded() const { return !shards_.empty(); }
-
-  // Lower bound on the simulated latency of any delivery between two
-  // distinct nodes under the current link model: the conservative lookahead
-  // for the parallel runtime's quantum.
-  double MinCrossShardLatencyMs() const;
-
   // --- statistics -----------------------------------------------------------
-  uint64_t frames_transmitted() const {
-    return frames_transmitted_.load(std::memory_order_relaxed);
-  }
-  uint64_t frames_lost() const { return frames_lost_.load(std::memory_order_relaxed); }
-  uint64_t multicast_frames() const {
-    return multicast_frames_.load(std::memory_order_relaxed);
-  }
+  uint64_t frames_transmitted() const { return frames_transmitted_; }
+  uint64_t frames_lost() const { return frames_lost_; }
+  uint64_t multicast_frames() const { return multicast_frames_; }
   void ResetStats();
 
   // Hop distance along the tree between two nodes.
@@ -221,93 +165,63 @@ class Fabric {
  private:
   friend class NetNode;
 
-  struct Descent {
-    NetNode* node;
-    double latency;
-  };
+  void Route(NetNode& src, const Ip6Address& dst, uint16_t port,
+             const std::vector<uint8_t>& payload);
+  void RouteUnicast(NetNode& src, NetNode& dst, const Ip6Address& dst_addr, uint16_t port,
+                    const std::vector<uint8_t>& payload);
+  void RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port,
+                      const std::vector<uint8_t>& payload);
+  void UpdateSubtreeMembership(NetNode& node, const Ip6Address& group, int delta);
 
-  // Everything the routing hot path mutates, bundled per shard so routing
-  // never takes a lock.  The scratch buffers are reused across calls:
-  // routing runs at gateway datagram rates, and Route never re-enters
-  // (delivery happens later, from scheduler callbacks), so per-datagram
-  // path vectors would be pure allocator churn.  `in_route` backs a debug
-  // assertion that the single-owner reuse contract actually holds.
-  struct RouteContext {
-    explicit RouteContext(uint64_t seed) : rng(seed) {}
-    Rng rng;
-    std::vector<NetNode*> path_scratch;
-    std::vector<NetNode*> down_scratch;
-    std::vector<Transfer> hops_scratch;
-    std::vector<Transfer> single_hop;
-    std::vector<Descent> mcast_queue;
-    bool in_route = false;
-  };
-
-  // Debug-asserts that no other Route call is live on this context for the
-  // duration of the guard (the scratch-buffer reentrancy contract).
+  // Debug-asserts that no other Route call is live for the duration of the
+  // guard (the scratch-buffer reentrancy contract, see TreePath).
   class ScratchGuard {
    public:
-    explicit ScratchGuard(RouteContext& ctx);
+    explicit ScratchGuard(bool& in_route);
     ~ScratchGuard();
     ScratchGuard(const ScratchGuard&) = delete;
     ScratchGuard& operator=(const ScratchGuard&) = delete;
 
    private:
-    RouteContext& ctx_;
+    bool& in_route_;
   };
 
-  // The context for the calling thread: the base context when not sharded,
-  // otherwise the current shard's context (falling back to the source
-  // node's shard for main-thread sends before workers start).
-  RouteContext& ContextFor(const NetNode& src);
-
-  // Schedules `deliver` to run after `latency_ms` on dst's owning shard
-  // (plain ScheduleAfter when not sharded; MPSC hand-off when the sender
-  // runs on a different shard).
-  void ScheduleDelivery(NetNode& dst, double latency_ms, std::function<void()> deliver);
-
-  void Route(NetNode& src, const Ip6Address& dst, uint16_t port,
-             const std::vector<uint8_t>& payload);
-  void RouteUnicast(RouteContext& ctx, NetNode& src, NetNode& dst, const Ip6Address& dst_addr,
-                    uint16_t port, const std::vector<uint8_t>& payload);
-  void RouteMulticast(RouteContext& ctx, NetNode& src, const Ip6Address& group, uint16_t port,
-                      const std::vector<uint8_t>& payload);
-  // Caller must hold membership_mutex_ exclusively.
-  void UpdateSubtreeMembershipLocked(NetNode& node, const Ip6Address& group, int delta);
-
   // Path along the tree (exclusive of src, inclusive of dst), built by a
-  // depth-lockstep walk to the lowest common ancestor into ctx's scratch.
-  const std::vector<NetNode*>& TreePath(RouteContext& ctx, NetNode& src, NetNode& dst);
+  // depth-lockstep walk to the lowest common ancestor.  The result lives in
+  // a scratch buffer reused across calls: routing runs at gateway datagram
+  // rates, and Route never re-enters (delivery happens later, from scheduler
+  // callbacks), so per-datagram path vectors would be pure allocator churn.
+  const std::vector<NetNode*>& TreePath(NetNode& src, NetNode& dst);
   // Per-link transfers along `path`, starting from `src` (scratch-backed).
-  const std::vector<Transfer>& BuildTransfers(RouteContext& ctx,
-                                              const std::vector<NetNode*>& path, NetNode* src);
+  const std::vector<Transfer>& BuildTransfers(const std::vector<NetNode*>& path, NetNode* src);
   // Simulates the hop-by-hop delivery delay, counting frames; returns the
   // total latency or nullopt if a frame was lost.
-  std::optional<double> SimulateHops(RouteContext& ctx, const std::vector<Transfer>& hops,
-                                     size_t payload_bytes, bool multicast);
+  std::optional<double> SimulateHops(const std::vector<Transfer>& hops, size_t payload_bytes,
+                                     bool multicast);
 
   Scheduler& scheduler_;
+  Rng rng_;
   LinkModel link_;
   MulticastMode multicast_mode_ = MulticastMode::kSmrf;
   std::vector<std::unique_ptr<NetNode>> nodes_;
   // O(1) unicast destination lookup (the seed scanned nodes_ linearly, which
-  // made every datagram O(N) at fleet scale).  Immutable once workers start.
+  // made every datagram O(N) at fleet scale).
   std::unordered_map<Ip6Address, NetNode*> nodes_by_address_;
   std::unordered_map<Ip6Address, std::vector<NetNode*>> anycast_bindings_;
-
-  // Guards groups_/subtree_members_ on every node plus anycast_bindings_.
-  mutable std::shared_mutex membership_mutex_;
-
-  // Single-threaded routing context; carries the fabric's historical RNG
-  // stream so non-sharded runs are bit-identical to the pre-sharding code.
-  RouteContext base_context_;
-  // One context per shard, created by EnableSharding.
-  std::vector<Shard*> shards_;
-  std::vector<std::unique_ptr<RouteContext>> shard_contexts_;
-
-  std::atomic<uint64_t> frames_transmitted_{0};
-  std::atomic<uint64_t> frames_lost_{0};
-  std::atomic<uint64_t> multicast_frames_{0};
+  // Scratch buffers for the routing hot path (see TreePath).
+  std::vector<NetNode*> path_scratch_;
+  std::vector<NetNode*> down_scratch_;
+  std::vector<Transfer> hops_scratch_;
+  std::vector<Transfer> single_hop_;
+  struct Descent {
+    NetNode* node;
+    double latency;
+  };
+  std::vector<Descent> mcast_queue_;
+  bool in_route_ = false;
+  uint64_t frames_transmitted_ = 0;
+  uint64_t frames_lost_ = 0;
+  uint64_t multicast_frames_ = 0;
 };
 
 }  // namespace micropnp

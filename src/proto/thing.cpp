@@ -10,7 +10,7 @@ namespace micropnp {
 
 MicroPnpThing::MicroPnpThing(Scheduler& scheduler, NetNode* node,
                              const ControlBoardConfig& board_config, uint64_t seed,
-                             const ThingConfig& config, SharedDecodeCache* decode_cache)
+                             const ThingConfig& config, DecodeCache* decode_cache)
     : scheduler_(scheduler),
       node_(node),
       config_(config),

@@ -101,12 +101,11 @@ struct PlugFlowMarks {
 
 class MicroPnpThing {
  public:
-  // `decode_cache` (optional) shares verified decoded driver images across
-  // all Things in the process (see SharedDecodeCache); it must outlive the
-  // Thing.
+  // `decode_cache` (optional) shares verified decoded driver images with
+  // other Things (see DecodeCache); it must outlive the Thing.
   MicroPnpThing(Scheduler& scheduler, NetNode* node, const ControlBoardConfig& board_config,
                 uint64_t seed, const ThingConfig& config = ThingConfig{},
-                SharedDecodeCache* decode_cache = nullptr);
+                DecodeCache* decode_cache = nullptr);
 
   // --- local hardware access ------------------------------------------------
   Status Plug(ChannelId channel, Peripheral* peripheral);

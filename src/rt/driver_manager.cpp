@@ -1,52 +1,49 @@
 #include "src/rt/driver_manager.h"
 
 #include <iterator>
-#include <mutex>
 
 namespace micropnp {
 
-Result<std::shared_ptr<const DecodedImage>> SharedDecodeCache::GetOrDecode(
-    const DriverImage& image, bool* hit) {
+Result<std::shared_ptr<const DecodedImage>> DecodeCache::GetOrDecode(const DriverImage& image,
+                                                                    bool* hit) {
   const uint32_t crc = image.ImageCrc();
-  {
-    std::lock_guard lock(mutex_);
-    auto it = by_crc_.find(crc);
-    if (it != by_crc_.end() && it->second->image() == image) {
-      ++hits_;
-      if (hit != nullptr) {
-        *hit = true;
-      }
-      return it->second;
+  auto cached = by_crc_.find(crc);
+  if (cached != by_crc_.end() && cached->second->image() == image) {
+    // Byte-equality confirmed: a CRC collision must not let a different
+    // image reuse (and thereby skip verification of) this entry.
+    ++hits_;
+    *hit = true;
+    return cached->second;
+  }
+  Result<std::shared_ptr<const DecodedImage>> decoded = DecodedImage::DecodeShared(image, crc);
+  if (!decoded.ok()) {
+    return decoded;
+  }
+  ++misses_;
+  *hit = false;
+  if (cached != by_crc_.end()) {
+    // CRC collision with different bytes: the newer image takes the slot.
+    cached->second = *decoded;
+    return decoded;
+  }
+  if (by_crc_.size() >= kCapacity) {
+    // Evict entries nothing references anymore (use_count 1 == only the
+    // cache holds them) so repeated driver-version churn stays bounded.
+    for (auto it = by_crc_.begin(); it != by_crc_.end();) {
+      it = it->second.use_count() == 1 ? by_crc_.erase(it) : std::next(it);
     }
   }
-  // Decode outside the lock: verification is the expensive part, and two
-  // shards racing on the same new image just do the work twice, once ever.
-  Result<std::shared_ptr<const DecodedImage>> result = DecodedImage::DecodeShared(image, crc);
-  if (!result.ok()) {
-    return result;
+  if (by_crc_.size() < kCapacity) {
+    by_crc_[crc] = *decoded;
   }
-  std::lock_guard lock(mutex_);
-  ++misses_;
-  if (hit != nullptr) {
-    *hit = false;
-  }
-  by_crc_[crc] = *result;  // latest wins on CRC collision / decode race
-  return result;
+  return decoded;
 }
 
-uint64_t SharedDecodeCache::hits() const {
-  std::lock_guard lock(mutex_);
-  return hits_;
-}
-
-uint64_t SharedDecodeCache::misses() const {
-  std::lock_guard lock(mutex_);
-  return misses_;
-}
-
-DriverManager::DriverManager(Scheduler& scheduler, EventRouter& router,
-                             SharedDecodeCache* shared_cache)
-    : scheduler_(scheduler), router_(router), shared_cache_(shared_cache) {
+DriverManager::DriverManager(Scheduler& scheduler, EventRouter& router, DecodeCache* decode_cache)
+    : scheduler_(scheduler),
+      router_(router),
+      own_cache_(decode_cache == nullptr ? std::make_unique<DecodeCache>() : nullptr),
+      decode_cache_(decode_cache != nullptr ? *decode_cache : *own_cache_) {
   router_.set_on_post([this] { SchedulePump(); });
 }
 
@@ -54,50 +51,15 @@ Status DriverManager::InstallImage(const DriverImage& image) {
   if (image.device_id == kDeviceTypeAllPeripherals || image.device_id == kDeviceTypeAllClients) {
     return InvalidArgument("reserved device type id");
   }
-  if (shared_cache_ != nullptr) {
-    bool hit = false;
-    Result<std::shared_ptr<const DecodedImage>> result = shared_cache_->GetOrDecode(image, &hit);
-    if (!result.ok()) {
-      return result.status();
-    }
-    if (hit) {
-      ++decode_cache_hits_;
-    }
-    images_[image.device_id] = *result;
-    ++installs_;
-    return OkStatus();
+  bool hit = false;
+  Result<std::shared_ptr<const DecodedImage>> decoded = decode_cache_.GetOrDecode(image, &hit);
+  if (!decoded.ok()) {
+    return decoded.status();
   }
-  const uint32_t crc = image.ImageCrc();
-  std::shared_ptr<const DecodedImage> decoded;
-  auto cached = decode_cache_.find(crc);
-  if (cached != decode_cache_.end() && cached->second->image() == image) {
-    // Byte-equality confirmed: a CRC collision must not let a different
-    // image reuse (and thereby skip verification of) this entry.
-    decoded = cached->second;
+  if (hit) {
     ++decode_cache_hits_;
-  } else {
-    Result<std::shared_ptr<const DecodedImage>> result = DecodedImage::DecodeShared(image, crc);
-    if (!result.ok()) {
-      return result.status();
-    }
-    decoded = *result;
-    if (cached != decode_cache_.end()) {
-      // CRC collision with different bytes: the newer image takes the slot.
-      cached->second = decoded;
-    } else {
-      if (decode_cache_.size() >= kDecodeCacheCapacity) {
-        // Evict entries nothing references anymore (use_count 1 == only the
-        // cache holds them) so repeated driver-version churn stays bounded.
-        for (auto it = decode_cache_.begin(); it != decode_cache_.end();) {
-          it = it->second.use_count() == 1 ? decode_cache_.erase(it) : std::next(it);
-        }
-      }
-      if (decode_cache_.size() < kDecodeCacheCapacity) {
-        decode_cache_[crc] = decoded;
-      }
-    }
   }
-  images_[image.device_id] = std::move(decoded);
+  images_[image.device_id] = std::move(*decoded);
   ++installs_;
   return OkStatus();
 }

@@ -22,8 +22,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/rt/decoded_image.h"
@@ -31,42 +29,37 @@
 
 namespace micropnp {
 
-// Process-wide verify-once store of decoded driver images, shared by every
-// driver manager in a deployment (across runtime shards).  A fleet of 10k
-// Things installing the same driver verifies and decodes it exactly once;
-// everyone else gets the shared immutable DecodedImage.
-//
-// Thread-safety: the mutex guards only the CRC -> image map on the install
-// path.  A DecodedImage is immutable after decode, so shards execute from
-// shared images lock-free; the shared_ptr control block handles lifetime.
-// Hits byte-compare against the stored image so a CRC collision can never
-// bypass verification.
-class SharedDecodeCache {
+// Verified+decoded driver images keyed by image CRC.  A hit skips
+// verify+decode and hands out the same immutable DecodedImage, so every host
+// of one device type shares a single decoded stream.  Hits byte-compare
+// against the stored image, so a CRC collision can never bypass
+// verification.  One cache may serve many driver managers (a Deployment
+// shares one across its whole fleet).
+class DecodeCache {
  public:
+  // Bound: entries no longer referenced by an installed image are evicted
+  // once the cache is full, so driver-version churn on a long-lived node
+  // cannot grow memory without bound.
+  static constexpr size_t kCapacity = 32;
+
+  // Returns the decoded image, verifying and decoding it on a miss; `*hit`
+  // reports whether the cached entry was reused.
   Result<std::shared_ptr<const DecodedImage>> GetOrDecode(const DriverImage& image, bool* hit);
 
-  uint64_t hits() const;
-  uint64_t misses() const;
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
 
  private:
-  mutable std::mutex mutex_;
-  std::unordered_map<uint32_t, std::shared_ptr<const DecodedImage>> by_crc_;
+  std::map<uint32_t, std::shared_ptr<const DecodedImage>> by_crc_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };
 
 class DriverManager {
  public:
-  // Decode-cache bound: entries no longer referenced by an installed image
-  // are evicted once the cache is full, so driver-version churn on a
-  // long-lived node cannot grow memory without bound.
-  static constexpr size_t kDecodeCacheCapacity = 32;
-
-  // `shared_cache` (optional) is consulted before the local decode cache;
-  // it must outlive the manager.  The sharded Deployment passes one cache
-  // to every Thing so identical images decode once per process.
-  DriverManager(Scheduler& scheduler, EventRouter& router,
-                SharedDecodeCache* shared_cache = nullptr);
+  // `decode_cache` (optional) replaces the manager's own cache; it must
+  // outlive the manager.
+  DriverManager(Scheduler& scheduler, EventRouter& router, DecodeCache* decode_cache = nullptr);
 
   // ---- driver image store (remote DEPLOY/REMOVE/DISCOVER) -----------------
   // Verifies + decodes the image; statically invalid images are rejected
@@ -112,13 +105,11 @@ class DriverManager {
 
   Scheduler& scheduler_;
   EventRouter& router_;
-  SharedDecodeCache* shared_cache_;
+  // Survives RemoveImage, so a remove/re-deploy cycle of the same bytes is
+  // free.  `own_cache_` exists only when no shared cache was passed in.
+  std::unique_ptr<DecodeCache> own_cache_;
+  DecodeCache& decode_cache_;
   std::map<DeviceTypeId, std::shared_ptr<const DecodedImage>> images_;
-  // Verified+decoded images by image CRC (hits also byte-compare, so a CRC
-  // collision cannot bypass verification).  Survives RemoveImage so a
-  // remove/re-deploy cycle of the same bytes is free; bounded by
-  // kDecodeCacheCapacity with unused entries evicted first.
-  std::map<uint32_t, std::shared_ptr<const DecodedImage>> decode_cache_;
   std::map<ChannelId, std::unique_ptr<DriverHost>> hosts_;
   bool pump_scheduled_ = false;
   uint64_t installs_ = 0;

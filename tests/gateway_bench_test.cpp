@@ -26,11 +26,10 @@ GatewayBenchOptions ThousandThingCell() {
   return opt;
 }
 
-// The committed single-threaded baseline for ThousandThingCell.  threads=1
-// runs take the historical single-scheduler code path, so their output must
-// stay byte-identical across the parallel-runtime refactor (and any future
-// one).  If a deliberate behaviour change moves these numbers, regenerate
-// the string from DeterministicCellsJson and say so in the commit.
+// The committed baseline for ThousandThingCell.  Refactors of the runtime
+// must keep this output byte-identical.  If a deliberate behaviour change
+// moves these numbers, regenerate the string from DeterministicCellsJson and
+// say so in the commit.
 constexpr const char* kThousandThingGolden =
     "{\"cells\": [{\"num_things\": 1000, \"loss_rate\": 0.020000, \"seed\": 20150415, "
     "\"issued\": 500, \"completed\": 500, \"deadline_exceeded\": 0, \"retransmits\": 44, "
@@ -46,7 +45,7 @@ TEST(GatewayBenchDeterminism, SameSeedSameDeterministicJsonAtThousandThings) {
   const std::string json_second = DeterministicCellsJson({second});
   EXPECT_EQ(json_first, json_second) << "simulation is not a pure function of the seed";
   EXPECT_EQ(json_first, kThousandThingGolden)
-      << "threads=1 output diverged from the committed single-threaded baseline";
+      << "output diverged from the committed baseline";
 
   // The scenario's own invariants, on top of replay equality.
   EXPECT_EQ(first.issued, 500u);
@@ -80,34 +79,12 @@ TEST(GatewayBenchJsonSchema, EmitsExpectedKeys) {
   const GatewayBenchResult r = RunGatewayBench(opt);
   const std::string json = GatewayBenchJson({r});
   for (const char* key :
-       {"\"bench\": \"gateway\"", "\"schema_version\": 2", "\"deterministic\"", "\"wall_clock\"",
-        "\"num_things\"", "\"threads\"", "\"issued\"", "\"completed\"", "\"deadline_exceeded\"",
+       {"\"bench\": \"gateway\"", "\"schema_version\": 3", "\"deterministic\"", "\"wall_clock\"",
+        "\"num_things\"", "\"issued\"", "\"completed\"", "\"deadline_exceeded\"",
         "\"peak_in_flight\"", "\"final_in_flight\"", "\"scheduler_events\"", "\"p50_ms\"",
         "\"p99_ms\"", "\"events_per_second\"", "\"wall_seconds\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key << " in " << json;
   }
-}
-
-TEST(GatewayBenchSharded, MultiThreadedCellDrainsAndDropsNothing) {
-  GatewayBenchOptions opt;
-  opt.num_things = 64;
-  opt.total_reads = 128;
-  opt.window = 32;
-  opt.seed = 20150415;
-  opt.threads = 2;
-  const GatewayBenchResult r = RunGatewayBench(opt);
-  EXPECT_EQ(r.threads, 2);
-  EXPECT_EQ(r.issued, 128u);
-  EXPECT_EQ(r.completed + r.deadline_exceeded, r.issued);
-  EXPECT_EQ(r.final_in_flight, 0u);
-  EXPECT_GT(r.scheduler_events, 0u);
-  EXPECT_GE(r.p99_ms, r.p50_ms);
-  // Multi-threaded cells are wall-clock-only: the deterministic JSON must
-  // contain no cells for them.
-  EXPECT_EQ(DeterministicCellsJson({r}), "{\"cells\": []}");
-  // But they do appear in the full document's wall_clock section.
-  const std::string json = GatewayBenchJson({r});
-  EXPECT_NE(json.find("\"threads\": 2"), std::string::npos) << json;
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Deterministic-replay guard for the model-gateway benchmark scenario.
 //
-// Same contract as gateway_bench_test: at threads == 1 a bench cell is a
-// pure function of its options, so the deterministic JSON must be
-// byte-identical across reruns and must match the committed golden string.
+// Same contract as gateway_bench_test: a bench cell is a pure function of
+// its options, so the deterministic JSON must be byte-identical across
+// reruns and must match the committed golden string.
 // This keeps BENCH_model.json diffable — a changed byte in the deterministic
 // half is a behaviour change, not noise.
 
@@ -26,9 +26,9 @@ ModelBenchOptions SmokeCell() {
   return opt;
 }
 
-// The committed single-threaded baseline for SmokeCell.  If a deliberate
-// behaviour change moves these numbers, regenerate the string from
-// ModelDeterministicCellsJson and say so in the commit.
+// The committed baseline for SmokeCell.  If a deliberate behaviour change
+// moves these numbers, regenerate the string from ModelDeterministicCellsJson
+// and say so in the commit.
 constexpr const char* kSmokeCellGolden =
     "{\"cells\": [{\"num_things\": 8, \"num_clients\": 50, \"loss_rate\": 0.000000, "
     "\"seed\": 20150415, \"fleet_size\": 8, \"reads\": 519, \"cache_hits\": 450, "
@@ -49,7 +49,7 @@ TEST(ModelBenchDeterminism, SameSeedSameDeterministicJsonAndGoldenPin) {
   const std::string json_second = ModelDeterministicCellsJson({second});
   EXPECT_EQ(json_first, json_second) << "simulation is not a pure function of the seed";
   EXPECT_EQ(json_first, kSmokeCellGolden)
-      << "threads=1 output diverged from the committed baseline";
+      << "output diverged from the committed baseline";
 
   // The scenario's accounting invariants, on top of replay equality.
   EXPECT_EQ(first.cache_hits + first.cache_misses, first.reads);
@@ -84,8 +84,8 @@ TEST(ModelBenchJsonSchema, EmitsExpectedKeys) {
   const ModelBenchResult r = RunModelBench(opt);
   const std::string json = ModelBenchJson({r});
   for (const char* key :
-       {"\"bench\": \"model\"", "\"schema_version\": 1", "\"deterministic\"", "\"wall_clock\"",
-        "\"num_things\"", "\"num_clients\"", "\"threads\"", "\"reads\"", "\"cache_hits\"",
+       {"\"bench\": \"model\"", "\"schema_version\": 2", "\"deterministic\"", "\"wall_clock\"",
+        "\"num_things\"", "\"num_clients\"", "\"reads\"", "\"cache_hits\"",
         "\"cache_misses\"", "\"coalesced_reads\"", "\"device_reads\"", "\"hit_rate\"",
         "\"amplification\"", "\"hotspot_reads\"", "\"hotspot_device_reads\"",
         "\"subscriptions\"", "\"upstream_events\"", "\"fanout_delivered\"",
@@ -94,23 +94,6 @@ TEST(ModelBenchJsonSchema, EmitsExpectedKeys) {
         "\"wall_seconds\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key << " in " << json;
   }
-}
-
-TEST(ModelBenchSharded, MultiThreadedCellKeepsInvariantsAndStaysOutOfDeterministicJson) {
-  ModelBenchOptions opt = SmokeCell();
-  opt.num_things = 16;
-  opt.num_clients = 40;
-  opt.total_reads = 200;
-  opt.threads = 2;
-  const ModelBenchResult r = RunModelBench(opt);
-  EXPECT_EQ(r.threads, 2);
-  EXPECT_EQ(r.cache_hits + r.cache_misses, r.reads);
-  EXPECT_EQ(r.coalesced_reads + r.device_reads, r.cache_misses);
-  EXPECT_EQ(r.fanout_exact, 1u);
-  // Multi-threaded cells are wall-clock-only.
-  EXPECT_EQ(ModelDeterministicCellsJson({r}), "{\"cells\": []}");
-  const std::string json = ModelBenchJson({r});
-  EXPECT_NE(json.find("\"threads\": 2"), std::string::npos) << json;
 }
 
 }  // namespace

@@ -221,11 +221,11 @@ TEST_F(FabricTest, LossDropsDatagrams) {
 }
 
 TEST_F(FabricTest, ScratchReuseAcrossBackToBackRoutes) {
-  // Regression for the routing scratch buffers (RouteContext): the fabric
-  // reuses path/descent vectors across Route calls to avoid per-datagram
+  // Regression for the routing scratch buffers: the fabric reuses
+  // path/descent vectors across Route calls to avoid per-datagram
   // allocation.  A stale-length bug would surface exactly here: a long
   // multi-hop unicast, then a multicast descent, then a short unicast, all
-  // from the same context — each must see only its own path.
+  // through the same buffers — each must see only its own path.
   int at_b = 0, at_c = 0;
   b_->BindUdp(6030, [&](const Ip6Address&, const Ip6Address&, uint16_t,
                         const std::vector<uint8_t>&) { ++at_b; });

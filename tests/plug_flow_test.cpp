@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "src/common/crc.h"
@@ -430,6 +432,102 @@ TEST(PlugFlowRecovery, DuplicateStopStreamCompletesIdempotently) {
 
   // Both stops completed on a (15) answer, not by timing out.
   EXPECT_EQ(client.endpoint().counters().deadline_exceeded, 0u);
+}
+
+// Plug/unplug/re-plug churn while several gateway clients keep closed read
+// loops in flight: every read resolves exactly once (reply or deadline; a
+// read racing an unplug may fail, but none may be lost), every pending
+// table drains, and the fleet-wide decode cache verifies the one image once.
+TEST(PlugFlowChurn, ReadsDuringPlugChurnDrainClean) {
+  constexpr int kClients = 4;
+  constexpr int kThings = 120;
+  constexpr int kReadsPerClient = 40;
+  constexpr int kWindow = 8;
+
+  Deployment deployment(SeededConfig(20150931));
+  (void)deployment.AddManager();
+  struct ClientLoop {
+    MicroPnpClient* client = nullptr;
+    int issued = 0;
+    int resolved = 0;
+    int ok = 0;
+    std::function<void()> issue_next;
+  };
+  std::vector<ClientLoop> loops(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    loops[static_cast<size_t>(i)].client = &deployment.AddClient(
+        "churn-client-" + std::to_string(i), nullptr, /*max_in_flight=*/kWindow + 8);
+  }
+
+  ThingConfig thing_config;
+  thing_config.readvertise_min_ms = 0.0;
+  const DriverImage image = CompiledBundledDriver(kTmp36TypeId);
+  std::vector<MicroPnpThing*> things;
+  std::vector<Tmp36*> sensors;
+  for (int i = 0; i < kThings; ++i) {
+    MicroPnpThing& thing =
+        deployment.AddThing("churn-thing-" + std::to_string(i), nullptr, thing_config);
+    ASSERT_TRUE(thing.PreinstallDriver(image).ok());
+    sensors.push_back(&deployment.MakeTmp36());
+    ASSERT_TRUE(thing.Plug(0, sensors.back()).ok());
+    things.push_back(&thing);
+  }
+  deployment.RunForMillis(1000);
+
+  // Every third Thing unplugs mid-run and re-plugs its sensor 900 ms later.
+  Scheduler& scheduler = deployment.scheduler();
+  for (int i = 0; i < kThings; i += 3) {
+    MicroPnpThing* thing = things[static_cast<size_t>(i)];
+    Tmp36* sensor = sensors[static_cast<size_t>(i)];
+    const double unplug_at = 200.0 + static_cast<double>(i) * 7.0;
+    scheduler.ScheduleAt(scheduler.now() + SimTime::FromMillis(unplug_at),
+                         [thing] { (void)thing->Unplug(0); });
+    scheduler.ScheduleAt(scheduler.now() + SimTime::FromMillis(unplug_at + 900.0),
+                         [thing, sensor] { (void)thing->Plug(0, sensor); });
+  }
+
+  RequestOptions read_options;
+  read_options.deadline_ms = 1500.0;
+  read_options.max_retransmits = 2;
+  read_options.initial_backoff_ms = 150.0;
+  for (int i = 0; i < kClients; ++i) {
+    ClientLoop& loop = loops[static_cast<size_t>(i)];
+    loop.issue_next = [&loop, &things, i, read_options] {
+      if (loop.issued >= kReadsPerClient) {
+        return;
+      }
+      MicroPnpThing* thing =
+          things[static_cast<size_t>(i + loop.issued * kClients) % things.size()];
+      ++loop.issued;
+      loop.client->Read(
+          thing->node().address(), kTmp36TypeId,
+          [&loop](Result<WireValue> value) {
+            ++loop.resolved;
+            loop.ok += value.ok() ? 1 : 0;
+            loop.issue_next();
+          },
+          read_options);
+    };
+    for (int k = 0; k < kWindow; ++k) {
+      loop.issue_next();
+    }
+  }
+  // Run through the last re-plug and its advertisement burst.
+  deployment.RunForMillis(5000.0);
+
+  int total_ok = 0;
+  for (const ClientLoop& loop : loops) {
+    EXPECT_EQ(loop.resolved, kReadsPerClient);
+    EXPECT_EQ(loop.client->endpoint().in_flight(), 0u);
+    total_ok += loop.ok;
+  }
+  EXPECT_GT(total_ok, 0);
+  for (MicroPnpThing* thing : things) {
+    EXPECT_NE(thing->drivers().HostForChannel(0), nullptr) << thing->node().name();
+  }
+  // One unique image: verified once, every other install a hit.
+  EXPECT_EQ(deployment.decode_cache().misses(), 1u);
+  EXPECT_GT(deployment.decode_cache().hits(), 0u);
 }
 
 }  // namespace
