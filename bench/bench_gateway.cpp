@@ -1,5 +1,5 @@
 // Fleet-scale gateway sweep: one manager + a gateway client running
-// closed-loop reads over N Things (see src/core/gateway_bench.h for the
+// closed-loop reads over N Things (see bench/scenarios/gateway_bench.h for the
 // scenario).
 //
 // Reports p50/p99 simulated read latency, scheduler events per wall second,
@@ -17,7 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "src/core/gateway_bench.h"
+#include "bench/scenarios/gateway_bench.h"
+#include "bench/scenarios/harness.h"
 
 namespace micropnp {
 namespace {
@@ -70,16 +71,7 @@ int Run(bool smoke, bool full, const std::string& out_path) {
     results.push_back(r);
   }
 
-  const std::string json = GatewayBenchJson(results);
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", out_path.c_str());
-  } else {
-    std::printf("!! could not write %s\n", out_path.c_str());
-    ok = false;
-  }
+  ok = WriteJsonFile(out_path, GatewayBenchJson(results)) && ok;
   return ok ? 0 : 1;
 }
 

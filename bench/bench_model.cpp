@@ -1,5 +1,6 @@
 // Northbound model-gateway sweep: M ModelClients over one ModelServer
-// against N Things (see src/core/model_bench.h for the scenario and phases).
+// against N Things (see bench/scenarios/model_bench.h for the scenario and
+// phases).
 //
 // Reports the last-value-cache hit rate, device-transaction amplification
 // (device reads per client read; the no-cache path is 1.0), the hotspot
@@ -17,7 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "src/core/model_bench.h"
+#include "bench/scenarios/harness.h"
+#include "bench/scenarios/model_bench.h"
 
 namespace micropnp {
 namespace {
@@ -106,16 +108,7 @@ int Run(bool smoke, const std::string& out_path) {
     results.push_back(r);
   }
 
-  const std::string json = ModelBenchJson(results);
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", out_path.c_str());
-  } else {
-    std::printf("!! could not write %s\n", out_path.c_str());
-    ok = false;
-  }
+  ok = WriteJsonFile(out_path, ModelBenchJson(results)) && ok;
   return ok ? 0 : 1;
 }
 

@@ -7,19 +7,19 @@
 //
 // Two clocks are reported: the modeled 16 MHz AVR cycle clock (comparable to
 // the paper) and the host wall clock (google-benchmark), which demonstrates
-// the interpreter's native throughput.  The wall-clock section pits the
-// pre-decoded execution pipeline (Vm::Dispatch) against the seed
-// byte-walking interpreter (Vm::DispatchReference) — same driver, same
-// accounting, different amounts of per-instruction work — and adds an
-// event-storm throughput benchmark (N drivers x M events through
+// the interpreter's native throughput.  The wall-clock section times the
+// pre-decoded execution pipeline (Vm::Dispatch) and its one-off decode cost,
+// and adds an event-storm throughput benchmark (N drivers x M events through
 // EventRouter -> DriverHost).
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "bench/scenarios/harness.h"
 #include "src/dsl/bytecode.h"
 #include "src/dsl/compiler.h"
 #include "src/rt/decoded_image.h"
@@ -76,20 +76,16 @@ struct CycleModelMetrics {
 };
 
 void WriteVmJson(const CycleModelMetrics& m, const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("!! could not write %s\n", path);
-    return;
-  }
-  std::fprintf(f,
-               "{\"bench\": \"vm\", \"schema_version\": 3, \"deterministic\": "
-               "{\"avg_instruction_us\": %.6f, \"push_us\": %.6f, \"pop_us\": %.6f, "
-               "\"router_us_per_event\": %.6f, \"handler_instructions\": %llu, "
-               "\"handler_us\": %.6f}}\n",
-               m.avg_instruction_us, m.push_us, m.pop_us, m.router_us_per_event,
-               static_cast<unsigned long long>(m.handler_instructions), m.handler_us);
-  std::fclose(f);
-  std::printf("wrote %s\n", path);
+  const std::string deterministic = JsonCell()
+      .Field("avg_instruction_us", m.avg_instruction_us)
+      .Field("push_us", m.push_us)
+      .Field("pop_us", m.pop_us)
+      .Field("router_us_per_event", m.router_us_per_event)
+      .Field("handler_instructions", m.handler_instructions)
+      .Field("handler_us", m.handler_us)
+      .Close();
+  WriteJsonFile(path, "{\"bench\": \"vm\", \"schema_version\": 3, \"deterministic\": " +
+                          deterministic + "}");
 }
 
 CycleModelMetrics ReportCycleModel() {
@@ -141,9 +137,7 @@ CycleModelMetrics ReportCycleModel() {
     metrics.router_us_per_event = router.MicrosAtMcuClock() / n;
   }
 
-  // Whole-driver sanity: the representative mix on the cycle clock, via both
-  // execution paths (accounting must agree — see rt_test's differential
-  // test; this prints the decoded path's numbers).
+  // Whole-driver sanity: the representative mix on the cycle clock.
   std::shared_ptr<const DecodedImage> decoded = DecodeMixDriver();
   if (decoded != nullptr) {
     Vm vm(decoded);
@@ -160,8 +154,8 @@ CycleModelMetrics ReportCycleModel() {
 // ---- host wall-clock benchmarks ---------------------------------------------
 
 // The decoded execution pipeline (load-time verify + pre-decode, no per-step
-// checks).  Keeps the seed benchmark's name so throughput is comparable
-// across commits.
+// validity checks).  Keeps the seed benchmark's name so throughput is
+// comparable across commits.
 void BM_VmHandlerMix(benchmark::State& state) {
   std::shared_ptr<const DecodedImage> decoded = DecodeMixDriver();
   if (decoded == nullptr) {
@@ -179,55 +173,6 @@ void BM_VmHandlerMix(benchmark::State& state) {
       static_cast<double>(instructions), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_VmHandlerMix);
-
-// Same driver decoded with trap elision disabled: every div/mod keeps its
-// zero check and every subscript its bounds check, even where the abstract
-// interpreter proved them dead (src/rt/abstract_interp.h).  The delta
-// against BM_VmHandlerMix is the measured cost of the runtime checks the
-// deploy-time proofs remove.
-void BM_VmHandlerMixCheckedTraps(benchmark::State& state) {
-  Result<DriverImage> image = CompileDriver(kMixDriver);
-  if (!image.ok()) {
-    state.SkipWithError("compile failed");
-    return;
-  }
-  Result<std::shared_ptr<const DecodedImage>> decoded = DecodedImage::DecodeShared(
-      *image, std::nullopt, DecodeOptions{.elide_proven_traps = false});
-  if (!decoded.ok()) {
-    state.SkipWithError("decode failed");
-    return;
-  }
-  Vm vm(*decoded);
-  uint64_t instructions = 0;
-  for (auto _ : state) {
-    Vm::ExecResult r = vm.Dispatch(Event::Of(kEventInit), nullptr);
-    instructions += r.instructions;
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["instructions/s"] = benchmark::Counter(
-      static_cast<double>(instructions), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_VmHandlerMixCheckedTraps);
-
-// The seed interpreter over the same driver: re-validates opcodes, bounds
-// and stack depth and re-decodes operands on every instruction.
-void BM_VmHandlerMixSeedInterpreter(benchmark::State& state) {
-  std::shared_ptr<const DecodedImage> decoded = DecodeMixDriver();
-  if (decoded == nullptr) {
-    state.SkipWithError("compile/decode failed");
-    return;
-  }
-  Vm vm(decoded);
-  uint64_t instructions = 0;
-  for (auto _ : state) {
-    Vm::ExecResult r = vm.DispatchReference(Event::Of(kEventInit), nullptr);
-    instructions += r.instructions;
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["instructions/s"] = benchmark::Counter(
-      static_cast<double>(instructions), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_VmHandlerMixSeedInterpreter);
 
 // Load-time cost the pipeline pays once per image install (amortized away
 // entirely by DriverManager's CRC-keyed decode cache on re-installs).

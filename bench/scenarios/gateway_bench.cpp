@@ -1,10 +1,10 @@
-#include "src/core/gateway_bench.h"
+#include "bench/scenarios/gateway_bench.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <functional>
 
+#include "bench/scenarios/harness.h"
 #include "src/core/deployment.h"
 #include "src/core/driver_sources.h"
 #include "src/dsl/compiler.h"
@@ -13,52 +13,31 @@ namespace micropnp {
 
 namespace {
 
-double Percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
-    return 0.0;
-  }
-  const size_t idx = static_cast<size_t>(p * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
+std::string DeterministicCell(const GatewayBenchResult& r) {
+  return JsonCell()
+      .Field("num_things", r.num_things)
+      .Field("loss_rate", r.loss_rate)
+      .Field("seed", r.seed)
+      .Field("issued", r.issued)
+      .Field("completed", r.completed)
+      .Field("deadline_exceeded", r.deadline_exceeded)
+      .Field("retransmits", r.retransmits)
+      .Field("peak_in_flight", r.peak_in_flight)
+      .Field("final_in_flight", r.final_in_flight)
+      .Field("scheduler_events", r.scheduler_events)
+      .Field("sim_duration_ms", r.sim_duration_ms)
+      .Field("p50_ms", r.p50_ms)
+      .Field("p99_ms", r.p99_ms)
+      .Close();
 }
 
-void AppendField(std::string& out, const char* key, uint64_t value, bool last = false) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\": %llu%s", key,
-                static_cast<unsigned long long>(value), last ? "" : ", ");
-  out += buf;
-}
-
-void AppendField(std::string& out, const char* key, double value, bool last = false) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\": %.6f%s", key, value, last ? "" : ", ");
-  out += buf;
-}
-
-void AppendDeterministicCell(std::string& out, const GatewayBenchResult& r) {
-  out += "{";
-  AppendField(out, "num_things", static_cast<uint64_t>(r.num_things));
-  AppendField(out, "loss_rate", r.loss_rate);
-  AppendField(out, "seed", r.seed);
-  AppendField(out, "issued", r.issued);
-  AppendField(out, "completed", r.completed);
-  AppendField(out, "deadline_exceeded", r.deadline_exceeded);
-  AppendField(out, "retransmits", r.retransmits);
-  AppendField(out, "peak_in_flight", r.peak_in_flight);
-  AppendField(out, "final_in_flight", r.final_in_flight);
-  AppendField(out, "scheduler_events", r.scheduler_events);
-  AppendField(out, "sim_duration_ms", r.sim_duration_ms);
-  AppendField(out, "p50_ms", r.p50_ms);
-  AppendField(out, "p99_ms", r.p99_ms, /*last=*/true);
-  out += "}";
-}
-
-void AppendWallClockCell(std::string& out, const GatewayBenchResult& r) {
-  out += "{";
-  AppendField(out, "num_things", static_cast<uint64_t>(r.num_things));
-  AppendField(out, "loss_rate", r.loss_rate);
-  AppendField(out, "wall_seconds", r.wall_seconds);
-  AppendField(out, "events_per_second", r.events_per_second, /*last=*/true);
-  out += "}";
+std::string WallClockCell(const GatewayBenchResult& r) {
+  return JsonCell()
+      .Field("num_things", r.num_things)
+      .Field("loss_rate", r.loss_rate)
+      .Field("wall_seconds", r.wall_seconds)
+      .Field("events_per_second", r.events_per_second)
+      .Close();
 }
 
 }  // namespace
@@ -172,29 +151,12 @@ GatewayBenchResult RunGatewayBench(const GatewayBenchOptions& options) {
 }
 
 std::string DeterministicCellsJson(const std::vector<GatewayBenchResult>& results) {
-  std::string out = "{\"cells\": [";
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    AppendDeterministicCell(out, results[i]);
-  }
-  out += "]}";
-  return out;
+  return CellsJson(results, DeterministicCell);
 }
 
 std::string GatewayBenchJson(const std::vector<GatewayBenchResult>& results) {
-  std::string out = "{\"bench\": \"gateway\", \"schema_version\": 3, \"deterministic\": ";
-  out += DeterministicCellsJson(results);
-  out += ", \"wall_clock\": {\"cells\": [";
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    AppendWallClockCell(out, results[i]);
-  }
-  out += "]}}";
-  return out;
+  return BenchJson("gateway", 3, DeterministicCellsJson(results),
+                   CellsJson(results, WallClockCell));
 }
 
 }  // namespace micropnp

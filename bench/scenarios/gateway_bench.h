@@ -6,8 +6,8 @@
 // its high-water mark for the whole run — exactly the steady state the
 // timing-wheel scheduler and the hashed pending table exist for.
 //
-// The scenario lives in the library (not the bench binary) because three
-// consumers share it: bench_gateway (the human-readable sweep +
+// The scenario is a library of its own (not part of the bench binary)
+// because three consumers share it: bench_gateway (the human-readable sweep +
 // BENCH_gateway.json), the CI bench-smoke step (tiny N, validates the JSON),
 // and the determinism regression test (same seed ⇒ byte-identical
 // deterministic JSON).  Results split into simulation-derived fields, which
@@ -15,8 +15,8 @@
 // (throughput), which are not; the JSON emitters keep the two apart so the
 // deterministic half can be compared byte-for-byte.
 
-#ifndef SRC_CORE_GATEWAY_BENCH_H_
-#define SRC_CORE_GATEWAY_BENCH_H_
+#ifndef BENCH_SCENARIOS_GATEWAY_BENCH_H_
+#define BENCH_SCENARIOS_GATEWAY_BENCH_H_
 
 #include <cstdint>
 #include <string>
@@ -69,4 +69,4 @@ std::string GatewayBenchJson(const std::vector<GatewayBenchResult>& results);
 
 }  // namespace micropnp
 
-#endif  // SRC_CORE_GATEWAY_BENCH_H_
+#endif  // BENCH_SCENARIOS_GATEWAY_BENCH_H_

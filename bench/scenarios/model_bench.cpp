@@ -1,11 +1,11 @@
-#include "src/core/model_bench.h"
+#include "bench/scenarios/model_bench.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <functional>
 #include <memory>
 
+#include "bench/scenarios/harness.h"
 #include "src/core/deployment.h"
 #include "src/core/driver_sources.h"
 #include "src/dsl/compiler.h"
@@ -15,69 +15,48 @@ namespace micropnp {
 
 namespace {
 
-double Percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
-    return 0.0;
-  }
-  const size_t idx = static_cast<size_t>(p * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
+std::string DeterministicCell(const ModelBenchResult& r) {
+  return JsonCell()
+      .Field("num_things", r.num_things)
+      .Field("num_clients", r.num_clients)
+      .Field("loss_rate", r.loss_rate)
+      .Field("seed", r.seed)
+      .Field("fleet_size", r.fleet_size)
+      .Field("reads", r.reads)
+      .Field("cache_hits", r.cache_hits)
+      .Field("cache_misses", r.cache_misses)
+      .Field("coalesced_reads", r.coalesced_reads)
+      .Field("device_reads", r.device_reads)
+      .Field("read_failures", r.read_failures)
+      .Field("writes", r.writes)
+      .Field("device_writes", r.device_writes)
+      .Field("write_failures", r.write_failures)
+      .Field("hit_rate", r.hit_rate)
+      .Field("amplification", r.amplification)
+      .Field("hotspot_reads", r.hotspot_reads)
+      .Field("hotspot_device_reads", r.hotspot_device_reads)
+      .Field("subscriptions", r.subscriptions)
+      .Field("upstream_events", r.upstream_events)
+      .Field("fanout_delivered", r.fanout_delivered)
+      .Field("fanout_expected", r.fanout_expected)
+      .Field("fanout_exact", r.fanout_exact)
+      .Field("upstream_restarts", r.upstream_restarts)
+      .Field("p50_ms", r.p50_ms)
+      .Field("p99_ms", r.p99_ms)
+      .Field("sim_duration_ms", r.sim_duration_ms)
+      .Field("scheduler_events", r.scheduler_events)
+      .Close();
 }
 
-void AppendField(std::string& out, const char* key, uint64_t value, bool last = false) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\": %llu%s", key,
-                static_cast<unsigned long long>(value), last ? "" : ", ");
-  out += buf;
-}
-
-void AppendField(std::string& out, const char* key, double value, bool last = false) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "\"%s\": %.6f%s", key, value, last ? "" : ", ");
-  out += buf;
-}
-
-void AppendDeterministicCell(std::string& out, const ModelBenchResult& r) {
-  out += "{";
-  AppendField(out, "num_things", static_cast<uint64_t>(r.num_things));
-  AppendField(out, "num_clients", static_cast<uint64_t>(r.num_clients));
-  AppendField(out, "loss_rate", r.loss_rate);
-  AppendField(out, "seed", r.seed);
-  AppendField(out, "fleet_size", r.fleet_size);
-  AppendField(out, "reads", r.reads);
-  AppendField(out, "cache_hits", r.cache_hits);
-  AppendField(out, "cache_misses", r.cache_misses);
-  AppendField(out, "coalesced_reads", r.coalesced_reads);
-  AppendField(out, "device_reads", r.device_reads);
-  AppendField(out, "read_failures", r.read_failures);
-  AppendField(out, "writes", r.writes);
-  AppendField(out, "device_writes", r.device_writes);
-  AppendField(out, "write_failures", r.write_failures);
-  AppendField(out, "hit_rate", r.hit_rate);
-  AppendField(out, "amplification", r.amplification);
-  AppendField(out, "hotspot_reads", r.hotspot_reads);
-  AppendField(out, "hotspot_device_reads", r.hotspot_device_reads);
-  AppendField(out, "subscriptions", r.subscriptions);
-  AppendField(out, "upstream_events", r.upstream_events);
-  AppendField(out, "fanout_delivered", r.fanout_delivered);
-  AppendField(out, "fanout_expected", r.fanout_expected);
-  AppendField(out, "fanout_exact", r.fanout_exact);
-  AppendField(out, "upstream_restarts", r.upstream_restarts);
-  AppendField(out, "p50_ms", r.p50_ms);
-  AppendField(out, "p99_ms", r.p99_ms);
-  AppendField(out, "sim_duration_ms", r.sim_duration_ms);
-  AppendField(out, "scheduler_events", r.scheduler_events, /*last=*/true);
-  out += "}";
-}
-
-void AppendWallClockCell(std::string& out, const ModelBenchResult& r) {
-  out += "{";
-  AppendField(out, "num_things", static_cast<uint64_t>(r.num_things));
-  AppendField(out, "num_clients", static_cast<uint64_t>(r.num_clients));
-  AppendField(out, "loss_rate", r.loss_rate);
-  AppendField(out, "wall_seconds", r.wall_seconds);
-  AppendField(out, "reads_per_second", r.reads_per_second);
-  AppendField(out, "fanout_events_per_second", r.fanout_events_per_second, /*last=*/true);
-  out += "}";
+std::string WallClockCell(const ModelBenchResult& r) {
+  return JsonCell()
+      .Field("num_things", r.num_things)
+      .Field("num_clients", r.num_clients)
+      .Field("loss_rate", r.loss_rate)
+      .Field("wall_seconds", r.wall_seconds)
+      .Field("reads_per_second", r.reads_per_second)
+      .Field("fanout_events_per_second", r.fanout_events_per_second)
+      .Close();
 }
 
 struct ThingRef {
@@ -301,29 +280,12 @@ ModelBenchResult RunModelBench(const ModelBenchOptions& options) {
 }
 
 std::string ModelDeterministicCellsJson(const std::vector<ModelBenchResult>& results) {
-  std::string out = "{\"cells\": [";
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    AppendDeterministicCell(out, results[i]);
-  }
-  out += "]}";
-  return out;
+  return CellsJson(results, DeterministicCell);
 }
 
 std::string ModelBenchJson(const std::vector<ModelBenchResult>& results) {
-  std::string out = "{\"bench\": \"model\", \"schema_version\": 2, \"deterministic\": ";
-  out += ModelDeterministicCellsJson(results);
-  out += ", \"wall_clock\": {\"cells\": [";
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    AppendWallClockCell(out, results[i]);
-  }
-  out += "]}}";
-  return out;
+  return BenchJson("model", 2, ModelDeterministicCellsJson(results),
+                   CellsJson(results, WallClockCell));
 }
 
 }  // namespace micropnp

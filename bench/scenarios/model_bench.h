@@ -17,13 +17,13 @@
 //     `stream_phase_ms`, and the scenario checks the exactly-once ledger:
 //     delivered == sum over fan-outs of upstream_events x subscribers.
 //
-// Like gateway_bench, the scenario lives in the library because three
+// Like gateway_bench, the scenario is a library of its own because three
 // consumers share it: bench_model, the CI smoke step, and the determinism
 // regression test.  Results split into deterministic fields (a pure
 // function of the options) and wall-clock fields.
 
-#ifndef SRC_CORE_MODEL_BENCH_H_
-#define SRC_CORE_MODEL_BENCH_H_
+#ifndef BENCH_SCENARIOS_MODEL_BENCH_H_
+#define BENCH_SCENARIOS_MODEL_BENCH_H_
 
 #include <cstdint>
 #include <string>
@@ -94,4 +94,4 @@ std::string ModelBenchJson(const std::vector<ModelBenchResult>& results);
 
 }  // namespace micropnp
 
-#endif  // SRC_CORE_MODEL_BENCH_H_
+#endif  // BENCH_SCENARIOS_MODEL_BENCH_H_

@@ -71,17 +71,6 @@ enum class Op : uint8_t {
   kRet = 0x38,       // end of handler
   kRetVal = 0x39,    // pop, produce scalar result (Section 4.1 `return`)
   kRetArr = 0x3a,    // +u8 array: produce array contents as result
-
-  // --- decode-time specialized forms ---
-  // Emitted by Decode when the abstract interpreter proves a trap site safe
-  // (src/rt/abstract_interp.h); same operands and semantics as the base
-  // opcode minus the runtime check.  Deliberately absent from the opcode
-  // table: never valid on the wire (OpIsValid stays false), never produced
-  // by the compiler, never serialized.
-  kDivUnchecked = 0x3b,
-  kModUnchecked = 0x3c,
-  kLoadAUnchecked = 0x3d,
-  kStoreAUnchecked = 0x3e,
 };
 
 // Number of operand bytes following an opcode; -1 for unknown opcodes.

@@ -156,10 +156,9 @@ void MicroPnpThing::ContinueFlowEnsureDriver(ChannelId channel, DeviceTypeId id)
     return;
   }
   // Step 3: request the driver from the manager's anycast address (4).  The
-  // endpoint owns the transaction: the reply — an (18) offer, or a legacy
-  // monolithic (5) — comes from the manager's unicast address, hence
-  // match_any_source, and lossy links are covered by retransmit-with-backoff
-  // up to the deadline.
+  // endpoint owns the transaction: the (18) offer comes from the manager's
+  // unicast address, hence match_any_source, and lossy links are covered by
+  // retransmit-with-backoff up to the deadline.
   scheduler_.ScheduleAfter(
       SimTime::FromMillis(Jitter(config_.request_build_cpu_ms)), [this, channel, id] {
         if (controller_.identified(channel) != id) {
@@ -178,11 +177,8 @@ void MicroPnpThing::ContinueFlowEnsureDriver(ChannelId channel, DeviceTypeId id)
         // entry) must not consume this transaction — drop it and keep
         // retransmitting.
         options.accept = [id](const Message& reply) {
-          if (const auto* offer = reply.payload_as<DriverOfferPayload>()) {
-            return offer->device_id == id;
-          }
-          const auto* upload = reply.payload_as<DriverUploadPayload>();
-          return upload != nullptr && upload->device_id == id;
+          const auto* offer = reply.payload_as<DriverOfferPayload>();
+          return offer != nullptr && offer->device_id == id;
         };
         // The (4) carries the resume state of any held partial (or full)
         // image: the manager streams only the gaps, or short-circuits to
@@ -208,7 +204,7 @@ void MicroPnpThing::ContinueFlowEnsureDriver(ChannelId channel, DeviceTypeId id)
         const uint64_t flow_generation = flows_[channel].generation;
         endpoint_.SendRequest(
             ManagerAnycastAddress(), MessageType::kDriverInstallRequest, std::move(request),
-            {MessageType::kDriverUploadOffer, MessageType::kDriverUpload},
+            {MessageType::kDriverUploadOffer},
             [this, channel, id, flow_generation](Result<Message> reply) {
               OnDriverRequestComplete(channel, id, flow_generation, std::move(reply));
             },
@@ -231,16 +227,8 @@ void MicroPnpThing::OnDriverRequestComplete(ChannelId channel, DeviceTypeId id,
     ScheduleDriverRetry(channel, id);
     return;
   }
-  if (const auto* offer = reply->payload_as<DriverOfferPayload>()) {
-    ProcessOffer(channel, id, *offer);
-    return;
-  }
-  // Legacy monolithic (5): the whole image in one datagram.
-  const auto* upload = reply->payload_as<DriverUploadPayload>();
-  if (last_flow_.has_value() && last_flow_->channel == channel) {
-    last_flow_->driver_received = scheduler_.now();
-  }
-  InstallReceivedDriver(channel, id, upload->driver_image);
+  // `accept` admitted only an (18) offer for `id`.
+  ProcessOffer(channel, id, *reply->payload_as<DriverOfferPayload>());
 }
 
 void MicroPnpThing::ScheduleDriverRetry(ChannelId channel, DeviceTypeId id) {
@@ -606,7 +594,7 @@ void MicroPnpThing::OnDatagram(const Ip6Address& src, const Ip6Address& dst, uin
   }
   const Message& m = *parsed;
   if (endpoint_.HandleReply(src, m)) {
-    return;  // (18) offers / legacy (5) uploads complete their transaction
+    return;  // (18) offers complete their transaction
   }
   switch (m.type) {
     case MessageType::kPeripheralDiscovery:

@@ -11,7 +11,7 @@
 //
 // and afterwards serves discovery (2)/(3), read (10)/(11), stream
 // (12)..(15) and write (16)/(17), plus the manager-facing driver operations
-// (5)..(9).
+// (6)..(9).
 //
 // Lossy-network hardening on top of the paper's flow:
 //  - Advertisements repeat on a bounded trickle schedule: after any
@@ -94,7 +94,7 @@ struct PlugFlowMarks {
   SimTime address_generated;  // multicast address derived
   SimTime group_joined;       // group membership active
   SimTime driver_requested;   // (4) sent (equals group_joined when cached)
-  SimTime driver_received;    // full image held (offer/chunks or legacy (5))
+  SimTime driver_received;    // full image held (chunks assembled or cached)
   SimTime driver_installed;   // image activated
   SimTime advertised;         // (1) handed to the network stack
 };

@@ -289,18 +289,6 @@ Interval ArithResult(Op op, Interval a, Interval b) {
   }
 }
 
-// Maps the decode-time unchecked forms back to their wire opcode, so the
-// analysis is well-defined even over an already-specialized stream.
-Op BaseOp(Op op) {
-  switch (op) {
-    case Op::kDivUnchecked: return Op::kDiv;
-    case Op::kModUnchecked: return Op::kMod;
-    case Op::kLoadAUnchecked: return Op::kLoadA;
-    case Op::kStoreAUnchecked: return Op::kStoreA;
-    default: return op;
-  }
-}
-
 std::string HexEvent(EventId event) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "0x%02x", event);
@@ -477,7 +465,7 @@ void Analyzer::Propagate(uint32_t idx, AbsState&& incoming) {
 
 void Analyzer::Step(uint32_t idx, const DecodedHandler& h) {
   const DecodedInsn& insn = code_[idx];
-  const Op op = BaseOp(insn.op);
+  const Op op = insn.op;
   AbsState s = in_[idx];  // transfer runs on a copy of the in-state
 
   int pops = 0, pushes = 0;
@@ -657,8 +645,6 @@ void Analyzer::Step(uint32_t idx, const DecodedHandler& h) {
     case Op::kRetVal:
     case Op::kRetArr:
       return;  // terminal
-    default:
-      break;  // unchecked forms are unreachable: BaseOp folded them away
   }
   Flow(idx, next, std::move(s));
 }
@@ -694,16 +680,22 @@ void Analyzer::AnalyzeHandler(const DecodedHandler& h) {
   FinishHandler(h, errors_before);
 }
 
-// Extracts findings and per-site proofs from the handler's fixpoint states.
+// Extracts findings and per-site facts from the handler's fixpoint states.
+// After a bail the states hold reachability only: every reachable trap site
+// counts as guarded and only the uninitialized-read findings are derivable.
 void Analyzer::HarvestHandler(const DecodedHandler& h) {
   for (uint32_t idx = 0; idx < code_.size(); ++idx) {
     if (!in_[idx].reached) continue;
     facts_[idx].reachable = true;
     const DecodedInsn& insn = code_[idx];
     const AbsState& s = in_[idx];
-    switch (BaseOp(insn.op)) {
+    switch (insn.op) {
       case Op::kDiv:
       case Op::kMod: {
+        if (bailed_) {
+          facts_[idx].div_safe = false;
+          break;
+        }
         const Interval divisor = s.stack.back().iv;
         if (IsZero(divisor)) {
           facts_[idx].div_safe = false;
@@ -716,7 +708,11 @@ void Analyzer::HarvestHandler(const DecodedHandler& h) {
       }
       case Op::kLoadA:
       case Op::kStoreA: {
-        const Interval index = BaseOp(insn.op) == Op::kLoadA
+        if (bailed_) {
+          facts_[idx].sub_safe = false;
+          break;
+        }
+        const Interval index = insn.op == Op::kLoadA
                                    ? s.stack.back().iv
                                    : s.stack[s.stack.size() - 2].iv;
         const int64_t size = image_.array_sizes[insn.a];
@@ -753,8 +749,6 @@ void Analyzer::HarvestHandler(const DecodedHandler& h) {
 }
 
 // Fallback when the value analysis bailed: plain structural reachability.
-// Every trap site the handler can reach keeps its runtime check, and only
-// structural findings (uninitialized reads) are derivable.
 void Analyzer::StructuralHandler(const DecodedHandler& h) {
   in_.assign(code_.size(), AbsState{});
   succs_.assign(code_.size(), {});
@@ -763,64 +757,16 @@ void Analyzer::StructuralHandler(const DecodedHandler& h) {
   while (!frontier.empty()) {
     const uint32_t idx = frontier.front();
     frontier.pop_front();
-    const DecodedInsn& insn = code_[idx];
-    auto visit = [&](uint32_t to) {
+    ForEachSuccessor(code_[idx], idx, [&](size_t successor) {
+      const auto to = static_cast<uint32_t>(successor);
       AddEdge(idx, to);
       if (!in_[to].reached) {
         in_[to].reached = true;
         frontier.push_back(to);
       }
-    };
-    switch (BaseOp(insn.op)) {
-      case Op::kRet:
-      case Op::kRetVal:
-      case Op::kRetArr:
-        break;
-      case Op::kJmp:
-        visit(static_cast<uint32_t>(insn.imm));
-        break;
-      case Op::kJz:
-      case Op::kJnz:
-        visit(static_cast<uint32_t>(insn.imm));
-        visit(idx + 1);
-        break;
-      default:
-        visit(idx + 1);
-        break;
-    }
+    });
   }
-  for (uint32_t idx = 0; idx < code_.size(); ++idx) {
-    if (!in_[idx].reached) continue;
-    facts_[idx].reachable = true;
-    const DecodedInsn& insn = code_[idx];
-    switch (BaseOp(insn.op)) {
-      case Op::kDiv:
-      case Op::kMod:
-        facts_[idx].div_safe = false;
-        break;
-      case Op::kLoadA:
-      case Op::kStoreA:
-        facts_[idx].sub_safe = false;
-        break;
-      case Op::kLoadL:
-        if (insn.a >= h.argc) {
-          Emit(FindingKind::kUninitializedLocal, FindingSeverity::kError, h.event, insn.pc,
-               "read of uninitialized local " + std::to_string(insn.a) +
-                   ": handler for event " + HexEvent(h.event) + " takes " +
-                   std::to_string(h.argc) + " argument(s)");
-        }
-        break;
-      case Op::kLoadG:
-        if (!stored_global_[insn.a]) {
-          Emit(FindingKind::kUninitializedGlobal, FindingSeverity::kError, h.event, insn.pc,
-               "read of global slot " + std::to_string(insn.a) +
-                   " which no handler ever stores");
-        }
-        break;
-      default:
-        break;
-    }
-  }
+  HarvestHandler(h);
   Emit(FindingKind::kAnalysisLimit, FindingSeverity::kNote, h.event, code_[h.entry].pc,
        "operand-stack depths disagree at a join in handler for event " + HexEvent(h.event) +
            "; value analysis skipped (runtime checks kept)");
@@ -843,7 +789,7 @@ void Analyzer::FinishHandler(const DecodedHandler& h, size_t errors_before) {
   std::vector<char> reaches_ret(n, 0);
   std::deque<uint32_t> frontier;
   for (uint32_t i : visited) {
-    const Op op = BaseOp(code_[i].op);
+    const Op op = code_[i].op;
     if (op == Op::kRet || op == Op::kRetVal || op == Op::kRetArr) {
       reaches_ret[i] = 1;
       frontier.push_back(i);
@@ -904,7 +850,6 @@ void Analyzer::FinishHandler(const DecodedHandler& h, size_t errors_before) {
       wcet.instructions = std::max(wcet.instructions, max_instr[u]);
       wcet.cycles = std::max(wcet.cycles, max_cycles[u]);
     }
-    wcet.under_watchdog = wcet.instructions <= kVmWatchdogInstructions;
   }
   out_.wcet.push_back(wcet);
 }
@@ -915,8 +860,8 @@ ImageAnalysis Analyzer::Run() {
   // Static pre-scan: which globals are ever stored, which custom events are
   // ever signalled.  Presence anywhere in the image counts (conservative).
   for (const DecodedInsn& insn : code_) {
-    if (BaseOp(insn.op) == Op::kStoreG) stored_global_[insn.a] = true;
-    if (BaseOp(insn.op) == Op::kSignalSelf) signalled_event_[insn.a] = true;
+    if (insn.op == Op::kStoreG) stored_global_[insn.a] = true;
+    if (insn.op == Op::kSignalSelf) signalled_event_[insn.a] = true;
   }
 
   for (const DecodedHandler& h : handlers_) {
@@ -943,27 +888,15 @@ ImageAnalysis Analyzer::Run() {
     }
   }
 
-  // Fold the per-site facts into proof bits and the census.
-  out_.proofs.assign(code_.size(), 0);
+  // Fold the per-site facts into the census.
   for (uint32_t i = 0; i < code_.size(); ++i) {
     if (!facts_[i].reachable) continue;
-    out_.proofs[i] |= kProofReachable;
-    const Op op = BaseOp(code_[i].op);
+    const Op op = code_[i].op;
     if (op == Op::kDiv || op == Op::kMod) {
-      if (facts_[i].div_safe) {
-        out_.proofs[i] |= kProofDivisorNonZero;
-        ++out_.proven_div_sites;
-      } else {
-        ++out_.guarded_div_sites;
-      }
+      ++(facts_[i].div_safe ? out_.proven_div_sites : out_.guarded_div_sites);
     }
     if (op == Op::kLoadA || op == Op::kStoreA) {
-      if (facts_[i].sub_safe) {
-        out_.proofs[i] |= kProofSubscriptInBounds;
-        ++out_.proven_subscript_sites;
-      } else {
-        ++out_.guarded_subscript_sites;
-      }
+      ++(facts_[i].sub_safe ? out_.proven_subscript_sites : out_.guarded_subscript_sites);
     }
   }
   return std::move(out_);

@@ -8,18 +8,18 @@
 // refinement through comparison predicates.  It classifies every runtime
 // trap site three ways:
 //
-//   proven safe    -> Decode rewrites the site to an unchecked form and the
-//                     VM hot loop skips the trap test entirely;
+//   proven safe    -> counted in the trap-site census updl_lint reports;
 //   proven unsafe  -> the image is rejected at Decode (and therefore at
 //                     DriverManager::InstallImage / OTA deploy) with a
 //                     structured Status, like the malformed-image path;
-//   unknown        -> the runtime trap stays.
+//   unknown        -> counted as guarded.
 //
-// Per handler it also derives a worst-case execution bound (instructions and
-// modeled cycles over the feasible acyclic subgraph); handlers proven under
-// the watchdog budget dispatch without the per-instruction watchdog counter.
-// Whole-image passes flag unreachable instructions, handlers for custom
-// events that are never signalled, and reads of never-stored globals.
+// The VM keeps every runtime check either way: a proof is a report, not a
+// license to drop the check.  Per handler the analyzer also derives a
+// worst-case execution bound (instructions and modeled cycles over the
+// feasible acyclic subgraph).  Whole-image passes flag unreachable
+// instructions, handlers for custom events that are never signalled, and
+// reads of never-stored globals.
 //
 // Soundness assumptions (documented contract of the Vm API): host callbacks
 // (VmHost::OnSelfSignal / OnLibSignal) may mutate globals only through
@@ -74,21 +74,14 @@ struct Finding {
 // Worst-case execution facts for one handler.
 struct HandlerWcet {
   EventId event = 0;
-  bool bounded = false;         // feasible subgraph is acyclic
-  uint64_t instructions = 0;    // longest feasible path (when bounded)
-  uint64_t cycles = 0;          // modeled AVR cycles along that path
-  bool under_watchdog = false;  // bounded && instructions <= watchdog budget
+  bool bounded = false;       // feasible subgraph is acyclic
+  uint64_t instructions = 0;  // longest feasible path (when bounded)
+  uint64_t cycles = 0;        // modeled AVR cycles along that path
 };
-
-// Per-instruction proof bits, parallel to DecodedImage::code().
-inline constexpr uint8_t kProofReachable = 0x01;          // some handler reaches it
-inline constexpr uint8_t kProofDivisorNonZero = 0x02;     // kDiv/kMod cannot trap
-inline constexpr uint8_t kProofSubscriptInBounds = 0x04;  // kLoadA/kStoreA cannot trap
 
 struct ImageAnalysis {
   std::vector<Finding> findings;  // handler order, then pc
   std::vector<HandlerWcet> wcet;  // one entry per decoded handler
-  std::vector<uint8_t> proofs;    // one entry per decoded instruction
 
   // Trap-site census (reachable sites only).
   size_t proven_div_sites = 0;        // divisor proven nonzero
@@ -100,10 +93,9 @@ struct ImageAnalysis {
   bool has_errors() const { return FirstError() != nullptr; }
 };
 
-// Runs the abstract interpretation over a decoded instruction stream.  The
-// stream must be pre-specialization (wire opcodes only) — Decode calls this
-// before rewriting proven-safe sites to their unchecked forms, and updl_lint
-// reads the result back via DecodedImage::analysis().
+// Runs the abstract interpretation over a decoded instruction stream.
+// Decode calls this, and updl_lint reads the result back via
+// DecodedImage::analysis().
 ImageAnalysis AnalyzeImage(const DriverImage& image, std::span<const DecodedInsn> code,
                            std::span<const DecodedHandler> handlers);
 

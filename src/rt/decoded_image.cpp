@@ -15,29 +15,6 @@ Status VerifyError(const std::string& what, size_t pc) {
   return CorruptError(what + " at pc " + std::to_string(pc));
 }
 
-// Control-flow successors of the decoded instruction at `index` (shared by
-// the stack-depth fixpoint and the per-handler reachability walk).
-template <typename Fn>
-void ForEachSuccessor(const DecodedInsn& insn, size_t index, Fn&& fn) {
-  switch (insn.op) {
-    case Op::kRet:
-    case Op::kRetVal:
-    case Op::kRetArr:
-      break;  // terminal
-    case Op::kJmp:
-      fn(static_cast<size_t>(insn.imm));
-      break;
-    case Op::kJz:
-    case Op::kJnz:
-      fn(static_cast<size_t>(insn.imm));
-      fn(index + 1);
-      break;
-    default:
-      fn(index + 1);
-      break;
-  }
-}
-
 }  // namespace
 
 Result<DecodedImage> DecodedImage::Decode(const DriverImage& image,
@@ -306,35 +283,14 @@ Result<DecodedImage> DecodedImage::Decode(const DriverImage& image,
                           std::to_string(error->pc) + "]");
     }
   }
-  if (options.elide_proven_traps) {
-    for (size_t i = 0; i < out.insns_.size(); ++i) {
-      DecodedInsn& insn = out.insns_[i];
-      const uint8_t proof = analysis->proofs[i];
-      if ((proof & kProofDivisorNonZero) != 0) {
-        insn.op = insn.op == Op::kDiv ? Op::kDivUnchecked : Op::kModUnchecked;
-      } else if ((proof & kProofSubscriptInBounds) != 0) {
-        insn.op = insn.op == Op::kLoadA ? Op::kLoadAUnchecked : Op::kStoreAUnchecked;
-      }
-    }
-    for (DecodedHandler& h : out.handlers_) {
-      for (const HandlerWcet& wcet : analysis->wcet) {
-        if (wcet.event == h.event) {
-          h.watchdog_safe = wcet.under_watchdog;
-          h.wcet_instructions = wcet.bounded ? wcet.instructions : 0;
-          break;
-        }
-      }
-    }
-  }
   out.analysis_ = std::move(analysis);
 
   return out;
 }
 
 Result<std::shared_ptr<const DecodedImage>> DecodedImage::DecodeShared(
-    const DriverImage& image, std::optional<uint32_t> image_crc,
-    const DecodeOptions& options) {
-  Result<DecodedImage> decoded = Decode(image, image_crc, options);
+    const DriverImage& image, std::optional<uint32_t> image_crc) {
+  Result<DecodedImage> decoded = Decode(image, image_crc);
   if (!decoded.ok()) {
     return decoded.status();
   }

@@ -55,23 +55,42 @@ struct DecodedInsn {
   uint8_t c = 0;  // resolved argument count for signal ops
 };
 
+// Control-flow successors of the decoded instruction at `index` (the
+// verifier's stack-depth fixpoint and reachability walks, and the abstract
+// interpreter's structural fallback).
+template <typename Fn>
+void ForEachSuccessor(const DecodedInsn& insn, size_t index, Fn&& fn) {
+  switch (insn.op) {
+    case Op::kRet:
+    case Op::kRetVal:
+    case Op::kRetArr:
+      break;  // terminal
+    case Op::kJmp:
+      fn(static_cast<size_t>(insn.imm));
+      break;
+    case Op::kJz:
+    case Op::kJnz:
+      fn(static_cast<size_t>(insn.imm));
+      fn(index + 1);
+      break;
+    default:
+      fn(index + 1);
+      break;
+  }
+}
+
 struct DecodedHandler {
   EventId event = 0;
   uint8_t argc = 0;
-  bool watchdog_safe = false;  // WCET proven under the watchdog budget
-  uint32_t entry = 0;          // index into code()
-  uint32_t max_stack = 0;      // worst-case operand stack depth (static analysis)
-  uint64_t wcet_instructions = 0;  // longest feasible path, 0 when unbounded
+  uint32_t entry = 0;      // index into code()
+  uint32_t max_stack = 0;  // worst-case operand stack depth (static analysis)
 };
 
-// Knobs for the abstract-interpretation stage of Decode.  The defaults are
-// what the runtime wants: proven-unsafe images rejected at install time and
-// proven-safe trap sites rewritten to their unchecked forms.  updl_lint
-// turns `reject_unsafe` off to report every finding instead of stopping at
-// the first, and the differential tests turn `elide_proven_traps` off to
-// keep the fully-checked instruction stream.
+// Knobs for the abstract-interpretation stage of Decode.  The default is
+// what the runtime wants: proven-unsafe images rejected at install time.
+// updl_lint turns `reject_unsafe` off to report every finding instead of
+// stopping at the first.
 struct DecodeOptions {
-  bool elide_proven_traps = true;
   bool reject_unsafe = true;
 };
 
@@ -93,8 +112,7 @@ class DecodedImage {
   // Decode into shared ownership (the form DriverManager caches and every
   // DriverHost/Vm holds).
   static Result<std::shared_ptr<const DecodedImage>> DecodeShared(
-      const DriverImage& image, std::optional<uint32_t> image_crc = std::nullopt,
-      const DecodeOptions& options = {});
+      const DriverImage& image, std::optional<uint32_t> image_crc = std::nullopt);
 
   const DriverImage& image() const { return image_; }
   std::span<const DecodedInsn> code() const { return insns_; }
@@ -127,10 +145,10 @@ class DecodedImage {
   // construction; the verifier rejected anything deeper).
   uint32_t max_stack_depth() const;
 
-  // The abstract-interpretation result Decode ran over the pre-specialization
-  // stream: every finding (errors, warnings, notes), per-handler WCET and the
-  // per-site proof bits.  Always populated, even with reject_unsafe off —
-  // this is what updl_lint reports from.
+  // The abstract-interpretation result Decode ran over the stream: every
+  // finding (errors, warnings, notes), per-handler WCET and the trap-site
+  // census.  Always populated, even with reject_unsafe off — this is what
+  // updl_lint reports from.
   const ImageAnalysis& analysis() const;  // defined in the .cpp (complete type)
 
  private:

@@ -6,21 +6,6 @@
 #include "src/rt/event_router.h"  // kMcuClockHz
 
 namespace micropnp {
-namespace {
-
-// Handler parameters: declared count, clamped to the 4 local slots and to
-// the arguments actually present on the event; missing ones read as zero.
-std::array<int32_t, 4> BindLocals(const Event& event, uint8_t handler_argc) {
-  std::array<int32_t, 4> locals{};
-  const size_t count = std::min({static_cast<size_t>(handler_argc), locals.size(),
-                                 static_cast<size_t>(event.argc), event.args.size()});
-  for (size_t i = 0; i < count; ++i) {
-    locals[i] = event.args[i];
-  }
-  return locals;
-}
-
-}  // namespace
 
 Vm::Vm(std::shared_ptr<const DecodedImage> image) : decoded_(std::move(image)) {
   const DriverImage& img = decoded_->image();
@@ -72,7 +57,7 @@ double Vm::MicrosPerInstructionAtMcuClock() const {
          kMcuClockHz * 1e6;
 }
 
-// ---- decoded fast path ------------------------------------------------------
+// ---- dispatch ---------------------------------------------------------------
 //
 // The verifier proved: every instruction is valid and complete, every branch
 // lands on an instruction inside the stream, execution cannot run off the
@@ -80,25 +65,24 @@ double Vm::MicrosPerInstructionAtMcuClock() const {
 // overflow or underflow the operand stack.  None of that is re-checked here.
 
 Vm::ExecResult Vm::Dispatch(const Event& event, VmHost* host) {
+  ExecResult result;
   const DecodedHandler* handler = decoded_->FindHandler(event.id);
   if (handler == nullptr) {
-    ExecResult result;
     result.outcome = Outcome::kNoHandler;
     return result;
   }
-  return handler->watchdog_safe ? DispatchImpl<false>(*handler, event, host)
-                                : DispatchImpl<true>(*handler, event, host);
-}
-
-template <bool kCheckWatchdog>
-Vm::ExecResult Vm::DispatchImpl(const DecodedHandler& handler, const Event& event,
-                                VmHost* host) {
-  ExecResult result;
-  std::array<int32_t, 4> locals = BindLocals(event, handler.argc);
+  // Handler parameters: declared count, clamped to the 4 local slots and to
+  // the arguments actually present on the event; missing ones read as zero.
+  std::array<int32_t, 4> locals{};
+  const size_t bound = std::min({static_cast<size_t>(handler->argc), locals.size(),
+                                 static_cast<size_t>(event.argc), event.args.size()});
+  for (size_t i = 0; i < bound; ++i) {
+    locals[i] = event.args[i];
+  }
   std::array<int32_t, kVmStackDepth> stack;
   size_t sp = 0;  // next free slot
   const DecodedInsn* const insns = decoded_->code().data();
-  size_t ip = handler.entry;
+  size_t ip = handler->entry;
 
   auto trap = [&](const DecodedInsn& insn, const char* what) {
     result.outcome = Outcome::kTrap;
@@ -109,11 +93,9 @@ Vm::ExecResult Vm::DispatchImpl(const DecodedHandler& handler, const Event& even
     const DecodedInsn& insn = insns[ip];
     ++result.instructions;
     result.cycles += insn.cycles;
-    if constexpr (kCheckWatchdog) {
-      if (result.instructions > kVmWatchdogInstructions) {
-        trap(insn, "watchdog: handler exceeded instruction budget");
-        break;
-      }
+    if (result.instructions > kVmWatchdogInstructions) {
+      trap(insn, "watchdog: handler exceeded instruction budget");
+      break;
     }
 
     size_t next_ip = ip + 1;
@@ -169,18 +151,6 @@ Vm::ExecResult Vm::DispatchImpl(const DecodedHandler& handler, const Event& even
         arr[static_cast<size_t>(a)] = static_cast<uint8_t>(b & 0xff);
         break;
       }
-      // Decode-time specialized forms: the abstract interpreter proved the
-      // index in bounds / the divisor nonzero on every feasible path, so the
-      // trap test is gone.  Value semantics are identical to the checked case.
-      case Op::kLoadAUnchecked:
-        a = stack[--sp];
-        stack[sp++] = arrays_[insn.a][static_cast<size_t>(a)];
-        break;
-      case Op::kStoreAUnchecked:
-        b = stack[--sp];  // value
-        a = stack[--sp];  // index
-        arrays_[insn.a][static_cast<size_t>(a)] = static_cast<uint8_t>(b & 0xff);
-        break;
       case Op::kAdd:
         b = stack[--sp];
         a = stack[--sp];
@@ -212,16 +182,6 @@ Vm::ExecResult Vm::DispatchImpl(const DecodedHandler& handler, const Event& even
           trap(insn, "division by zero");
           break;
         }
-        stack[sp++] = (a == INT32_MIN && b == -1) ? 0 : a % b;
-        break;
-      case Op::kDivUnchecked:
-        b = stack[--sp];
-        a = stack[--sp];
-        stack[sp++] = (a == INT32_MIN && b == -1) ? INT32_MIN : a / b;
-        break;
-      case Op::kModUnchecked:
-        b = stack[--sp];
-        a = stack[--sp];
         stack[sp++] = (a == INT32_MIN && b == -1) ? 0 : a % b;
         break;
       case Op::kNeg:
@@ -347,374 +307,6 @@ Vm::ExecResult Vm::DispatchImpl(const DecodedHandler& handler, const Event& even
       break;  // trapped
     }
     ip = next_ip;
-  }
-
-  total_instructions_ += result.instructions;
-  total_cycles_ += result.cycles;
-  return result;
-}
-
-// ---- reference path ---------------------------------------------------------
-//
-// The seed interpreter, preserved verbatim modulo the VmHost interface and
-// the locals clamp fix: walks raw bytecode, re-validating opcodes, bounds
-// and stack depth on every step.  The differential test in tests/rt_test.cpp
-// holds Dispatch to bit-identical accounting against this path.
-
-Vm::ExecResult Vm::DispatchReference(const Event& event, VmHost* host) {
-  const DriverImage& image = decoded_->image();
-  ExecResult result;
-  const HandlerEntry* handler = image.FindHandler(event.id);
-  if (handler == nullptr) {
-    result.outcome = Outcome::kNoHandler;
-    return result;
-  }
-
-  std::array<int32_t, 4> locals = BindLocals(event, handler->argc);
-  std::array<int32_t, kVmStackDepth> stack;
-  size_t sp = 0;  // next free slot
-  size_t pc = handler->offset;
-  const std::vector<uint8_t>& code = image.code;
-
-  auto trap = [&](const std::string& what) {
-    result.outcome = Outcome::kTrap;
-    result.trap = InternalError(what + " at pc " + std::to_string(pc));
-  };
-  auto push = [&](int32_t v) -> bool {
-    if (sp >= kVmStackDepth) {
-      trap("stack overflow");
-      return false;
-    }
-    stack[sp++] = v;
-    return true;
-  };
-  auto pop = [&](int32_t* out) -> bool {
-    if (sp == 0) {
-      trap("stack underflow");
-      return false;
-    }
-    *out = stack[--sp];
-    return true;
-  };
-
-  while (result.outcome == Outcome::kDone) {
-    if (pc >= code.size()) {
-      trap("pc out of range");
-      break;
-    }
-    const uint8_t raw_op = code[pc];
-    if (!OpIsValid(raw_op)) {
-      trap("invalid opcode");
-      break;
-    }
-    const Op op = static_cast<Op>(raw_op);
-    const int operand_bytes = OpOperandBytes(op);
-    if (pc + 1 + static_cast<size_t>(operand_bytes) > code.size()) {
-      trap("truncated instruction");
-      break;
-    }
-    ++result.instructions;
-    result.cycles += OpCycleCost(op);
-    if (result.instructions > kVmWatchdogInstructions) {
-      trap("watchdog: handler exceeded instruction budget");
-      break;
-    }
-
-    // Operand readers.
-    auto operand_u8 = [&]() -> uint8_t { return code[pc + 1]; };
-    auto operand_i16 = [&]() -> int16_t {
-      return static_cast<int16_t>((code[pc + 1] << 8) | code[pc + 2]);
-    };
-    size_t next_pc = pc + 1 + static_cast<size_t>(operand_bytes);
-
-    int32_t a = 0, b = 0;
-    switch (op) {
-      case Op::kNop:
-        break;
-      case Op::kPush0:
-        if (!push(0)) continue;
-        break;
-      case Op::kPush1:
-        if (!push(1)) continue;
-        break;
-      case Op::kPushI8:
-        if (!push(static_cast<int8_t>(operand_u8()))) continue;
-        break;
-      case Op::kPushI16:
-        if (!push(operand_i16())) continue;
-        break;
-      case Op::kPushI32: {
-        const int32_t v = static_cast<int32_t>((static_cast<uint32_t>(code[pc + 1]) << 24) |
-                                               (static_cast<uint32_t>(code[pc + 2]) << 16) |
-                                               (static_cast<uint32_t>(code[pc + 3]) << 8) |
-                                               code[pc + 4]);
-        if (!push(v)) continue;
-        break;
-      }
-      case Op::kDup:
-        if (sp == 0) {
-          trap("stack underflow");
-          continue;
-        }
-        if (!push(stack[sp - 1])) continue;
-        break;
-      case Op::kPop:
-        if (!pop(&a)) continue;
-        break;
-      case Op::kLoadG: {
-        const uint8_t slot = operand_u8();
-        if (slot >= globals_.size()) {
-          trap("global slot out of range");
-          continue;
-        }
-        if (!push(globals_[slot])) continue;
-        break;
-      }
-      case Op::kStoreG: {
-        const uint8_t slot = operand_u8();
-        if (slot >= globals_.size()) {
-          trap("global slot out of range");
-          continue;
-        }
-        if (!pop(&a)) continue;
-        globals_[slot] = TruncateTo(image.scalar_types[slot], a);
-        break;
-      }
-      case Op::kLoadL: {
-        const uint8_t index = operand_u8();
-        if (index >= locals.size()) {
-          trap("local index out of range");
-          continue;
-        }
-        if (!push(locals[index])) continue;
-        break;
-      }
-      case Op::kLoadA: {
-        const uint8_t arr = operand_u8();
-        if (arr >= arrays_.size()) {
-          trap("array index out of range");
-          continue;
-        }
-        if (!pop(&a)) continue;
-        if (a < 0 || static_cast<size_t>(a) >= arrays_[arr].size()) {
-          trap("array subscript out of bounds");
-          continue;
-        }
-        if (!push(arrays_[arr][static_cast<size_t>(a)])) continue;
-        break;
-      }
-      case Op::kStoreA: {
-        const uint8_t arr = operand_u8();
-        if (arr >= arrays_.size()) {
-          trap("array index out of range");
-          continue;
-        }
-        if (!pop(&b)) continue;  // value
-        if (!pop(&a)) continue;  // index
-        if (a < 0 || static_cast<size_t>(a) >= arrays_[arr].size()) {
-          trap("array subscript out of bounds");
-          continue;
-        }
-        arrays_[arr][static_cast<size_t>(a)] = static_cast<uint8_t>(b & 0xff);
-        break;
-      }
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kDiv:
-      case Op::kMod:
-      case Op::kShl:
-      case Op::kShr:
-      case Op::kBitAnd:
-      case Op::kBitOr:
-      case Op::kBitXor:
-      case Op::kEq:
-      case Op::kNe:
-      case Op::kLt:
-      case Op::kLe:
-      case Op::kGt:
-      case Op::kGe: {
-        if (!pop(&b) || !pop(&a)) continue;
-        int32_t v = 0;
-        bool ok = true;
-        switch (op) {
-          case Op::kAdd:
-            v = static_cast<int32_t>(static_cast<uint32_t>(a) + static_cast<uint32_t>(b));
-            break;
-          case Op::kSub:
-            v = static_cast<int32_t>(static_cast<uint32_t>(a) - static_cast<uint32_t>(b));
-            break;
-          case Op::kMul:
-            v = static_cast<int32_t>(static_cast<uint32_t>(a) * static_cast<uint32_t>(b));
-            break;
-          case Op::kDiv:
-            if (b == 0) {
-              trap("division by zero");
-              ok = false;
-              break;
-            }
-            if (a == INT32_MIN && b == -1) {
-              v = INT32_MIN;  // wraps, matching AVR soft-division
-            } else {
-              v = a / b;
-            }
-            break;
-          case Op::kMod:
-            if (b == 0) {
-              trap("division by zero");
-              ok = false;
-              break;
-            }
-            if (a == INT32_MIN && b == -1) {
-              v = 0;
-            } else {
-              v = a % b;
-            }
-            break;
-          case Op::kShl:
-            v = static_cast<int32_t>(static_cast<uint32_t>(a) << (b & 31));
-            break;
-          case Op::kShr:
-            v = a >> (b & 31);  // arithmetic
-            break;
-          case Op::kBitAnd:
-            v = a & b;
-            break;
-          case Op::kBitOr:
-            v = a | b;
-            break;
-          case Op::kBitXor:
-            v = a ^ b;
-            break;
-          case Op::kEq:
-            v = (a == b);
-            break;
-          case Op::kNe:
-            v = (a != b);
-            break;
-          case Op::kLt:
-            v = (a < b);
-            break;
-          case Op::kLe:
-            v = (a <= b);
-            break;
-          case Op::kGt:
-            v = (a > b);
-            break;
-          case Op::kGe:
-            v = (a >= b);
-            break;
-          default:
-            break;
-        }
-        if (!ok) {
-          continue;
-        }
-        if (!push(v)) continue;
-        break;
-      }
-      case Op::kNeg:
-        if (!pop(&a)) continue;
-        if (!push(static_cast<int32_t>(0u - static_cast<uint32_t>(a)))) continue;
-        break;
-      case Op::kBitNot:
-        if (!pop(&a)) continue;
-        if (!push(~a)) continue;
-        break;
-      case Op::kLogicalNot:
-        if (!pop(&a)) continue;
-        if (!push(a == 0 ? 1 : 0)) continue;
-        break;
-      case Op::kJmp:
-        next_pc = static_cast<size_t>(static_cast<ptrdiff_t>(next_pc) + operand_i16());
-        break;
-      case Op::kJz:
-        if (!pop(&a)) continue;
-        if (a == 0) {
-          next_pc = static_cast<size_t>(static_cast<ptrdiff_t>(next_pc) + operand_i16());
-        }
-        break;
-      case Op::kJnz:
-        if (!pop(&a)) continue;
-        if (a != 0) {
-          next_pc = static_cast<size_t>(static_cast<ptrdiff_t>(next_pc) + operand_i16());
-        }
-        break;
-      case Op::kSignalSelf: {
-        const EventId target = operand_u8();
-        const HandlerEntry* target_handler = image.FindHandler(target);
-        if (target_handler == nullptr) {
-          trap("signal to unhandled event");
-          continue;
-        }
-        Event e;
-        e.id = target;
-        e.argc = target_handler->argc;
-        // Arguments were pushed left-to-right; pop them back into order.
-        for (int i = static_cast<int>(e.argc) - 1; i >= 0; --i) {
-          if (!pop(&e.args[static_cast<size_t>(i)])) break;
-        }
-        if (result.outcome != Outcome::kDone) {
-          continue;  // popped into a trap
-        }
-        if (host != nullptr) {
-          host->OnSelfSignal(e);
-        }
-        break;
-      }
-      case Op::kSignalLib: {
-        const LibraryId lib = code[pc + 1];
-        const LibraryFunctionId fn = code[pc + 2];
-        const NativeFunctionDesc* desc = FindNativeFunction(lib, fn);
-        if (desc == nullptr) {
-          trap("signal to unknown native function");
-          continue;
-        }
-        std::array<int32_t, 4> args{};
-        for (int i = static_cast<int>(desc->arg_count) - 1; i >= 0; --i) {
-          if (!pop(&args[static_cast<size_t>(i)])) break;
-        }
-        if (result.outcome != Outcome::kDone) {
-          continue;
-        }
-        if (host != nullptr) {
-          host->OnLibSignal(lib, fn, std::span<const int32_t>(args.data(), desc->arg_count));
-        }
-        break;
-      }
-      case Op::kRet:
-        total_instructions_ += result.instructions;
-        total_cycles_ += result.cycles;
-        return result;
-      case Op::kRetVal:
-        if (!pop(&a)) continue;
-        result.outcome = Outcome::kValue;
-        result.value = a;
-        total_instructions_ += result.instructions;
-        total_cycles_ += result.cycles;
-        return result;
-      case Op::kRetArr: {
-        const uint8_t arr = operand_u8();
-        if (arr >= arrays_.size()) {
-          trap("array index out of range");
-          continue;
-        }
-        result.outcome = Outcome::kArray;
-        result.array = std::span<const uint8_t>(arrays_[arr].data(), arrays_[arr].size());
-        total_instructions_ += result.instructions;
-        total_cycles_ += result.cycles;
-        return result;
-      }
-      case Op::kDivUnchecked:
-      case Op::kModUnchecked:
-      case Op::kLoadAUnchecked:
-      case Op::kStoreAUnchecked:
-        // Decode-time internal forms; never wire-valid, so OpIsValid already
-        // rejected the raw byte above.
-        trap("invalid opcode");
-        continue;
-    }
-    pc = next_pc;
   }
 
   total_instructions_ += result.instructions;

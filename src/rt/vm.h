@@ -14,9 +14,9 @@
 // performs no opcode validation, no code-bounds checks, no operand
 // re-decoding and no stack-depth checks.  The only runtime traps left are
 // the ones that depend on runtime state: division by zero, dynamic array
-// subscripts and the watchdog.  The seed byte-walking interpreter is kept as
-// DispatchReference for differential tests and benchmarks; both paths
-// produce bit-identical instruction/cycle accounting.
+// subscripts and the watchdog.  The seed byte-walking interpreter lives on as
+// the test oracle ReferenceVm (tests/oracles/reference_vm.h); the
+// differential tests hold both to bit-identical instruction/cycle accounting.
 
 #ifndef SRC_RT_VM_H_
 #define SRC_RT_VM_H_
@@ -80,15 +80,11 @@ class Vm {
   // Executes the handler for `event` (if any) over the decoded stream.
   // Arguments beyond the handler's declared count (or the 4 local slots) are
   // ignored; missing ones read as zero.  `host` may be null (signals are
-  // dropped).  Handlers the abstract interpreter proved under the watchdog
-  // budget run without the per-instruction watchdog counter; trap sites it
-  // proved safe were rewritten to unchecked opcodes at decode time.
+  // dropped).
   ExecResult Dispatch(const Event& event, VmHost* host);
 
-  // The seed interpreter: walks the raw bytecode with per-step validity,
-  // bounds and stack checks.  Kept for differential testing and the
-  // decoded-vs-seed benchmark; accounting is bit-identical to Dispatch.
-  ExecResult DispatchReference(const Event& event, VmHost* host);
+  // Truncates a 32-bit value to a declared storage type (JVM-style).
+  static int32_t TruncateTo(DslType type, int32_t v);
 
   // --- introspection (tests, debugger-style tooling) -----------------------
   int32_t global(size_t slot) const { return slot < globals_.size() ? globals_[slot] : 0; }
@@ -101,14 +97,6 @@ class Vm {
   double MicrosPerInstructionAtMcuClock() const;
 
  private:
-  // The decoded-stream hot loop.  The watchdog counter compiles out for
-  // handlers with a proven execution bound.
-  template <bool kCheckWatchdog>
-  ExecResult DispatchImpl(const DecodedHandler& handler, const Event& event, VmHost* host);
-
-  // Truncates a 32-bit value to a declared storage type (JVM-style).
-  static int32_t TruncateTo(DslType type, int32_t v);
-
   std::shared_ptr<const DecodedImage> decoded_;
   std::vector<int32_t> globals_;
   std::vector<std::vector<uint8_t>> arrays_;

@@ -14,7 +14,7 @@
 // so an event is re-slotted at most once per level over its lifetime.
 //
 // Exact discrete-event semantics are preserved (and differentially tested in
-// tests/timing_wheel_test.cpp against ReferenceScheduler, the seed heap):
+// tests/timing_wheel_test.cpp against the seed heap in tests/oracles/):
 // events reach the ready list only when they share a single timestamp —
 // via a level-0 slot (which covers exactly one nanosecond) or due exactly at
 // the wheel origin after a cascade or overflow migration — and every such

@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/gateway_bench.h"
+#include "bench/scenarios/gateway_bench.h"
 
 namespace micropnp {
 namespace {

@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/model_bench.h"
+#include "bench/scenarios/model_bench.h"
 
 namespace micropnp {
 namespace {

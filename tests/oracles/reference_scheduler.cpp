@@ -1,4 +1,4 @@
-#include "src/sim/reference_scheduler.h"
+#include "tests/oracles/reference_scheduler.h"
 
 #include <utility>
 

@@ -12,8 +12,8 @@
 // quadratic in the reference itself.  Scheduling stays O(log pending) via the
 // heap; the production Scheduler (src/sim/scheduler.h) is the O(1) wheel.
 
-#ifndef SRC_SIM_REFERENCE_SCHEDULER_H_
-#define SRC_SIM_REFERENCE_SCHEDULER_H_
+#ifndef TESTS_ORACLES_REFERENCE_SCHEDULER_H_
+#define TESTS_ORACLES_REFERENCE_SCHEDULER_H_
 
 #include <cstdint>
 #include <functional>
@@ -77,4 +77,4 @@ class ReferenceScheduler {
 
 }  // namespace micropnp
 
-#endif  // SRC_SIM_REFERENCE_SCHEDULER_H_
+#endif  // TESTS_ORACLES_REFERENCE_SCHEDULER_H_

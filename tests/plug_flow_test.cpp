@@ -170,6 +170,8 @@ class FakeManager {
   bool honour_nacks = false;
   int copies_per_chunk = 1;
   bool reverse_order = false;
+  // Answer every (4) with the whole image in one (5), as before chunking.
+  bool monolithic_upload = false;
 
  private:
   static constexpr size_t kChunkBytes = 56;
@@ -181,6 +183,13 @@ class FakeManager {
       const auto* req = m->payload_as<DriverRequestPayload>();
       if (req == nullptr || req->device_id != device_) return;
       requests_.push_back(*req);
+      if (monolithic_upload) {
+        node_->SendUdp(src, kMicroPnpUdpPort,
+                       MakeMessage(MessageType::kDriverUpload, m->sequence,
+                                   DriverUploadPayload{device_, image_bytes_})
+                           .Serialize());
+        return;
+      }
       DriverOfferPayload offer{device_, crc_, static_cast<uint32_t>(image_bytes_.size()),
                                kChunkBytes, chunk_count(), 0};
       node_->SendUdp(src, kMicroPnpUdpPort,
@@ -288,6 +297,33 @@ TEST(ChunkedTransfer, ResumeBitmapRequestsOnlyTheGaps) {
   EXPECT_EQ(thing.transfers_completed(), 1u);
   // The resumed round moved only the odd chunks, not the whole image.
   EXPECT_EQ(resumed_round_chunks, fake.chunk_count() / 2);
+}
+
+TEST(ChunkedTransfer, MonolithicUploadAnswerIsDroppedAsStale) {
+  // No manager sends the legacy monolithic (5) any more, and the Thing no
+  // longer accepts one: it does not complete the (4), installs nothing, and
+  // is counted as a stale reply.  The wide backoff keeps the (4) from being
+  // retransmitted inside the observed window.
+  ThingConfig tuning;
+  tuning.driver_request_backoff_ms = 2000.0;
+  Deployment deployment(SeededConfig(71011));
+  MicroPnpThing& thing = deployment.AddThing("thing", nullptr, tuning);
+  FakeManager fake(deployment, kTmp36TypeId);
+  fake.monolithic_upload = true;
+  const uint64_t stale_before = thing.endpoint().counters().stale_replies_dropped;
+
+  Tmp36& sensor = deployment.MakeTmp36();
+  ASSERT_TRUE(thing.Plug(0, &sensor).ok());
+  while (fake.requests_seen() == 0 && deployment.NowMillis() < 5000.0) {
+    deployment.RunForMillis(1);
+  }
+  ASSERT_EQ(fake.requests_seen(), 1);
+  deployment.RunForMillis(1000);
+
+  EXPECT_EQ(fake.requests_seen(), 1);
+  EXPECT_FALSE(thing.drivers().HasDriverFor(kTmp36TypeId));
+  EXPECT_EQ(thing.drivers().HostForChannel(0), nullptr);
+  EXPECT_EQ(thing.endpoint().counters().stale_replies_dropped, stale_before + 1);
 }
 
 TEST(ChunkedTransfer, ReplugOfCachedDriverTransfersZeroChunks) {

@@ -18,6 +18,7 @@
 #include "src/rt/footprint.h"
 #include "src/rt/peripheral_controller.h"
 #include "src/rt/vm.h"
+#include "tests/oracles/reference_vm.h"
 
 namespace micropnp {
 namespace {
@@ -395,7 +396,7 @@ event destroy():
   EXPECT_EQ(fx.vm_->total_instructions(), r.instructions);
 }
 
-// Section 6.2 guard: the decoded fast path must charge exactly the same
+// Section 6.2 guard: the decoded dispatch loop must charge exactly the same
 // instruction and cycle counts as the seed byte-walking interpreter, for
 // every bundled driver and the whole lifecycle event vocabulary.
 TEST(Vm, DecodedAccountingBitIdenticalToReference) {
@@ -412,13 +413,13 @@ TEST(Vm, DecodedAccountingBitIdenticalToReference) {
     ASSERT_TRUE(decoded.ok()) << d.name << ": " << decoded.status().ToString();
 
     Vm fast(*decoded);
-    Vm reference(*decoded);
+    ReferenceVm reference(*image);
     const Event events[] = {Event::Of(kEventInit),        Event::Of(kEventRead),
                             Event::Of(kEventWrite, 1),    Event::Of(kEventNewData, 512),
                             Event::Of(kEventTick),        Event::Of(kEventDestroy)};
     for (const Event& event : events) {
       Vm::ExecResult a = fast.Dispatch(event, &host);
-      Vm::ExecResult b = reference.DispatchReference(event, &host);
+      Vm::ExecResult b = reference.Dispatch(event, &host);
       EXPECT_EQ(a.instructions, b.instructions) << d.name << " event " << int(event.id);
       EXPECT_EQ(a.cycles, b.cycles) << d.name << " event " << int(event.id);
       EXPECT_EQ(a.outcome, b.outcome) << d.name << " event " << int(event.id);
@@ -426,6 +427,9 @@ TEST(Vm, DecodedAccountingBitIdenticalToReference) {
     }
     EXPECT_EQ(fast.total_instructions(), reference.total_instructions()) << d.name;
     EXPECT_EQ(fast.total_cycles(), reference.total_cycles()) << d.name;
+    for (size_t g = 0; g < image->scalar_types.size(); ++g) {
+      EXPECT_EQ(fast.global(g), reference.global(g)) << d.name << " global " << g;
+    }
   }
 }
 
@@ -464,13 +468,10 @@ event sum(int32_t a, int32_t b, int32_t c, int32_t d):
   partial.args = {10, 20, 999, 999};
   EXPECT_EQ(fx.Run(partial).value, 30);
 
-  // The reference path applies the same clamp.
-  struct NullHost final : VmHost {
-    void OnSelfSignal(const Event&) override {}
-    void OnLibSignal(LibraryId, LibraryFunctionId, std::span<const int32_t>) override {}
-  } host;
-  EXPECT_EQ(fx.vm_->DispatchReference(overclaimed, &host).value, 100);
-  EXPECT_EQ(fx.vm_->DispatchReference(partial, &host).value, 30);
+  // The seed interpreter applies the same clamp.
+  ReferenceVm reference(fx.vm_->image());
+  EXPECT_EQ(reference.Dispatch(overclaimed, nullptr).value, 100);
+  EXPECT_EQ(reference.Dispatch(partial, nullptr).value, 30);
 }
 
 // ----------------------------------------------- end-to-end driver runs ----

@@ -1,10 +1,10 @@
 // Differential and algorithmic tests for the timing-wheel Scheduler.
 //
 // The wheel (src/sim/scheduler.h) must be observationally identical to the
-// seed heap (src/sim/reference_scheduler.h): same execution order, same clock,
-// same executed()/pending() counts, same Cancel() verdicts — for any trace of
-// ScheduleAt / ScheduleAfter / Cancel / Step / RunUntil / Run, including
-// actions that schedule or cancel from inside the callback.  The property
+// seed heap (tests/oracles/reference_scheduler.h): same execution order, same
+// clock, same executed()/pending() counts, same Cancel() verdicts — for any
+// trace of ScheduleAt / ScheduleAfter / Cancel / Step / RunUntil / Run,
+// including actions that schedule or cancel from inside the callback.  The property
 // test below replays >= 1000 seeded random traces against both.
 //
 // The algorithmic half pins the wheel's complexity: a 100k schedule+cancel
@@ -19,7 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/sim/reference_scheduler.h"
+#include "tests/oracles/reference_scheduler.h"
 #include "src/sim/scheduler.h"
 
 namespace micropnp {

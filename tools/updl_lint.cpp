@@ -22,7 +22,6 @@
 #include "src/dsl/compiler.h"
 #include "src/rt/abstract_interp.h"
 #include "src/rt/decoded_image.h"
-#include "src/rt/vm.h"
 
 namespace micropnp {
 namespace {
@@ -80,14 +79,13 @@ LintResult LintFile(const std::string& path, const Options& opts) {
       const DecodedHandler* handler = decoded->FindHandler(wcet.event);
       const uint32_t max_stack = handler != nullptr ? handler->max_stack : 0;
       if (wcet.bounded) {
-        std::printf("%s: handler 0x%02x: wcet %llu instr / %llu cycles%s, stack %u\n",
+        std::printf("%s: handler 0x%02x: wcet %llu instr / %llu cycles, stack %u\n",
                     path.c_str(), wcet.event,
                     static_cast<unsigned long long>(wcet.instructions),
-                    static_cast<unsigned long long>(wcet.cycles),
-                    wcet.under_watchdog ? " (watchdog elided)" : "", max_stack);
+                    static_cast<unsigned long long>(wcet.cycles), max_stack);
       } else {
-        std::printf("%s: handler 0x%02x: wcet unbounded (loop), watchdog kept, stack %u\n",
-                    path.c_str(), wcet.event, max_stack);
+        std::printf("%s: handler 0x%02x: wcet unbounded (loop), stack %u\n", path.c_str(),
+                    wcet.event, max_stack);
       }
     }
     std::printf("%s: trap sites: %zu/%zu divisions proven, %zu/%zu subscripts proven\n",
