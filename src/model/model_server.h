@@ -1,4 +1,4 @@
-// The northbound device-model gateway tier (ROADMAP item 2).
+// The northbound device-model gateway tier (docs/MODEL.md).
 //
 // A ModelServer sits on top of one MicroPnpClient and serves the fleet to
 // many concurrent ModelClients, decoupling client load from constrained-

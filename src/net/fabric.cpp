@@ -176,11 +176,14 @@ std::optional<double> Fabric::SimulateHops(const std::vector<Transfer>& hops,
     // Intermediate nodes forward without full stack traversal.
     if (h + 1 < hops.size()) {
       const NodeProfile& p = hops[h].to->profile();
-      total_ms += p.forward_processing_ms *
-                  (1.0 + p.jitter_fraction * rng_.Uniform(-1.0, 1.0));
+      total_ms += Jittered(p.forward_processing_ms, p);
     }
   }
   return total_ms;
+}
+
+double Fabric::Jittered(double ms, const NodeProfile& profile) {
+  return ms * (1.0 + profile.jitter_fraction * rng_.Uniform(-1.0, 1.0));
 }
 
 void Fabric::Route(NetNode& src, const Ip6Address& dst, uint16_t port,
@@ -231,15 +234,13 @@ void Fabric::RouteUnicast(NetNode& src, NetNode& dst, const Ip6Address& dst_addr
   }
   const std::vector<Transfer>& hops = BuildTransfers(path, &src);
   // Sender-side stack processing.
-  double latency = src.profile().tx_processing_ms *
-                   (1.0 + src.profile().jitter_fraction * rng_.Uniform(-1.0, 1.0));
+  double latency = Jittered(src.profile().tx_processing_ms, src.profile());
   std::optional<double> wire = SimulateHops(hops, payload.size(), /*multicast=*/false);
   if (!wire.has_value()) {
     return;  // lost
   }
   latency += *wire;
-  latency += dst.profile().rx_processing_ms *
-             (1.0 + dst.profile().jitter_fraction * rng_.Uniform(-1.0, 1.0));
+  latency += Jittered(dst.profile().rx_processing_ms, dst.profile());
   scheduler_.ScheduleAfter(SimTime::FromMillis(latency),
                            [&dst, src_addr = src.address(), dst_addr, port, payload] {
                              dst.Deliver(src_addr, dst_addr, port, payload);
@@ -269,8 +270,7 @@ void Fabric::RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port
     root = root->parent();
   }
 
-  const double tx = src.profile().tx_processing_ms *
-                    (1.0 + src.profile().jitter_fraction * rng_.Uniform(-1.0, 1.0));
+  const double tx = Jittered(src.profile().tx_processing_ms, src.profile());
   std::optional<double> climb = SimulateHops(hops_scratch_, payload.size(), /*multicast=*/true);
   if (!climb.has_value()) {
     return;
@@ -288,8 +288,7 @@ void Fabric::RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port
     // own group traffic if subscribed, except we suppress the loopback).
     if (current.node != &src && current.node->InGroup(group)) {
       NetNode* dst = current.node;
-      const double rx = dst->profile().rx_processing_ms *
-                        (1.0 + dst->profile().jitter_fraction * rng_.Uniform(-1.0, 1.0));
+      const double rx = Jittered(dst->profile().rx_processing_ms, dst->profile());
       scheduler_.ScheduleAfter(SimTime::FromMillis(current.latency + rx),
                                [dst, src_addr = src.address(), group, port, payload] {
                                  dst->Deliver(src_addr, group, port, payload);
@@ -308,9 +307,9 @@ void Fabric::RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port
       if (!wire.has_value()) {
         continue;  // lost on this branch only
       }
-      double forward_cost = current.node->profile().forward_processing_ms *
-                            (1.0 + current.node->profile().jitter_fraction *
-                                       rng_.Uniform(-1.0, 1.0));
+      // The draw is taken even for the source, which forwards at no cost.
+      double forward_cost =
+          Jittered(current.node->profile().forward_processing_ms, current.node->profile());
       if (current.node == &src) {
         forward_cost = 0.0;
       }

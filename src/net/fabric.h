@@ -198,6 +198,9 @@ class Fabric {
   // total latency or nullopt if a frame was lost.
   std::optional<double> SimulateHops(const std::vector<Transfer>& hops, size_t payload_bytes,
                                      bool multicast);
+  // A processing cost of `ms` on a node with `profile`, with the profile's
+  // +/- uniform jitter applied (one RNG draw).
+  double Jittered(double ms, const NodeProfile& profile);
 
   Scheduler& scheduler_;
   Rng rng_;

@@ -1,7 +1,9 @@
 #include "src/proto/messages.h"
 
+#include <array>
 #include <cassert>
 #include <type_traits>
+#include <utility>
 
 namespace micropnp {
 
@@ -421,51 +423,34 @@ size_t ExpectedAlternative(MessageType type) {
   return std::variant_npos;
 }
 
-Result<MessagePayload> ParsePayload(MessageType type, ByteReader& r) {
-  // Adapts each typed Parse into the common variant result.
-  auto lift = [](auto parsed) -> Result<MessagePayload> {
-    if (!parsed.ok()) {
-      return parsed.status();
-    }
-    return MessagePayload(std::move(*parsed));
-  };
-  switch (type) {
-    case MessageType::kUnsolicitedAdvertisement:
-    case MessageType::kSolicitedAdvertisement:
-      return lift(AdvertisementPayload::Parse(r));
-    case MessageType::kPeripheralDiscovery:
-      return lift(PeripheralDiscoveryPayload::Parse(r));
-    case MessageType::kDriverDiscovery:
-    case MessageType::kDriverRemovalRequest:
-    case MessageType::kRead:
-    case MessageType::kStreamClosed:
-      return lift(DeviceTargetPayload::Parse(r));
-    case MessageType::kDriverInstallRequest:
-      return lift(DriverRequestPayload::Parse(r));
-    case MessageType::kDriverUpload:
-      return lift(DriverUploadPayload::Parse(r));
-    case MessageType::kDriverUploadOffer:
-      return lift(DriverOfferPayload::Parse(r));
-    case MessageType::kDriverChunk:
-      return lift(DriverChunkPayload::Parse(r));
-    case MessageType::kDriverChunkRequest:
-      return lift(DriverChunkRequestPayload::Parse(r));
-    case MessageType::kDriverAdvertisement:
-      return lift(DriverAdvertisementPayload::Parse(r));
-    case MessageType::kDriverRemovalAck:
-    case MessageType::kWriteAck:
-      return lift(StatusAckPayload::Parse(r));
-    case MessageType::kData:
-    case MessageType::kStreamData:
-      return lift(ValuePayload::Parse(r));
-    case MessageType::kStream:
-      return lift(StreamRequestPayload::Parse(r));
-    case MessageType::kStreamEstablished:
-      return lift(StreamEstablishedPayload::Parse(r));
-    case MessageType::kWrite:
-      return lift(WritePayload::Parse(r));
+// Parses the payload shape of variant alternative I.
+template <size_t I>
+Result<MessagePayload> ParseAlternative(ByteReader& r) {
+  auto parsed = std::variant_alternative_t<I, MessagePayload>::Parse(r);
+  if (!parsed.ok()) {
+    return parsed.status();
   }
-  return CorruptError("unknown message type");
+  return MessagePayload(std::in_place_index<I>, std::move(*parsed));
+}
+
+using PayloadParser = Result<MessagePayload> (*)(ByteReader&);
+
+template <size_t... I>
+constexpr std::array<PayloadParser, sizeof...(I)> MakePayloadParsers(std::index_sequence<I...>) {
+  return {&ParseAlternative<I>...};
+}
+
+// One parser per variant alternative, indexed by alternative, so the wire
+// type -> shape table above is the only place a wire type is mapped.
+constexpr auto kPayloadParsers =
+    MakePayloadParsers(std::make_index_sequence<std::variant_size_v<MessagePayload>>{});
+
+Result<MessagePayload> ParsePayload(MessageType type, ByteReader& r) {
+  const size_t alternative = ExpectedAlternative(type);
+  if (alternative == std::variant_npos) {
+    return CorruptError("unknown message type");
+  }
+  return kPayloadParsers[alternative](r);
 }
 
 }  // namespace

@@ -30,6 +30,14 @@ double MicroPnpThing::Jitter(double nominal_ms) {
   return nominal_ms * (1.0 + config_.cpu_jitter_fraction * rng_.Uniform(-1.0, 1.0));
 }
 
+PlugFlowMarks* MicroPnpThing::MarkFlow(ChannelId channel, SimTime PlugFlowMarks::*mark) {
+  if (!last_flow_.has_value() || last_flow_->channel != channel) {
+    return nullptr;
+  }
+  (*last_flow_).*mark = scheduler_.now();
+  return &*last_flow_;
+}
+
 Status MicroPnpThing::Plug(ChannelId channel, Peripheral* peripheral) {
   PlugFlowMarks marks;
   marks.channel = channel;
@@ -116,16 +124,13 @@ void MicroPnpThing::OnPeripheralChange(ChannelId channel, DeviceTypeId id, bool 
     return;
   }
 
-  if (last_flow_.has_value() && last_flow_->channel == channel) {
-    last_flow_->device = id;
-    last_flow_->identified = scheduler_.now();
+  if (PlugFlowMarks* marks = MarkFlow(channel, &PlugFlowMarks::identified)) {
+    marks->device = id;
   }
   // Step 1: derive the peripheral's multicast address (Table 4 row 1).
   scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(config_.generate_address_cpu_ms)),
                            [this, channel, id] {
-                             if (last_flow_.has_value() && last_flow_->channel == channel) {
-                               last_flow_->address_generated = scheduler_.now();
-                             }
+                             MarkFlow(channel, &PlugFlowMarks::address_generated);
                              ContinueFlowJoinGroup(channel, id);
                            });
 }
@@ -135,9 +140,7 @@ void MicroPnpThing::ContinueFlowJoinGroup(ChannelId channel, DeviceTypeId id) {
   scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(config_.join_group_cpu_ms)),
                            [this, channel, id] {
                              node_->JoinGroup(PeripheralGroup(node_->prefix(), id));
-                             if (last_flow_.has_value() && last_flow_->channel == channel) {
-                               last_flow_->group_joined = scheduler_.now();
-                             }
+                             MarkFlow(channel, &PlugFlowMarks::group_joined);
                              ContinueFlowEnsureDriver(channel, id);
                            });
 }
@@ -147,10 +150,9 @@ void MicroPnpThing::ContinueFlowEnsureDriver(ChannelId channel, DeviceTypeId id)
     if (driver_manager_.HostForChannel(channel) != nullptr) {
       return;  // a late (4) retry landed after the channel was fully plumbed
     }
-    if (last_flow_.has_value() && last_flow_->channel == channel) {
-      last_flow_->driver_was_cached = true;
-      last_flow_->driver_requested = scheduler_.now();
-      last_flow_->driver_received = scheduler_.now();
+    if (PlugFlowMarks* marks = MarkFlow(channel, &PlugFlowMarks::driver_received)) {
+      marks->driver_was_cached = true;
+      marks->driver_requested = marks->driver_received;
     }
     ActivateAndAdvertise(channel, id);
     return;
@@ -164,9 +166,7 @@ void MicroPnpThing::ContinueFlowEnsureDriver(ChannelId channel, DeviceTypeId id)
         if (controller_.identified(channel) != id) {
           return;  // unplugged while the request was being built
         }
-        if (last_flow_.has_value() && last_flow_->channel == channel) {
-          last_flow_->driver_requested = scheduler_.now();
-        }
+        MarkFlow(channel, &PlugFlowMarks::driver_requested);
         RequestOptions options;
         options.deadline_ms = config_.driver_request_deadline_ms;
         options.max_retransmits = config_.driver_request_retransmits;
@@ -265,31 +265,8 @@ void MicroPnpThing::ProcessOffer(ChannelId channel, DeviceTypeId id,
   }
   t.channel = channel;
   t.offer_seen = true;
-  if ((offer.flags & kDriverOfferUpToDate) != 0) {
-    if (t.complete) {
-      // Our cached image is current: install from the local copy.  Zero
-      // chunks crossed the network for this re-plug.
-      if (!t.install_started) {
-        t.install_started = true;
-        if (last_flow_.has_value() && last_flow_->channel == channel) {
-          last_flow_->driver_was_cached = true;
-          last_flow_->driver_received = scheduler_.now();
-        }
-        InstallReceivedDriver(channel, id, AssembleTransfer(t));
-      } else if (driver_manager_.HasDriverFor(id)) {
-        // Another channel's flow already installed this image (two
-        // same-type peripherals plugged concurrently): this channel only
-        // needs activation.
-        if (driver_manager_.HostForChannel(channel) == nullptr) {
-          ActivateAndAdvertise(channel, id);
-        }
-      } else {
-        // The install is still in flight (flash write): retry later; by
-        // then the cached-driver fast path activates this channel.
-        ScheduleDriverRetry(channel, id);
-      }
-      return;
-    }
+  const bool up_to_date = (offer.flags & kDriverOfferUpToDate) != 0;
+  if (up_to_date && !t.complete) {
     // The manager judged us complete but we are not (cache lost between
     // the (4) and its answer): drop the claim and request again.
     transfers_.erase(id);
@@ -297,19 +274,27 @@ void MicroPnpThing::ProcessOffer(ChannelId channel, DeviceTypeId id,
     return;
   }
   if (t.complete) {
-    // All chunks arrived (and verified) before the offer did — reordering.
+    // The image is already here: either our cached copy is current (up to
+    // date, so zero chunks crossed the network for this re-plug), or all
+    // chunks arrived and verified before the offer did (reordering).
     if (!t.install_started) {
       t.install_started = true;
-      if (last_flow_.has_value() && last_flow_->channel == channel) {
-        last_flow_->driver_received = scheduler_.now();
+      PlugFlowMarks* marks = MarkFlow(channel, &PlugFlowMarks::driver_received);
+      if (marks != nullptr && up_to_date) {
+        marks->driver_was_cached = true;
       }
       InstallReceivedDriver(channel, id, AssembleTransfer(t));
     } else if (driver_manager_.HasDriverFor(id)) {
+      // Another channel's flow already installed this image (two
+      // same-type peripherals plugged concurrently): this channel only
+      // needs activation.
       if (driver_manager_.HostForChannel(channel) == nullptr) {
-        ActivateAndAdvertise(channel, id);  // installed by a sibling channel's flow
+        ActivateAndAdvertise(channel, id);
       }
     } else {
-      ScheduleDriverRetry(channel, id);  // sibling's install still in flight
+      // The install is still in flight (flash write): retry later; by
+      // then the cached-driver fast path activates this channel.
+      ScheduleDriverRetry(channel, id);
     }
     return;
   }
@@ -392,9 +377,7 @@ void MicroPnpThing::MaybeCompleteTransfer(DeviceTypeId id, DriverTransfer& t) {
   }
   if (!t.install_started) {
     t.install_started = true;
-    if (last_flow_.has_value() && last_flow_->channel == t.channel) {
-      last_flow_->driver_received = scheduler_.now();
-    }
+    MarkFlow(t.channel, &PlugFlowMarks::driver_received);
     InstallReceivedDriver(t.channel, id, std::move(image));
   }
 }
@@ -520,17 +503,13 @@ void MicroPnpThing::ActivateAndAdvertise(ChannelId channel, DeviceTypeId id) {
         DriverHost* host = driver_manager_.HostForChannel(channel);
         host->set_result_handler(
             [this, channel](const ProducedValue& v) { OnProduced(channel, v); });
-        if (last_flow_.has_value() && last_flow_->channel == channel) {
-          last_flow_->driver_installed = scheduler_.now();
-        }
+        MarkFlow(channel, &PlugFlowMarks::driver_installed);
         // Step 5: unsolicited advertisement to all μPnP clients (Table 4
         // row 5, message (1) of Figure 10).
         scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(config_.advert_build_cpu_ms)),
                                  [this, channel] {
                                    SendUnsolicitedAdvertisement();
-                                   if (last_flow_.has_value() && last_flow_->channel == channel) {
-                                     last_flow_->advertised = scheduler_.now();
-                                   }
+                                   MarkFlow(channel, &PlugFlowMarks::advertised);
                                  });
       });
 }

@@ -213,6 +213,9 @@ class MicroPnpThing {
 
   std::vector<AdvertisedPeripheral> ConnectedPeripherals() const;
   double Jitter(double nominal_ms);
+  // Stamps `mark` with the current time when the latest plug flow is on
+  // `channel`, and returns that flow's marks; null when it is elsewhere.
+  PlugFlowMarks* MarkFlow(ChannelId channel, SimTime PlugFlowMarks::*mark);
 
   Scheduler& scheduler_;
   NetNode* node_;

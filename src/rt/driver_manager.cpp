@@ -148,23 +148,12 @@ DriverHost* DriverManager::HostForDevice(DeviceTypeId device_id) {
 
 size_t DriverManager::DispatchPending() {
   pump_scheduled_ = false;
-  // Bound this pump to the work pending at entry: a driver whose handler
-  // posts a new event on every dispatch gets its new events in the *next*
-  // pump instead of livelocking this one.
-  const size_t budget = router_.pending();
-  size_t dispatched = 0;
-  while (dispatched < budget) {
-    const bool progressed = router_.DispatchOne([this](int slot, const Event& event) {
-      DriverHost* host = HostForChannel(static_cast<ChannelId>(slot));
-      if (host != nullptr) {
-        host->HandleEvent(event);
-      }
-    });
-    if (!progressed) {
-      break;
+  const size_t dispatched = router_.ProcessAll([this](int slot, const Event& event) {
+    DriverHost* host = HostForChannel(static_cast<ChannelId>(slot));
+    if (host != nullptr) {
+      host->HandleEvent(event);
     }
-    ++dispatched;
-  }
+  });
   if (!router_.idle()) {
     SchedulePump();
   }

@@ -1,16 +1,17 @@
-// Differential and algorithmic tests for the timing-wheel Scheduler.
+// Differential and algorithmic tests for the Scheduler.
 //
-// The wheel (src/sim/scheduler.h) must be observationally identical to the
-// seed heap (tests/oracles/reference_scheduler.h): same execution order, same
-// clock, same executed()/pending() counts, same Cancel() verdicts — for any
-// trace of ScheduleAt / ScheduleAfter / Cancel / Step / RunUntil / Run,
-// including actions that schedule or cancel from inside the callback.  The property
+// The scheduler (src/sim/scheduler.h) must be observationally identical to
+// the seed scheduler (tests/oracles/reference_scheduler.h): same execution
+// order, same clock, same executed()/pending() counts, same Cancel() verdicts
+// — for any trace of ScheduleAt / ScheduleAfter / Cancel / Step / RunUntil /
+// Run, including actions that schedule or cancel from inside the callback and
+// cancel-heavy bursts that make the scheduler compact its heap.  The property
 // test below replays >= 1000 seeded random traces against both.
 //
-// The algorithmic half pins the wheel's complexity: a 100k schedule+cancel
-// workload must cascade nothing (SchedulerStats) and finish in time linear in
-// the operation count — the seed's linear-scan tombstone vector was quadratic
-// here, which is the regression this guards against.
+// The algorithmic half pins the complexity: a 100k schedule+cancel workload
+// must finish in time linear in the operation count — the seed's linear-scan
+// tombstone vector was quadratic here, which is the regression this guards
+// against.
 
 #include <chrono>
 #include <cstdint>
@@ -27,7 +28,7 @@ namespace {
 
 // ---------------------------------------------------------- deterministic ---
 
-TEST(TimingWheelTest, EqualTimesRunFifo) {
+TEST(SchedulerTest, EqualTimesRunFifo) {
   Scheduler s;
   std::vector<int> order;
   const SimTime t = SimTime::FromMillis(5.0);
@@ -39,7 +40,7 @@ TEST(TimingWheelTest, EqualTimesRunFifo) {
   EXPECT_EQ(s.now(), t);
 }
 
-TEST(TimingWheelTest, PastTimesClampToNow) {
+TEST(SchedulerTest, PastTimesClampToNow) {
   Scheduler s;
   s.ScheduleAt(SimTime::FromMillis(10.0), [] {});
   s.RunUntil(SimTime::FromMillis(20.0));
@@ -51,7 +52,7 @@ TEST(TimingWheelTest, PastTimesClampToNow) {
   EXPECT_EQ(s.now(), SimTime::FromMillis(20.0));
 }
 
-TEST(TimingWheelTest, RunUntilIsInclusiveAndAdvancesClock) {
+TEST(SchedulerTest, RunUntilIsInclusiveAndAdvancesClock) {
   Scheduler s;
   int ran = 0;
   s.ScheduleAt(SimTime::FromMillis(10.0), [&] { ++ran; });
@@ -62,7 +63,7 @@ TEST(TimingWheelTest, RunUntilIsInclusiveAndAdvancesClock) {
   EXPECT_EQ(s.pending(), 1u);
 }
 
-TEST(TimingWheelTest, CancelRemovesPendingEvent) {
+TEST(SchedulerTest, CancelRemovesPendingEvent) {
   Scheduler s;
   int ran = 0;
   Scheduler::EventId id = s.ScheduleAt(SimTime::FromMillis(1.0), [&] { ++ran; });
@@ -73,16 +74,16 @@ TEST(TimingWheelTest, CancelRemovesPendingEvent) {
   EXPECT_TRUE(s.empty());
 }
 
-TEST(TimingWheelTest, CancelAfterExecutionReturnsFalse) {
+TEST(SchedulerTest, CancelAfterExecutionReturnsFalse) {
   Scheduler s;
   Scheduler::EventId id = s.ScheduleAt(SimTime::FromMillis(1.0), [] {});
   EXPECT_EQ(s.Run(), 1u);
   EXPECT_FALSE(s.Cancel(id));
 }
 
-TEST(TimingWheelTest, FarFutureEventsBeyondWheelSpanStillRun) {
+TEST(SchedulerTest, FarFutureEventsStillRun) {
   Scheduler s;
-  // 2^60 ns is the wheel span; schedule past it so the overflow map engages.
+  // Past 2^60 ns (~36 years of simulated time).
   const uint64_t span_ns = uint64_t{1} << 60;
   int ran = 0;
   s.ScheduleAt(SimTime::FromNanos(span_ns + 12345), [&] { ++ran; });
@@ -92,14 +93,12 @@ TEST(TimingWheelTest, FarFutureEventsBeyondWheelSpanStillRun) {
   EXPECT_EQ(s.now(), SimTime::FromNanos(span_ns + 12345));
 }
 
-TEST(TimingWheelTest, CancelThenCascadePreservesFifoAtSlotAlignedTimes) {
-  // Regression: Excise's swap-and-pop perturbs a wheel slot's vector order.
-  // When a cascade later advances the origin exactly onto the entries'
-  // timestamp (any 64-aligned time slots above level 0), the entries land
-  // straight on the ready list and must still run in schedule order.
+TEST(SchedulerTest, CancelPreservesFifoAtEqualTimes) {
+  // Cancelling one of several equal-time events must leave the others in
+  // schedule order.
   Scheduler s;
   std::vector<int> order;
-  const SimTime t = SimTime::FromNanos(64);  // level-1 slot, 64-aligned
+  const SimTime t = SimTime::FromNanos(64);
   const Scheduler::EventId first = s.ScheduleAt(t, [&] { order.push_back(1); });
   s.ScheduleAt(t, [&] { order.push_back(2); });
   s.ScheduleAt(t, [&] { order.push_back(3); });
@@ -128,10 +127,8 @@ TEST(TimingWheelTest, CancelThenCascadePreservesFifoAtSlotAlignedTimes) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(TimingWheelTest, CancelThenOverflowMigrationPreservesFifo) {
-  // Same corner via the overflow spill map: events beyond the 2^60 ns span
-  // migrate into the wheel when the origin jumps to their window, and a
-  // bucket due exactly at the new origin lands straight on the ready list.
+TEST(SchedulerTest, CancelPreservesFifoAtFarFutureTimes) {
+  // Same corner at 2^60 ns.
   Scheduler s;
   std::vector<int> order;
   const SimTime t = SimTime::FromNanos(uint64_t{1} << 60);
@@ -143,7 +140,7 @@ TEST(TimingWheelTest, CancelThenOverflowMigrationPreservesFifo) {
   EXPECT_EQ(order, (std::vector<int>{2, 3}));
 }
 
-TEST(TimingWheelTest, ActionsCanScheduleAndCancelReentrantly) {
+TEST(SchedulerTest, ActionsCanScheduleAndCancelReentrantly) {
   Scheduler s;
   std::vector<int> order;
   Scheduler::EventId victim = s.ScheduleAt(SimTime::FromMillis(5.0), [&] { order.push_back(99); });
@@ -171,94 +168,110 @@ struct Replica {
 };
 
 void RunTrace(uint64_t seed) {
-  Replica<Scheduler> wheel;
-  Replica<ReferenceScheduler> heap;
+  Replica<Scheduler> impl;
+  Replica<ReferenceScheduler> ref;
   Rng rng(seed);
 
   uint64_t next_tag = 1;
+  // Schedules one random event on both replicas.
+  auto schedule_random = [&] {
+    const uint64_t tag = next_tag++;
+    // Mostly near-future delays; occasionally zero-delay, far-future, or
+    // past 2^60 ns.
+    uint64_t delay_ns;
+    const uint64_t shape = rng.UniformInt(0, 9);
+    bool align64 = false;
+    if (shape == 0) {
+      delay_ns = 0;
+    } else if (shape == 1) {
+      delay_ns = rng.UniformInt(uint64_t{1} << 40, uint64_t{1} << 45);
+    } else if (shape == 2) {
+      delay_ns = (uint64_t{1} << 60) + rng.UniformInt(0, 1u << 20);
+    } else if (shape == 3) {
+      // 64-aligned absolute targets: equal-time batches, so Cancel() must
+      // leave the FIFO order of the survivors intact.
+      delay_ns = rng.UniformInt(0, 1'000'000);
+      align64 = true;
+    } else {
+      delay_ns = rng.UniformInt(0, 10'000'000);  // <= 10 ms
+    }
+    const bool absolute = align64 || rng.Bernoulli(0.3);
+    // Some actions schedule a follow-up from inside the callback.
+    const bool nested = rng.Bernoulli(0.2);
+    const uint64_t nested_delay = rng.UniformInt(0, 1'000'000);
+    auto make_action = [&](auto& replica) {
+      auto* r = &replica;
+      return [r, tag, nested, nested_delay] {
+        r->log.push_back(tag);
+        if (nested) {
+          r->sched.ScheduleAfter(SimTime::FromNanos(nested_delay),
+                                 [r, tag] { r->log.push_back(tag | (uint64_t{1} << 63)); });
+        }
+      };
+    };
+    if (absolute) {
+      SimTime when = impl.sched.now() + SimTime::FromNanos(delay_ns);
+      if (align64) {
+        when = SimTime::FromNanos(when.nanos() & ~uint64_t{63});  // may clamp to now
+      }
+      impl.ids.push_back(impl.sched.ScheduleAt(when, make_action(impl)));
+      ref.ids.push_back(ref.sched.ScheduleAt(when, make_action(ref)));
+    } else {
+      impl.ids.push_back(impl.sched.ScheduleAfter(SimTime::FromNanos(delay_ns),
+                                                  make_action(impl)));
+      ref.ids.push_back(ref.sched.ScheduleAfter(SimTime::FromNanos(delay_ns), make_action(ref)));
+    }
+  };
+
   const int ops = static_cast<int>(rng.UniformInt(20, 120));
   for (int op = 0; op < ops; ++op) {
     const uint64_t kind = rng.UniformInt(0, 99);
-    if (kind < 45) {  // schedule
-      const uint64_t tag = next_tag++;
-      // Mostly near-future delays; occasionally zero-delay, far-future, or
-      // beyond the 2^60 ns wheel span to hit ready/overflow paths.
-      uint64_t delay_ns;
-      const uint64_t shape = rng.UniformInt(0, 9);
-      bool align64 = false;
-      if (shape == 0) {
-        delay_ns = 0;
-      } else if (shape == 1) {
-        delay_ns = rng.UniformInt(uint64_t{1} << 40, uint64_t{1} << 45);
-      } else if (shape == 2) {
-        delay_ns = (uint64_t{1} << 60) + rng.UniformInt(0, 1u << 20);
-      } else if (shape == 3) {
-        // 64-aligned absolute targets: equal-time batches with zero low bits
-        // reach the ready list via cascade/migration rather than a level-0
-        // collection — the FIFO-after-Cancel corner.
-        delay_ns = rng.UniformInt(0, 1'000'000);
-        align64 = true;
-      } else {
-        delay_ns = rng.UniformInt(0, 10'000'000);  // <= 10 ms
+    if (kind < 4) {  // burst: schedule many, then cancel ~80% (compaction)
+      const size_t first = impl.ids.size();
+      const uint64_t burst = rng.UniformInt(80, 160);
+      for (uint64_t i = 0; i < burst; ++i) {
+        schedule_random();
+        ASSERT_EQ(impl.ids.back(), ref.ids.back()) << "seed " << seed;
       }
-      const bool absolute = align64 || rng.Bernoulli(0.3);
-      // Some actions schedule a follow-up from inside the callback.
-      const bool nested = rng.Bernoulli(0.2);
-      const uint64_t nested_delay = rng.UniformInt(0, 1'000'000);
-      auto make_action = [&](auto& replica) {
-        auto* r = &replica;
-        return [r, tag, nested, nested_delay] {
-          r->log.push_back(tag);
-          if (nested) {
-            r->sched.ScheduleAfter(SimTime::FromNanos(nested_delay),
-                                   [r, tag] { r->log.push_back(tag | (uint64_t{1} << 63)); });
-          }
-        };
-      };
-      if (absolute) {
-        SimTime when = wheel.sched.now() + SimTime::FromNanos(delay_ns);
-        if (align64) {
-          when = SimTime::FromNanos(when.nanos() & ~uint64_t{63});  // may clamp to now
+      for (size_t i = first; i < impl.ids.size(); ++i) {
+        if (rng.Bernoulli(0.8)) {
+          ASSERT_EQ(impl.sched.Cancel(impl.ids[i]), ref.sched.Cancel(ref.ids[i]))
+              << "seed " << seed << " op " << op;
         }
-        wheel.ids.push_back(wheel.sched.ScheduleAt(when, make_action(wheel)));
-        heap.ids.push_back(heap.sched.ScheduleAt(when, make_action(heap)));
-      } else {
-        wheel.ids.push_back(wheel.sched.ScheduleAfter(SimTime::FromNanos(delay_ns),
-                                                      make_action(wheel)));
-        heap.ids.push_back(heap.sched.ScheduleAfter(SimTime::FromNanos(delay_ns),
-                                                    make_action(heap)));
       }
-      ASSERT_EQ(wheel.ids.back(), heap.ids.back()) << "seed " << seed;
+    } else if (kind < 45) {  // schedule
+      schedule_random();
+      ASSERT_EQ(impl.ids.back(), ref.ids.back()) << "seed " << seed;
     } else if (kind < 60) {  // cancel a previously issued id (maybe stale)
-      if (!wheel.ids.empty()) {
-        const size_t pick = rng.UniformInt(0, wheel.ids.size() - 1);
-        ASSERT_EQ(wheel.sched.Cancel(wheel.ids[pick]), heap.sched.Cancel(heap.ids[pick]))
+      if (!impl.ids.empty()) {
+        const size_t pick = rng.UniformInt(0, impl.ids.size() - 1);
+        ASSERT_EQ(impl.sched.Cancel(impl.ids[pick]), ref.sched.Cancel(ref.ids[pick]))
             << "seed " << seed << " op " << op;
       }
     } else if (kind < 75) {  // step
-      ASSERT_EQ(wheel.sched.Step(), heap.sched.Step()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(impl.sched.Step(), ref.sched.Step()) << "seed " << seed << " op " << op;
     } else if (kind < 95) {  // bounded run
       const uint64_t horizon = rng.UniformInt(0, 20'000'000);
-      const SimTime deadline = wheel.sched.now() + SimTime::FromNanos(horizon);
-      ASSERT_EQ(wheel.sched.RunUntil(deadline), heap.sched.RunUntil(deadline))
+      const SimTime deadline = impl.sched.now() + SimTime::FromNanos(horizon);
+      ASSERT_EQ(impl.sched.RunUntil(deadline), ref.sched.RunUntil(deadline))
           << "seed " << seed << " op " << op;
     } else {  // full drain
-      ASSERT_EQ(wheel.sched.Run(), heap.sched.Run()) << "seed " << seed << " op " << op;
+      ASSERT_EQ(impl.sched.Run(), ref.sched.Run()) << "seed " << seed << " op " << op;
     }
-    ASSERT_EQ(wheel.sched.now().nanos(), heap.sched.now().nanos())
+    ASSERT_EQ(impl.sched.now().nanos(), ref.sched.now().nanos())
         << "seed " << seed << " op " << op;
-    ASSERT_EQ(wheel.sched.pending(), heap.sched.pending()) << "seed " << seed << " op " << op;
-    ASSERT_EQ(wheel.sched.executed(), heap.sched.executed()) << "seed " << seed << " op " << op;
-    ASSERT_EQ(wheel.log, heap.log) << "seed " << seed << " op " << op;
+    ASSERT_EQ(impl.sched.pending(), ref.sched.pending()) << "seed " << seed << " op " << op;
+    ASSERT_EQ(impl.sched.executed(), ref.sched.executed()) << "seed " << seed << " op " << op;
+    ASSERT_EQ(impl.log, ref.log) << "seed " << seed << " op " << op;
   }
   // Drain completely: the tail must agree too.
-  ASSERT_EQ(wheel.sched.Run(), heap.sched.Run()) << "seed " << seed;
-  ASSERT_EQ(wheel.log, heap.log) << "seed " << seed;
-  ASSERT_TRUE(wheel.sched.empty());
-  ASSERT_EQ(wheel.sched.now().nanos(), heap.sched.now().nanos()) << "seed " << seed;
+  ASSERT_EQ(impl.sched.Run(), ref.sched.Run()) << "seed " << seed;
+  ASSERT_EQ(impl.log, ref.log) << "seed " << seed;
+  ASSERT_TRUE(impl.sched.empty());
+  ASSERT_EQ(impl.sched.now().nanos(), ref.sched.now().nanos()) << "seed " << seed;
 }
 
-TEST(TimingWheelDifferentialTest, MatchesReferenceSchedulerOnRandomTraces) {
+TEST(SchedulerDifferentialTest, MatchesReferenceSchedulerOnRandomTraces) {
   for (uint64_t seed = 1; seed <= 1000; ++seed) {
     RunTrace(seed);
     if (::testing::Test::HasFatalFailure()) {
@@ -269,7 +282,7 @@ TEST(TimingWheelDifferentialTest, MatchesReferenceSchedulerOnRandomTraces) {
 
 // ------------------------------------------------------------- complexity ---
 
-TEST(TimingWheelLinearityTest, HundredThousandScheduleCancelIsLinear) {
+TEST(SchedulerLinearityTest, HundredThousandScheduleCancelIsLinear) {
   constexpr int kOps = 100'000;
   Scheduler s;
   Rng rng(0x5eed);
@@ -290,28 +303,22 @@ TEST(TimingWheelLinearityTest, HundredThousandScheduleCancelIsLinear) {
   const SchedulerStats& stats = s.stats();
   EXPECT_EQ(stats.scheduled, static_cast<uint64_t>(kOps));
   EXPECT_EQ(stats.cancelled, static_cast<uint64_t>(kOps));
-  // Pure schedule+cancel never advances the wheel, so nothing may cascade —
-  // this is the deterministic linearity witness (the seed implementation did
-  // O(pending) work per Cancel here, ~10^10 operations for this workload).
-  EXPECT_EQ(stats.cascaded_entries, 0u);
-  EXPECT_EQ(stats.slot_collections, 0u);
   // Generous wall-clock ceiling: linear runs in well under a second even
-  // under sanitizers; the quadratic seed took minutes.
+  // under sanitizers; the quadratic seed (O(pending) work per Cancel, ~10^10
+  // operations for this workload) took minutes.
   EXPECT_LT(std::chrono::duration<double>(elapsed).count(), 20.0);
 
-  // The wheel must still be fully functional afterwards.
+  // The scheduler must still be fully functional afterwards.
   int ran = 0;
   s.ScheduleAfter(SimTime::FromMillis(1.0), [&] { ++ran; });
   EXPECT_EQ(s.Run(), 1u);
   EXPECT_EQ(ran, 1);
 }
 
-TEST(TimingWheelLinearityTest, InterleavedScheduleCancelExecuteStaysBounded) {
+TEST(SchedulerLinearityTest, InterleavedScheduleCancelExecuteStaysBounded) {
   // Mixed workload: schedule bursts, cancel half, drain by deadline — the
   // gateway endpoint's timer pattern (every request arms a timer; most are
-  // cancelled on completion, few fire).  Each entry cascades at most once per
-  // level, so cascaded_entries is bounded by ops * levels; in practice the
-  // bound below is far looser than observed.
+  // cancelled on completion, few fire).
   constexpr int kRounds = 200;
   constexpr int kPerRound = 500;
   Scheduler s;
@@ -333,7 +340,6 @@ TEST(TimingWheelLinearityTest, InterleavedScheduleCancelExecuteStaysBounded) {
   const uint64_t total_ops = uint64_t{kRounds} * kPerRound;
   EXPECT_EQ(s.stats().scheduled, total_ops);
   EXPECT_EQ(fired + s.stats().cancelled, total_ops);
-  EXPECT_LE(s.stats().cascaded_entries, total_ops * 10);  // <= once per level
   EXPECT_TRUE(s.empty());
 }
 
