@@ -3,8 +3,9 @@
 // scenario).
 //
 // Reports p50/p99 simulated read latency, scheduler events per wall second,
-// and the pending-table high-water mark per cell, and writes the same data
-// machine-readably to BENCH_gateway.json (schema in docs/BENCHMARKS.md).
+// the pending-table high-water mark and the fleet bring-up wall time per
+// cell, and writes the same data machine-readably to BENCH_gateway.json
+// (schema in docs/BENCHMARKS.md).
 //
 //   bench_gateway [--smoke] [--full] [--out PATH]
 //
@@ -49,16 +50,17 @@ int Run(bool smoke, bool full, const std::string& out_path) {
   }
 
   std::printf("=== gateway: closed-loop reads, window-bounded, N things ===\n");
-  std::printf("%8s %6s %7s | %9s %9s | %8s %12s | %12s\n", "things", "loss", "reads", "p50 (ms)",
-              "p99 (ms)", "peak", "sim events", "events/s");
+  std::printf("%8s %6s %7s | %9s %9s | %8s %12s | %12s %12s\n", "things", "loss", "reads",
+              "p50 (ms)", "p99 (ms)", "peak", "sim events", "events/s", "bring-up (s)");
   std::vector<GatewayBenchResult> results;
   bool ok = true;
   for (const GatewayBenchOptions& opt : cells) {
     GatewayBenchResult r = RunGatewayBench(opt);
-    std::printf("%8d %5.0f%% %7llu | %9.1f %9.1f | %8llu %12llu | %12.0f\n", r.num_things,
+    std::printf("%8d %5.0f%% %7llu | %9.1f %9.1f | %8llu %12llu | %12.0f %12.3f\n", r.num_things,
                 r.loss_rate * 100.0, static_cast<unsigned long long>(r.issued), r.p50_ms,
                 r.p99_ms, static_cast<unsigned long long>(r.peak_in_flight),
-                static_cast<unsigned long long>(r.scheduler_events), r.events_per_second);
+                static_cast<unsigned long long>(r.scheduler_events), r.events_per_second,
+                r.bringup_seconds);
     if (r.completed + r.deadline_exceeded != r.issued || r.final_in_flight != 0) {
       std::printf("!! cell did not drain: %llu issued, %llu completed, %llu deadline, "
                   "%llu still in flight\n",

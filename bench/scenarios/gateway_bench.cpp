@@ -35,6 +35,7 @@ std::string WallClockCell(const GatewayBenchResult& r) {
   return JsonCell()
       .Field("num_things", r.num_things)
       .Field("loss_rate", r.loss_rate)
+      .Field("bringup_seconds", r.bringup_seconds)
       .Field("wall_seconds", r.wall_seconds)
       .Field("events_per_second", r.events_per_second)
       .Close();
@@ -45,6 +46,7 @@ std::string WallClockCell(const GatewayBenchResult& r) {
 GatewayBenchResult RunGatewayBench(const GatewayBenchOptions& options) {
   DeploymentConfig config;
   config.seed = options.seed;
+  const auto bringup_start = std::chrono::steady_clock::now();
   Deployment deployment(config);
   (void)deployment.AddManager();
   MicroPnpClient& gateway = deployment.AddClient(
@@ -67,6 +69,8 @@ GatewayBenchResult RunGatewayBench(const GatewayBenchOptions& options) {
     }
   }
   deployment.RunForMillis(1000);
+  const double bringup_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - bringup_start).count();
 
   LinkModel lossy = config.link;
   lossy.loss_rate = options.loss_rate;
@@ -81,6 +85,7 @@ GatewayBenchResult RunGatewayBench(const GatewayBenchOptions& options) {
   result.num_things = options.num_things;
   result.loss_rate = options.loss_rate;
   result.seed = options.seed;
+  result.bringup_seconds = bringup_seconds;
   if (things.empty() || options.total_reads <= 0) {
     return result;
   }
@@ -155,7 +160,7 @@ std::string DeterministicCellsJson(const std::vector<GatewayBenchResult>& result
 }
 
 std::string GatewayBenchJson(const std::vector<GatewayBenchResult>& results) {
-  return BenchJson("gateway", 3, DeterministicCellsJson(results),
+  return BenchJson("gateway", 4, DeterministicCellsJson(results),
                    CellsJson(results, WallClockCell));
 }
 

@@ -53,6 +53,7 @@ struct GatewayBenchResult {
   double p50_ms = 0.0;           // read latency percentiles (simulated)
   double p99_ms = 0.0;
   // --- wall clock: varies run to run -----------------------------------------
+  double bringup_seconds = 0.0;    // Deployment construction through the 1 s settle
   double wall_seconds = 0.0;       // measured phase only (setup excluded)
   double events_per_second = 0.0;  // scheduler_events / wall_seconds
 };
@@ -60,7 +61,7 @@ struct GatewayBenchResult {
 // Runs the scenario to completion (every read resolves: reply or deadline).
 GatewayBenchResult RunGatewayBench(const GatewayBenchOptions& options);
 
-// Serializes results as a JSON document: {"bench": ..., "schema_version": 3,
+// Serializes results as a JSON document: {"bench": ..., "schema_version": 4,
 // "deterministic": {"cells": [...]}, "wall_clock": {"cells": [...]}}.
 // DeterministicCellsJson emits just the deterministic object, byte-stable
 // for a fixed option set — the determinism test compares it across runs.

@@ -31,6 +31,7 @@ NetNode::NetNode(Fabric& fabric, std::string name, Ip6Address unicast, NodeProfi
       profile_(profile),
       parent_(parent) {
   if (parent != nullptr) {
+    child_index_ = parent->children_.size();
     parent->children_.push_back(this);
     depth_ = parent->depth_ + 1;
   }
@@ -42,14 +43,15 @@ void NetNode::SendUdp(const Ip6Address& dst, uint16_t port, const std::vector<ui
 }
 
 void NetNode::JoinGroup(const Ip6Address& group) {
-  if (groups_.insert(group).second) {
-    fabric_.UpdateSubtreeMembership(*this, group, +1);
+  const bool had_member = SubtreeHasMember(group);
+  if (groups_.insert(group).second && !had_member) {
+    fabric_.UpdateMemberBranches(*this, group, /*gained=*/true);
   }
 }
 
 void NetNode::LeaveGroup(const Ip6Address& group) {
-  if (groups_.erase(group) != 0) {
-    fabric_.UpdateSubtreeMembership(*this, group, -1);
+  if (groups_.erase(group) != 0 && !SubtreeHasMember(group)) {
+    fabric_.UpdateMemberBranches(*this, group, /*gained=*/false);
   }
 }
 
@@ -82,6 +84,7 @@ void Fabric::ResetStats() {
   frames_transmitted_ = 0;
   frames_lost_ = 0;
   multicast_frames_ = 0;
+  descent_visits_ = 0;
 }
 
 int Fabric::HopDistance(const NetNode& a, const NetNode& b) const {
@@ -247,16 +250,29 @@ void Fabric::RouteUnicast(NetNode& src, NetNode& dst, const Ip6Address& dst_addr
                            });
 }
 
-void Fabric::UpdateSubtreeMembership(NetNode& node, const Ip6Address& group, int delta) {
-  // Propagate membership up the tree (the DAO-style state SMRF piggybacks
-  // on RPL for).
-  NetNode* current = &node;
-  while (current != nullptr) {
-    current->subtree_members_[group] += delta;
-    if (current->subtree_members_[group] <= 0) {
-      current->subtree_members_.erase(group);
+void Fabric::UpdateMemberBranches(NetNode& node, const Ip6Address& group, bool gained) {
+  // The DAO-style state SMRF piggybacks on RPL for.  Each list stays sorted
+  // by child_index_, i.e. in children_ order, whatever order members join in.
+  for (NetNode* child = &node; child->parent_ != nullptr; child = child->parent_) {
+    NetNode& parent = *child->parent_;
+    const bool parent_had_member = parent.SubtreeHasMember(group);
+    auto entry = parent.member_children_.try_emplace(group).first;
+    std::vector<NetNode*>& branches = entry->second;
+    auto at = std::lower_bound(
+        branches.begin(), branches.end(), child->child_index_,
+        [](const NetNode* branch, size_t index) { return branch->child_index_ < index; });
+    if (gained) {
+      branches.insert(at, child);
+    } else {
+      assert(at != branches.end() && *at == child);
+      branches.erase(at);
     }
-    current = current->parent();
+    if (branches.empty()) {
+      parent.member_children_.erase(entry);
+    }
+    if (parent.SubtreeHasMember(group) == parent_had_member) {
+      return;
+    }
   }
 }
 
@@ -295,13 +311,18 @@ void Fabric::RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port
                                });
     }
 
-    // Forward into child subtrees.
-    for (NetNode* child : current.node->children()) {
-      const bool has_members = child->subtree_members_.count(group) != 0;
-      const bool forward = (multicast_mode_ == MulticastMode::kFlooding) || has_members;
-      if (!forward) {
+    // Forward into child subtrees: every child when flooding, only the
+    // member branches under SMRF (both in children_ order).
+    const std::vector<NetNode*>* branches = &current.node->children_;
+    if (multicast_mode_ == MulticastMode::kSmrf) {
+      auto members = current.node->member_children_.find(group);
+      if (members == current.node->member_children_.end()) {
         continue;
       }
+      branches = &members->second;
+    }
+    descent_visits_ += branches->size();
+    for (NetNode* child : *branches) {
       single_hop_.assign(1, Transfer{current.node, child});
       std::optional<double> wire = SimulateHops(single_hop_, payload.size(), /*multicast=*/true);
       if (!wire.has_value()) {

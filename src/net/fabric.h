@@ -9,8 +9,9 @@
 //    with CSMA jitter and per-node stack-processing costs;
 //  * unicast routed along the tree (RPL storing mode);
 //  * multicast via SMRF: packets travel up to the root, then down only into
-//    subtrees containing group members — plus a classic-flooding mode used
-//    by the A2 ablation;
+//    subtrees containing group members, found through each node's
+//    group -> member-children index (RPL storing-mode DAO state) — plus a
+//    classic-flooding mode, used by the A2 ablation, that walks every child;
 //  * anycast delivered to the nearest node bound to the anycast address;
 //  * optional per-link loss for the unreliable-network experiments the
 //    paper defers to future work (Section 9).
@@ -92,8 +93,8 @@ class NetNode {
   // Sends a datagram into the fabric (unicast, multicast, or anycast).
   void SendUdp(const Ip6Address& dst, uint16_t port, const std::vector<uint8_t>& payload);
 
-  // Multicast group membership (MLD-lite: membership propagates up the tree
-  // so SMRF can prune).
+  // Multicast group membership (MLD-lite: a subtree's first join and last
+  // leave propagate up the tree, so SMRF descends only into member branches).
   void JoinGroup(const Ip6Address& group);
   void LeaveGroup(const Ip6Address& group);
   bool InGroup(const Ip6Address& group) const { return groups_.count(group) != 0; }
@@ -117,17 +118,25 @@ class NetNode {
   void Deliver(const Ip6Address& src, const Ip6Address& dst, uint16_t port,
                const std::vector<uint8_t>& payload);
 
+  // True when this node or a descendant is a member of `group`.
+  bool SubtreeHasMember(const Ip6Address& group) const {
+    return InGroup(group) || member_children_.count(group) != 0;
+  }
+
   Fabric& fabric_;
   std::string name_;
   Ip6Address unicast_;
   NodeProfile profile_;
   NetNode* parent_;
   std::vector<NetNode*> children_;
+  size_t child_index_ = 0;  // position in parent_->children_
   int depth_ = 0;
   std::unordered_map<uint16_t, UdpHandler> handlers_;
   std::unordered_set<Ip6Address> groups_;
-  // Groups joined by this node or any descendant (SMRF pruning state).
-  std::unordered_map<Ip6Address, int> subtree_members_;
+  // SMRF downward state: group -> the children whose subtree holds a member,
+  // in children_ order (the descent's RNG draw order).  A group has an entry
+  // only while its list is non-empty.
+  std::unordered_map<Ip6Address, std::vector<NetNode*>> member_children_;
   uint64_t datagrams_sent_ = 0;
   uint64_t datagrams_received_ = 0;
 };
@@ -151,6 +160,9 @@ class Fabric {
   uint64_t frames_transmitted() const { return frames_transmitted_; }
   uint64_t frames_lost() const { return frames_lost_; }
   uint64_t multicast_frames() const { return multicast_frames_; }
+  // Child links the multicast descent examined: every child under flooding,
+  // only member branches under SMRF.
+  uint64_t descent_visits() const { return descent_visits_; }
   void ResetStats();
 
   // Hop distance along the tree between two nodes.
@@ -171,7 +183,10 @@ class Fabric {
                     const std::vector<uint8_t>& payload);
   void RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port,
                       const std::vector<uint8_t>& payload);
-  void UpdateSubtreeMembership(NetNode& node, const Ip6Address& group, int delta);
+  // Called when `node`'s subtree gained its first member of `group` or lost
+  // its last: updates each ancestor's member-children list, walking up while
+  // the ancestor's SubtreeHasMember answer flips.
+  void UpdateMemberBranches(NetNode& node, const Ip6Address& group, bool gained);
 
   // Debug-asserts that no other Route call is live for the duration of the
   // guard (the scratch-buffer reentrancy contract, see TreePath).
@@ -225,6 +240,7 @@ class Fabric {
   uint64_t frames_transmitted_ = 0;
   uint64_t frames_lost_ = 0;
   uint64_t multicast_frames_ = 0;
+  uint64_t descent_visits_ = 0;
 };
 
 }  // namespace micropnp

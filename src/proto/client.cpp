@@ -1,6 +1,6 @@
 #include "src/proto/client.h"
 
-#include <algorithm>
+#include <unordered_set>
 
 #include "src/common/logging.h"
 
@@ -28,6 +28,8 @@ void MicroPnpClient::Discover(DeviceTypeId device, double window_ms, DiscoveryCa
         }
         std::vector<DiscoveredThing> results;
         results.reserve(replies->size());
+        std::unordered_set<Ip6Address> seen;
+        seen.reserve(replies->size());
         for (auto& [src, reply] : *replies) {
           const auto* ad = reply.payload_as<AdvertisementPayload>();
           if (ad == nullptr) {
@@ -35,10 +37,7 @@ void MicroPnpClient::Discover(DeviceTypeId device, double window_ms, DiscoveryCa
           }
           // A retransmitted (2) can elicit a second (3) from the same Thing;
           // surface each Thing once (first reply wins).
-          const bool seen = std::any_of(
-              results.begin(), results.end(),
-              [&src = src](const DiscoveredThing& t) { return t.address == src; });
-          if (!seen) {
+          if (seen.insert(src).second) {
             results.push_back(DiscoveredThing{src, ad->peripherals});
           }
         }

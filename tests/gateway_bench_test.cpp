@@ -79,10 +79,10 @@ TEST(GatewayBenchJsonSchema, EmitsExpectedKeys) {
   const GatewayBenchResult r = RunGatewayBench(opt);
   const std::string json = GatewayBenchJson({r});
   for (const char* key :
-       {"\"bench\": \"gateway\"", "\"schema_version\": 3", "\"deterministic\"", "\"wall_clock\"",
+       {"\"bench\": \"gateway\"", "\"schema_version\": 4", "\"deterministic\"", "\"wall_clock\"",
         "\"num_things\"", "\"issued\"", "\"completed\"", "\"deadline_exceeded\"",
         "\"peak_in_flight\"", "\"final_in_flight\"", "\"scheduler_events\"", "\"p50_ms\"",
-        "\"p99_ms\"", "\"events_per_second\"", "\"wall_seconds\""}) {
+        "\"p99_ms\"", "\"bringup_seconds\"", "\"events_per_second\"", "\"wall_seconds\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key << " in " << json;
   }
 }

@@ -1,8 +1,16 @@
 // Tests for the network substrate: IPv6 addresses, the μPnP multicast
 // schema (Figure 9), and the simulated 6LoWPAN/RPL fabric with SMRF.
 
+#include <algorithm>
+#include <array>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/net/fabric.h"
 #include "src/net/ip6.h"
 #include "src/net/multicast_schema.h"
@@ -263,6 +271,203 @@ TEST_F(FabricTest, SelfSendLoopsBack) {
   sched_.Run();
   EXPECT_EQ(received, 1);
   EXPECT_EQ(fabric_.frames_transmitted(), 0u);  // never hits the radio
+}
+
+
+// ------------------------------------------------------ SMRF member index ---
+
+// A fabric on its own scheduler whose nodes log every datagram they receive
+// on kPort as (node index, sim time in ns).
+class LoggedNet {
+ public:
+  static constexpr uint16_t kPort = 6030;
+
+  explicit LoggedNet(uint64_t seed) : fabric_(sched_, seed) {}
+  LoggedNet(const LoggedNet&) = delete;
+  LoggedNet& operator=(const LoggedNet&) = delete;
+
+  // Adds a node under nodes()[parent], or a root when parent < 0.
+  NetNode* Add(int parent) {
+    const size_t index = nodes_.size();
+    std::array<uint8_t, 16> raw = Ip6Address::Parse("2001:db8::")->bytes();
+    raw[13] = static_cast<uint8_t>((index + 1) >> 16);
+    raw[14] = static_cast<uint8_t>((index + 1) >> 8);
+    raw[15] = static_cast<uint8_t>(index + 1);
+    NetNode* node = fabric_.CreateNode(
+        std::to_string(index), Ip6Address(raw),
+        parent < 0 ? NodeProfile::Server() : NodeProfile::Embedded(),
+        parent < 0 ? nullptr : nodes_[static_cast<size_t>(parent)]);
+    node->BindUdp(kPort, [this, index](const Ip6Address&, const Ip6Address&, uint16_t,
+                                       const std::vector<uint8_t>&) {
+      deliveries_.emplace_back(index, sched_.now().nanos());
+    });
+    nodes_.push_back(node);
+    return node;
+  }
+
+  // Multicasts one byte from nodes()[src] to `group` and runs to quiescence;
+  // returns the deliveries it caused, in delivery order.
+  std::vector<std::pair<size_t, uint64_t>> Send(size_t src, const Ip6Address& group) {
+    deliveries_.clear();
+    fabric_.ResetStats();
+    nodes_[src]->SendUdp(group, kPort, {1});
+    sched_.Run();
+    return deliveries_;
+  }
+
+  Fabric& fabric() { return fabric_; }
+  const std::vector<NetNode*>& nodes() const { return nodes_; }
+
+ private:
+  Scheduler sched_;
+  Fabric fabric_;
+  std::vector<NetNode*> nodes_;
+  std::vector<std::pair<size_t, uint64_t>> deliveries_;
+};
+
+Ip6Address TestGroup(size_t i) {
+  return PeripheralGroup(PrefixOf(*Ip6Address::Parse("2001:db8::1")),
+                         0x5000u + static_cast<uint32_t>(i));
+}
+
+TEST(SmrfMemberIndex, DescentOrderIsIndependentOfJoinOrder) {
+  // The descent forwards into member branches in children_ order, so its
+  // fabric RNG draws, and with them every delivery time, must not depend on
+  // the order in which members joined.
+  LoggedNet forward(7);
+  LoggedNet reverse(7);
+  for (LoggedNet* net : {&forward, &reverse}) {
+    net->Add(-1);
+    for (int relay = 0; relay < 4; ++relay) {
+      net->Add(0);
+    }
+    for (int leaf = 0; leaf < 12; ++leaf) {
+      net->Add(1 + leaf % 4);
+    }
+  }
+  // Relays 1 and 3 are members too; relay 2's subtree is memberless.
+  const std::vector<size_t> members = {1, 3, 5, 7, 8, 11, 12, 15, 16};
+  const Ip6Address group = TestGroup(0);
+  for (size_t m : members) {
+    forward.nodes()[m]->JoinGroup(group);
+  }
+  for (auto it = members.rbegin(); it != members.rend(); ++it) {
+    reverse.nodes()[*it]->JoinGroup(group);
+  }
+
+  const auto forward_log = forward.Send(5, group);
+  const auto reverse_log = reverse.Send(5, group);
+  EXPECT_EQ(forward_log.size(), members.size() - 1);  // everyone but the source
+  EXPECT_EQ(forward_log, reverse_log);
+  EXPECT_EQ(forward.fabric().multicast_frames(), reverse.fabric().multicast_frames());
+  EXPECT_EQ(forward.fabric().descent_visits(), reverse.fabric().descent_visits());
+}
+
+TEST(SmrfMemberIndex, StarWithOneMemberExaminesOnlyItsBranch) {
+  // On a star, a multicast to a one-member group must not look at every
+  // leaf: that scan made each advertisement O(fleet) and fleet bring-up
+  // quadratic.
+  constexpr int kLeaves = 10000;
+  LoggedNet net(3);
+  net.Add(-1);
+  for (int i = 0; i < kLeaves; ++i) {
+    net.Add(0);
+  }
+  const Ip6Address group = TestGroup(0);
+  net.nodes()[kLeaves / 2]->JoinGroup(group);
+
+  const auto log = net.Send(1, group);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].first, static_cast<size_t>(kLeaves / 2));
+  EXPECT_LE(net.fabric().descent_visits(), 2u);
+  EXPECT_EQ(net.fabric().multicast_frames(), 2u);  // leaf -> root -> member
+
+  net.fabric().set_multicast_mode(MulticastMode::kFlooding);
+  net.Send(1, group);
+  EXPECT_EQ(net.fabric().descent_visits(), static_cast<uint64_t>(kLeaves));
+}
+
+TEST(SmrfMemberIndex, RandomMembershipMatchesBruteForce) {
+  // Differential check of the member-children index against membership
+  // recomputed from parent pointers after every join or leave: relays that
+  // are members themselves, repeated joins, leaves by non-members and
+  // re-joins on seeded random trees.
+  constexpr size_t kGroups = 3;
+  int relay_joins = 0, repeated_joins = 0, stray_leaves = 0, rejoins = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    LoggedNet net(seed);
+    const size_t num_nodes = rng.UniformInt(8, 48);
+    std::vector<size_t> parent(num_nodes, 0);
+    std::vector<uint64_t> depth(num_nodes, 0);
+    std::vector<bool> is_relay(num_nodes, false);
+    net.Add(-1);
+    for (size_t i = 1; i < num_nodes; ++i) {
+      // Half the nodes hang off one of the last three, so trees get deep as
+      // well as wide.
+      const size_t lo = rng.Bernoulli(0.5) && i > 3 ? i - 3 : 0;
+      parent[i] = rng.UniformInt(lo, i - 1);
+      depth[i] = depth[parent[i]] + 1;
+      is_relay[parent[i]] = true;
+      net.Add(static_cast<int>(parent[i]));
+    }
+    std::vector<std::set<size_t>> members(kGroups);
+    std::vector<std::set<size_t>> ever_joined(kGroups);
+
+    for (int op = 0; op < 150; ++op) {
+      const size_t g = rng.UniformInt(0, kGroups - 1);
+      const size_t n = rng.UniformInt(0, num_nodes - 1);
+      const bool member = members[g].count(n) != 0;
+      if (rng.Bernoulli(0.6)) {
+        relay_joins += is_relay[n] ? 1 : 0;
+        repeated_joins += member ? 1 : 0;
+        rejoins += !member && ever_joined[g].count(n) != 0 ? 1 : 0;
+        net.nodes()[n]->JoinGroup(TestGroup(g));
+        members[g].insert(n);
+        ever_joined[g].insert(n);
+      } else {
+        stray_leaves += member ? 0 : 1;
+        net.nodes()[n]->LeaveGroup(TestGroup(g));
+        members[g].erase(n);
+      }
+
+      // Brute force for one multicast: a non-root node's uplink is on the
+      // member-pruned tree when its subtree holds a member of the group.
+      const size_t probe = rng.UniformInt(0, kGroups - 1);
+      const size_t src = rng.UniformInt(0, num_nodes - 1);
+      std::vector<bool> on_tree(num_nodes, false);
+      for (size_t m : members[probe]) {
+        for (size_t v = m; v != 0 && !on_tree[v]; v = parent[v]) {
+          on_tree[v] = true;
+        }
+      }
+      const auto pruned_edges =
+          static_cast<uint64_t>(std::count(on_tree.begin(), on_tree.end(), true));
+      std::set<size_t> expected = members[probe];
+      expected.erase(src);
+
+      for (MulticastMode mode : {MulticastMode::kSmrf, MulticastMode::kFlooding}) {
+        const bool smrf = mode == MulticastMode::kSmrf;
+        SCOPED_TRACE(::testing::Message()
+                     << "seed " << seed << " op " << op << (smrf ? " smrf" : " flooding"));
+        net.fabric().set_multicast_mode(mode);
+        std::set<size_t> received;
+        for (const auto& delivery : net.Send(src, TestGroup(probe))) {
+          EXPECT_TRUE(received.insert(delivery.first).second) << "duplicate delivery";
+        }
+        const uint64_t edges = smrf ? pruned_edges : num_nodes - 1;
+        EXPECT_EQ(received, expected);
+        EXPECT_EQ(net.fabric().multicast_frames(), depth[src] + edges);
+        EXPECT_EQ(net.fabric().descent_visits(), edges);
+      }
+      net.fabric().set_multicast_mode(MulticastMode::kSmrf);
+    }
+  }
+  // The random walk must have produced every case the test exists for.
+  EXPECT_GT(relay_joins, 0);
+  EXPECT_GT(repeated_joins, 0);
+  EXPECT_GT(stray_leaves, 0);
+  EXPECT_GT(rejoins, 0);
 }
 
 }  // namespace
