@@ -115,17 +115,6 @@ Fabric::ScratchGuard::ScratchGuard(bool& in_route) : in_route_(in_route) {
 
 Fabric::ScratchGuard::~ScratchGuard() { in_route_ = false; }
 
-const std::vector<Fabric::Transfer>& Fabric::BuildTransfers(const std::vector<NetNode*>& path,
-                                                            NetNode* src) {
-  hops_scratch_.clear();
-  NetNode* prev = src;
-  for (NetNode* next : path) {
-    hops_scratch_.push_back({prev, next});
-    prev = next;
-  }
-  return hops_scratch_;
-}
-
 const std::vector<NetNode*>& Fabric::TreePath(NetNode& src, NetNode& dst) {
   // Depth-lockstep walk to the lowest common ancestor: O(depth) with no
   // chain materialization or membership scans.  path_scratch_ accumulates
@@ -158,11 +147,11 @@ const std::vector<NetNode*>& Fabric::TreePath(NetNode& src, NetNode& dst) {
   return path_scratch_;
 }
 
-std::optional<double> Fabric::SimulateHops(const std::vector<Transfer>& hops,
-                                           size_t payload_bytes, bool multicast) {
+std::optional<double> Fabric::SimulateHops(std::span<NetNode* const> path, size_t payload_bytes,
+                                           bool multicast) {
   double total_ms = 0.0;
   const size_t fragments = link_.FragmentsFor(payload_bytes);
-  for (size_t h = 0; h < hops.size(); ++h) {
+  for (size_t h = 0; h < path.size(); ++h) {
     // CSMA backoff + airtime per fragment.
     for (size_t f = 0; f < fragments; ++f) {
       ++frames_transmitted_;
@@ -177,8 +166,8 @@ std::optional<double> Fabric::SimulateHops(const std::vector<Transfer>& hops,
     }
     total_ms += link_.AirtimeMs(payload_bytes);
     // Intermediate nodes forward without full stack traversal.
-    if (h + 1 < hops.size()) {
-      const NodeProfile& p = hops[h].to->profile();
+    if (h + 1 < path.size()) {
+      const NodeProfile& p = path[h]->profile();
       total_ms += Jittered(p.forward_processing_ms, p);
     }
   }
@@ -235,10 +224,9 @@ void Fabric::RouteUnicast(NetNode& src, NetNode& dst, const Ip6Address& dst_addr
   if (path.empty()) {
     return;
   }
-  const std::vector<Transfer>& hops = BuildTransfers(path, &src);
   // Sender-side stack processing.
   double latency = Jittered(src.profile().tx_processing_ms, src.profile());
-  std::optional<double> wire = SimulateHops(hops, payload.size(), /*multicast=*/false);
+  std::optional<double> wire = SimulateHops(path, payload.size(), /*multicast=*/false);
   if (!wire.has_value()) {
     return;  // lost
   }
@@ -280,14 +268,14 @@ void Fabric::RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port
                             const std::vector<uint8_t>& payload) {
   // Phase 1: the datagram climbs to the DODAG root.
   NetNode* root = &src;
-  hops_scratch_.clear();
+  path_scratch_.clear();
   while (root->parent() != nullptr) {
-    hops_scratch_.push_back({root, root->parent()});
     root = root->parent();
+    path_scratch_.push_back(root);
   }
 
   const double tx = Jittered(src.profile().tx_processing_ms, src.profile());
-  std::optional<double> climb = SimulateHops(hops_scratch_, payload.size(), /*multicast=*/true);
+  std::optional<double> climb = SimulateHops(path_scratch_, payload.size(), /*multicast=*/true);
   if (!climb.has_value()) {
     return;
   }
@@ -323,8 +311,7 @@ void Fabric::RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port
     }
     descent_visits_ += branches->size();
     for (NetNode* child : *branches) {
-      single_hop_.assign(1, Transfer{current.node, child});
-      std::optional<double> wire = SimulateHops(single_hop_, payload.size(), /*multicast=*/true);
+      std::optional<double> wire = SimulateHops({&child, 1}, payload.size(), /*multicast=*/true);
       if (!wire.has_value()) {
         continue;  // lost on this branch only
       }

@@ -26,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -89,6 +90,7 @@ class NetNode {
 
   // UDP port binding (one handler per port).
   void BindUdp(uint16_t port, UdpHandler handler) { handlers_[port] = std::move(handler); }
+  void UnbindUdp(uint16_t port) { handlers_.erase(port); }
 
   // Sends a datagram into the fabric (unicast, multicast, or anycast).
   void SendUdp(const Ip6Address& dst, uint16_t port, const std::vector<uint8_t>& payload);
@@ -168,12 +170,6 @@ class Fabric {
   // Hop distance along the tree between two nodes.
   int HopDistance(const NetNode& a, const NetNode& b) const;
 
-  // One link-layer traversal (exposed for the path-building helper).
-  struct Transfer {
-    NetNode* from;
-    NetNode* to;
-  };
-
  private:
   friend class NetNode;
 
@@ -207,11 +203,10 @@ class Fabric {
   // rates, and Route never re-enters (delivery happens later, from scheduler
   // callbacks), so per-datagram path vectors would be pure allocator churn.
   const std::vector<NetNode*>& TreePath(NetNode& src, NetNode& dst);
-  // Per-link transfers along `path`, starting from `src` (scratch-backed).
-  const std::vector<Transfer>& BuildTransfers(const std::vector<NetNode*>& path, NetNode* src);
-  // Simulates the hop-by-hop delivery delay, counting frames; returns the
-  // total latency or nullopt if a frame was lost.
-  std::optional<double> SimulateHops(const std::vector<Transfer>& hops, size_t payload_bytes,
+  // Simulates the hop-by-hop delivery delay along `path`, the node receiving
+  // each hop in order (every node but the last forwards), counting frames;
+  // returns the total latency or nullopt if a frame was lost.
+  std::optional<double> SimulateHops(std::span<NetNode* const> path, size_t payload_bytes,
                                      bool multicast);
   // A processing cost of `ms` on a node with `profile`, with the profile's
   // +/- uniform jitter applied (one RNG draw).
@@ -229,8 +224,6 @@ class Fabric {
   // Scratch buffers for the routing hot path (see TreePath).
   std::vector<NetNode*> path_scratch_;
   std::vector<NetNode*> down_scratch_;
-  std::vector<Transfer> hops_scratch_;
-  std::vector<Transfer> single_hop_;
   struct Descent {
     NetNode* node;
     double latency;

@@ -2,16 +2,15 @@
 
 #include <unordered_set>
 
-#include "src/common/logging.h"
-
 namespace micropnp {
 
 MicroPnpClient::MicroPnpClient(Scheduler& scheduler, NetNode* node, size_t max_in_flight)
-    : node_(node), endpoint_(scheduler, node, max_in_flight) {
+    : node_(node),
+      endpoint_(
+          scheduler, node,
+          [this](const Ip6Address& src, const Ip6Address&, const Message& m) { OnMessage(src, m); },
+          max_in_flight) {
   node_->JoinGroup(AllClientsGroup(node_->prefix()));
-  node_->BindUdp(kMicroPnpUdpPort,
-                 [this](const Ip6Address& src, const Ip6Address& dst, uint16_t port,
-                        const std::vector<uint8_t>& payload) { OnDatagram(src, dst, port, payload); });
 }
 
 void MicroPnpClient::Discover(DeviceTypeId device, double window_ms, DiscoveryCallback callback) {
@@ -193,17 +192,7 @@ void MicroPnpClient::UnrefGroup(const Ip6Address& group) {
   }
 }
 
-void MicroPnpClient::OnDatagram(const Ip6Address& src, const Ip6Address& /*dst*/,
-                                uint16_t /*port*/, const std::vector<uint8_t>& payload) {
-  Result<Message> parsed = Message::Parse(ByteSpan(payload.data(), payload.size()));
-  if (!parsed.ok()) {
-    MLOG(kDebug, "client") << "dropping malformed datagram from " << src.ToString();
-    return;
-  }
-  const Message& m = *parsed;
-  if (endpoint_.HandleReply(src, m)) {
-    return;
-  }
+void MicroPnpClient::OnMessage(const Ip6Address& src, const Message& m) {
   switch (m.type) {
     case MessageType::kUnsolicitedAdvertisement: {
       ++advertisements_seen_;

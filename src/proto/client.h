@@ -115,8 +115,8 @@ class MicroPnpClient {
   // device type share one membership, dropped only with the last stream.
   void RefGroup(const Ip6Address& group);
   void UnrefGroup(const Ip6Address& group);
-  void OnDatagram(const Ip6Address& src, const Ip6Address& dst, uint16_t port,
-                  const std::vector<uint8_t>& payload);
+  // Messages the endpoint did not match to a pending transaction.
+  void OnMessage(const Ip6Address& src, const Message& m);
 
   NetNode* node_;
   ProtoEndpoint endpoint_;

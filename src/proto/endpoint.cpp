@@ -43,23 +43,38 @@ const Ip6Address& AnySourceKey() {
 
 }  // namespace
 
-ProtoEndpoint::ProtoEndpoint(Scheduler& scheduler, NetNode* node, size_t max_in_flight)
+ProtoEndpoint::ProtoEndpoint(Scheduler& scheduler, NetNode* node, MessageHandler handler,
+                             size_t max_in_flight)
     : scheduler_(scheduler),
       node_(node),
+      handler_(std::move(handler)),
       max_in_flight_(max_in_flight),
-      by_key_(max_in_flight) {}
+      by_key_(max_in_flight) {
+  node_->BindUdp(kMicroPnpUdpPort,
+                 [this](const Ip6Address& src, const Ip6Address& dst, uint16_t /*port*/,
+                        const std::vector<uint8_t>& payload) { OnDatagram(src, dst, payload); });
+}
 
 ProtoEndpoint::~ProtoEndpoint() {
   // Drop pending transactions without invoking handlers: during teardown the
-  // captured state may already be gone.  Live-session cancellation (which
-  // does complete handlers) is CancelAll().
+  // captured state may already be gone.
   for (PendingRequest& entry : slots_) {
     if (entry.active) {
       scheduler_.Cancel(entry.timer);
     }
   }
-  for (auto& [id, gather] : gathers_) {
-    scheduler_.Cancel(gather.timer);
+  node_->UnbindUdp(kMicroPnpUdpPort);
+}
+
+void ProtoEndpoint::OnDatagram(const Ip6Address& src, const Ip6Address& dst,
+                               const std::vector<uint8_t>& payload) {
+  Result<Message> parsed = Message::Parse(ByteSpan(payload.data(), payload.size()));
+  if (!parsed.ok()) {
+    MLOG(kDebug, "endpoint") << "dropping malformed datagram from " << src.ToString();
+    return;
+  }
+  if (!HandleReply(src, *parsed) && handler_) {
+    handler_(src, dst, *parsed);
   }
 }
 
@@ -77,7 +92,7 @@ SequenceNumber ProtoEndpoint::AllocateSequence(const Ip6Address& peer) {
 }
 
 ProtoEndpoint::PendingRequest* ProtoEndpoint::Resolve(RequestId id) {
-  if (id == kInvalidRequest || (id & kGatherTag) != 0) {
+  if (id == kInvalidRequest) {
     return nullptr;
   }
   const uint64_t slot = (id & 0xffffffffull) - 1;
@@ -128,11 +143,30 @@ ProtoEndpoint::RequestId ProtoEndpoint::SendRequest(const Ip6Address& peer, Mess
                                                     std::vector<MessageType> accepted_replies,
                                                     ResponseHandler handler,
                                                     const RequestOptions& options) {
+  return Start(peer, type, std::move(payload), std::move(accepted_replies), std::move(handler),
+               nullptr, options);
+}
+
+ProtoEndpoint::RequestId ProtoEndpoint::SendGather(const Ip6Address& group, MessageType type,
+                                                   MessagePayload payload,
+                                                   std::vector<MessageType> accepted_replies,
+                                                   double window_ms, GatherHandler handler) {
+  RequestOptions options;
+  options.deadline_ms = window_ms;
+  options.match_any_source = true;
+  return Start(group, type, std::move(payload), std::move(accepted_replies), nullptr,
+               std::make_unique<Gather>(Gather{std::move(handler), {}}), options);
+}
+
+ProtoEndpoint::RequestId ProtoEndpoint::Start(const Ip6Address& peer, MessageType type,
+                                              MessagePayload payload,
+                                              std::vector<MessageType> accepted_replies,
+                                              ResponseHandler handler,
+                                              std::unique_ptr<Gather> gather,
+                                              const RequestOptions& options) {
   if (in_flight() >= max_in_flight_) {
     ++counters_.rejected_capacity;
-    if (handler) {
-      handler(ResourceExhausted("endpoint pending table full"));
-    }
+    Finish(handler, gather.get(), ResourceExhausted("endpoint pending table full"), nullptr);
     return kInvalidRequest;
   }
   const Ip6Address& key_peer = options.match_any_source ? AnySourceKey() : peer;
@@ -144,6 +178,7 @@ ProtoEndpoint::RequestId ProtoEndpoint::SendRequest(const Ip6Address& peer, Mess
   entry.sequence = seq;
   entry.accepted_replies = std::move(accepted_replies);
   entry.handler = std::move(handler);
+  entry.gather = std::move(gather);
   MakeMessage(type, seq, std::move(payload)).SerializeInto(entry.wire);
   entry.options = options;
   entry.deadline = scheduler_.now() + SimTime::FromMillis(options.deadline_ms);
@@ -159,11 +194,11 @@ ProtoEndpoint::RequestId ProtoEndpoint::SendRequest(const Ip6Address& peer, Mess
     MLOG(kError, "endpoint") << "pending index rejected seq " << seq
                              << "; failing request instead of leaving it unmatchable";
     ResponseHandler failed_handler = std::move(entry.handler);
+    std::unique_ptr<Gather> failed_gather = std::move(entry.gather);
     ReleaseSlot(id, entry);
     ++counters_.rejected_capacity;
-    if (failed_handler) {
-      failed_handler(InternalError("pending index insert failed"));
-    }
+    Finish(failed_handler, failed_gather.get(), InternalError("pending index insert failed"),
+           nullptr);
     return kInvalidRequest;
   }
 
@@ -177,61 +212,14 @@ ProtoEndpoint::RequestId ProtoEndpoint::SendRequest(const Ip6Address& peer, Mess
 SequenceNumber ProtoEndpoint::SendOneWay(const Ip6Address& peer, MessageType type,
                                          MessagePayload payload) {
   const SequenceNumber seq = AllocateSequence(peer);
-  node_->SendUdp(peer, kMicroPnpUdpPort, MakeMessage(type, seq, std::move(payload)).Serialize());
+  Send(peer, type, seq, std::move(payload));
   return seq;
 }
 
-ProtoEndpoint::RequestId ProtoEndpoint::SendGather(const Ip6Address& group, MessageType type,
-                                                   MessagePayload payload,
-                                                   std::vector<MessageType> accepted_replies,
-                                                   double window_ms, GatherHandler handler) {
-  if (in_flight() >= max_in_flight_) {
-    ++counters_.rejected_capacity;
-    if (handler) {
-      handler(ResourceExhausted("endpoint pending table full"));
-    }
-    return kInvalidRequest;
-  }
-  const SequenceNumber seq = AllocateSequence(AnySourceKey());
-  const RequestId id = kGatherTag | next_gather_id_++;
-
-  PendingGather gather;
-  gather.group = group;
-  gather.sequence = seq;
-  gather.accepted_replies = std::move(accepted_replies);
-  gather.handler = std::move(handler);
-
-  if (!by_key_.Insert(AnySourceKey(), seq, id)) {
-    // Same invariant as SendRequest: the sequence was just checked free and
-    // the index has capacity headroom, so surface any violation immediately.
-    assert(false && "pending index rejected a freshly allocated key");
-    MLOG(kError, "endpoint") << "pending index rejected gather seq " << seq
-                             << "; failing request instead of leaving it unmatchable";
-    ++counters_.rejected_capacity;
-    if (gather.handler) {
-      gather.handler(InternalError("pending index insert failed"));
-    }
-    return kInvalidRequest;
-  }
-
-  node_->SendUdp(group, kMicroPnpUdpPort, MakeMessage(type, seq, std::move(payload)).Serialize());
-  ++counters_.requests_started;
-  gather.timer = scheduler_.ScheduleAfter(SimTime::FromMillis(window_ms), [this, id] {
-    auto it = gathers_.find(id);
-    if (it == gathers_.end()) {
-      return;
-    }
-    PendingGather done = std::move(it->second);
-    by_key_.Erase(AnySourceKey(), done.sequence);
-    gathers_.erase(it);
-    ++counters_.completed_ok;
-    if (done.handler) {
-      done.handler(std::move(done.replies));
-    }
-  });
-  gathers_[id] = std::move(gather);
-  NoteInFlight();
-  return id;
+void ProtoEndpoint::Send(const Ip6Address& peer, MessageType type, SequenceNumber sequence,
+                         MessagePayload payload) {
+  node_->SendUdp(peer, kMicroPnpUdpPort,
+                 MakeMessage(type, sequence, std::move(payload)).Serialize());
 }
 
 void ProtoEndpoint::ArmTimer(RequestId id) {
@@ -255,8 +243,12 @@ void ProtoEndpoint::OnTimer(RequestId id) {
     return;
   }
   if (scheduler_.now() >= entry->deadline) {
-    Complete(id, DeadlineExceeded(std::string("no reply from peer for ") +
-                                  MessageTypeName(static_cast<MessageType>(entry->wire[0]))));
+    if (entry->gather != nullptr) {
+      Complete(id, OkStatus());  // the window closed: a gather's success
+    } else {
+      Complete(id, DeadlineExceeded(std::string("no reply from peer for ") +
+                                    MessageTypeName(static_cast<MessageType>(entry->wire[0]))));
+    }
     return;
   }
   // Retransmit the stored wire bytes and back off.
@@ -267,7 +259,7 @@ void ProtoEndpoint::OnTimer(RequestId id) {
   ArmTimer(id);
 }
 
-void ProtoEndpoint::Complete(RequestId id, Result<Message> result) {
+void ProtoEndpoint::Complete(RequestId id, const Status& status, const Message* reply) {
   PendingRequest* entry = Resolve(id);
   if (entry == nullptr) {
     return;
@@ -276,90 +268,59 @@ void ProtoEndpoint::Complete(RequestId id, Result<Message> result) {
   const Ip6Address& key_peer = entry->options.match_any_source ? AnySourceKey() : entry->peer;
   by_key_.Erase(key_peer, entry->sequence);
 
-  if (result.ok()) {
+  if (status.ok()) {
     ++counters_.completed_ok;
-  } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
+  } else if (status.code() == StatusCode::kDeadlineExceeded) {
     ++counters_.deadline_exceeded;
-  } else if (result.status().code() == StatusCode::kCancelled) {
+  } else if (status.code() == StatusCode::kCancelled) {
     ++counters_.cancelled;
   }
   // Release the slot before invoking the handler: handlers routinely submit
   // follow-up requests, which may legitimately reuse it (the bumped
   // generation retires this id).
   ResponseHandler handler = std::move(entry->handler);
+  std::unique_ptr<Gather> gather = std::move(entry->gather);
   ReleaseSlot(id, *entry);
-  if (handler) {
-    handler(std::move(result));
+  Finish(handler, gather.get(), status, reply);
+}
+
+void ProtoEndpoint::Finish(const ResponseHandler& handler, Gather* gather, const Status& status,
+                           const Message* reply) {
+  if (gather != nullptr) {
+    if (gather->handler) {
+      gather->handler(status.ok() ? Result<GatherReplies>(std::move(gather->replies))
+                                  : Result<GatherReplies>(status));
+    }
+  } else if (handler) {
+    handler(status.ok() ? Result<Message>(*reply) : Result<Message>(status));
   }
 }
 
 bool ProtoEndpoint::Cancel(RequestId id) {
-  if (Resolve(id) != nullptr) {
-    Complete(id, CancelledError("request cancelled"));
-    return true;
+  if (Resolve(id) == nullptr) {
+    return false;
   }
-  auto g = gathers_.find(id);
-  if (g != gathers_.end()) {
-    PendingGather done = std::move(g->second);
-    scheduler_.Cancel(done.timer);
-    by_key_.Erase(AnySourceKey(), done.sequence);
-    gathers_.erase(g);
-    ++counters_.cancelled;
-    if (done.handler) {
-      done.handler(CancelledError("gather cancelled"));
-    }
-    return true;
-  }
-  return false;
-}
-
-void ProtoEndpoint::CancelAll() {
-  // Snapshot first: a handler reacting to kCancelled may submit new
-  // requests, which must survive this sweep (and must not loop it forever).
-  std::vector<RequestId> ids;
-  ids.reserve(in_flight());
-  for (size_t slot = 0; slot < slots_.size(); ++slot) {
-    if (slots_[slot].active) {
-      ids.push_back((uint64_t{slots_[slot].generation} << 32) | (slot + 1));
-    }
-  }
-  for (const auto& [id, gather] : gathers_) {
-    ids.push_back(id);
-  }
-  for (RequestId id : ids) {
-    Cancel(id);
-  }
+  Complete(id, CancelledError("request cancelled"));
+  return true;
 }
 
 bool ProtoEndpoint::HandleReply(const Ip6Address& src, const Message& message) {
-  auto request_accepts = [&](const PendingRequest& entry) {
-    return Accepts(entry.accepted_replies, message.type) &&
-           (!entry.options.accept || entry.options.accept(message));
-  };
-  // Exact (peer, sequence) match for unicast transactions.
-  if (const RequestId id = by_key_.Find(src, message.sequence); id != 0) {
+  // Unicast transactions match their exact (peer, sequence); any-source ones
+  // (anycast requests, multicast gathers) are indexed under the sentinel.
+  for (const Ip6Address* key : {&src, &AnySourceKey()}) {
+    const RequestId id = by_key_.Find(*key, message.sequence);
     PendingRequest* entry = Resolve(id);
-    if (entry != nullptr && request_accepts(*entry)) {
-      ++counters_.replies_matched;
-      Complete(id, message);
-      return true;
+    if (entry == nullptr || !Accepts(entry->accepted_replies, message.type) ||
+        (entry->options.accept && !entry->options.accept(message))) {
+      continue;
     }
-  }
-  // Any-source transactions (anycast requests, multicast gathers) are all
-  // indexed under the shared sentinel key.
-  if (const RequestId id = by_key_.Find(AnySourceKey(), message.sequence); id != 0) {
-    PendingRequest* entry = Resolve(id);
-    if (entry != nullptr && request_accepts(*entry)) {
-      ++counters_.replies_matched;
-      Complete(id, message);
-      return true;
+    ++counters_.replies_matched;
+    if (entry->gather != nullptr) {
+      entry->gather->replies.emplace_back(src, message);  // collected until the window closes
+    } else {
+      Complete(id, OkStatus(), &message);
     }
-    auto g = gathers_.find(id);
-    if (g != gathers_.end() && Accepts(g->second.accepted_replies, message.type)) {
-      ++counters_.replies_matched;
-      g->second.replies.emplace_back(src, message);
-      return true;
-    }
+    return true;
   }
   if (IsPureReplyType(message.type)) {
     ++counters_.stale_replies_dropped;

@@ -1,12 +1,13 @@
 // ProtoEndpoint: the shared request/response core of the μPnP interaction
-// protocol (Section 5.2).
+// protocol (Section 5.2), and the only code that puts μPnP on the wire.
 //
-// The paper matches requests to replies by the 16-bit sequence number every
-// message carries.  The seed reproduction hand-rolled that matching three
-// times (client, manager, Thing), each with its own pending map and its own
-// — or no — timeout handling.  This class centralizes the transaction
-// lifecycle so every remote operation completes exactly once with a
-// Result<Message>:
+// Every μPnP message is a UDP datagram on port 6030 whose 16-bit sequence
+// number pairs a request with its reply.  The endpoint owns that port in
+// both directions: it binds the node's port 6030, parses every datagram
+// (dropping malformed ones), offers it to the pending transactions and hands
+// the rest to its owner (Thing, Client or Manager); and every message the
+// owner sends goes out through it.  Every remote operation completes exactly
+// once with a Result, built on:
 //
 //  * per-peer sequence allocation (16-bit, wrapping; an allocation never
 //    collides with a transaction still pending toward the same peer);
@@ -20,14 +21,15 @@
 //  * counters for every drop/timeout/retransmit decision.
 //
 // Multicast fan-out requests (peripheral discovery's collect-replies-for-a-
-// window pattern) ride the same table via SendGather.
+// window pattern) are ordinary transactions in the same table: any source,
+// no retransmits, the window as their deadline (see SendGather).
 
 #ifndef SRC_PROTO_ENDPOINT_H_
 #define SRC_PROTO_ENDPOINT_H_
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -93,8 +95,15 @@ class ProtoEndpoint {
   // (possibly none), or kCancelled / kResourceExhausted.
   using GatherReplies = std::vector<std::pair<Ip6Address, Message>>;
   using GatherHandler = std::function<void(Result<GatherReplies>)>;
+  // The owner's intake: every well-formed message no pending transaction
+  // consumed (requests, notifications, and replies nothing awaits).
+  using MessageHandler =
+      std::function<void(const Ip6Address& src, const Ip6Address& dst, const Message& message)>;
 
-  ProtoEndpoint(Scheduler& scheduler, NetNode* node, size_t max_in_flight = 64);
+  // Binds `node`'s μPnP port for `handler`; the destructor unbinds it, so
+  // `node` must outlive the endpoint.
+  ProtoEndpoint(Scheduler& scheduler, NetNode* node, MessageHandler handler,
+                size_t max_in_flight = 64);
   ~ProtoEndpoint();
 
   ProtoEndpoint(const ProtoEndpoint&) = delete;
@@ -119,30 +128,27 @@ class ProtoEndpoint {
   // shutdown).  Returns the sequence used.
   SequenceNumber SendOneWay(const Ip6Address& peer, MessageType type, MessagePayload payload);
 
+  // Sends a message under a sequence the caller chose, with no transaction
+  // state: replies echo their request's sequence.
+  void Send(const Ip6Address& peer, MessageType type, SequenceNumber sequence,
+            MessagePayload payload);
+
   // Multicast request collecting every matching reply for `window_ms`, then
-  // completing once with the collection (possibly empty).  Replies match on
-  // sequence + accepted type from any source.
+  // completing once, OK, with the collection (possibly empty).  Replies
+  // match on sequence + accepted type from any source.  A gather holds a
+  // pending-table slot like any request: kResourceExhausted when the table
+  // is full, kCancelled through Cancel.
   RequestId SendGather(const Ip6Address& group, MessageType type, MessagePayload payload,
                        std::vector<MessageType> accepted_replies, double window_ms,
                        GatherHandler handler);
 
-  // Completes a pending request with kCancelled.  Returns false if the
-  // transaction already completed.
+  // Completes a pending transaction with kCancelled.  Returns false if it
+  // already completed.  Destruction, by contrast, drops pending
+  // transactions without invoking their handlers, since the state they
+  // capture may already be torn down.
   bool Cancel(RequestId id);
-  // Cancels every transaction currently pending (requests submitted by the
-  // handlers it invokes are left in flight).  Destruction does NOT run
-  // this: the destructor drops pending transactions without invoking their
-  // handlers, since the state they capture may already be torn down.
-  void CancelAll();
 
-  // Reply ingestion: the owner's datagram dispatcher hands every parsed
-  // message here first.  Returns true if a pending transaction consumed it.
-  // Unmatched messages of reply-looking types are counted as stale only
-  // when some transaction could plausibly have produced them (the type is
-  // awaited by nothing and the message is not a request type).
-  bool HandleReply(const Ip6Address& src, const Message& message);
-
-  size_t in_flight() const { return active_requests_ + gathers_.size(); }
+  size_t in_flight() const { return active_requests_; }
   size_t max_in_flight() const { return max_in_flight_; }
   const EndpointCounters& counters() const { return counters_; }
 
@@ -151,38 +157,46 @@ class ProtoEndpoint {
   void SetNextSequenceForTest(SequenceNumber next) { next_sequence_ = next; }
 
  private:
-  // Requests live in a slot arena: a slot is reused (freelist) once its
+  // Transactions live in a slot arena: a slot is reused (freelist) once its
   // transaction completes, its wire/reply-type buffers keeping their
   // capacity, so a steady stream of requests recycles storage instead of
   // allocating.  A RequestId encodes (generation << 32) | (slot + 1); the
   // generation is bumped on release so a stale id can never resolve to a
-  // recycled slot.  Gather transactions are rare (discovery windows) and
-  // carry the tag bit instead.
-  inline static constexpr RequestId kGatherTag = RequestId{1} << 63;
+  // recycled slot.
 
+  // A gather's handler and the replies it has collected.  Gathers are rare
+  // (discovery windows), so this lives out of line to keep the slot small.
+  struct Gather {
+    GatherHandler handler;
+    GatherReplies replies;
+  };
   struct PendingRequest {
     bool active = false;
     uint32_t generation = 0;
     Ip6Address peer;
     SequenceNumber sequence = 0;
+    int retransmits_left = 0;  // here it fills the padding after `sequence`
     std::vector<MessageType> accepted_replies;
-    ResponseHandler handler;
+    ResponseHandler handler;         // null for a gather
+    std::unique_ptr<Gather> gather;  // set only for a gather
     std::vector<uint8_t> wire;  // serialized request, for retransmission
     RequestOptions options;
     SimTime deadline;
     double next_backoff_ms = 0.0;
-    int retransmits_left = 0;
     Scheduler::EventId timer = 0;  // the armed retransmit-or-deadline event
   };
-  struct PendingGather {
-    Ip6Address group;
-    SequenceNumber sequence = 0;
-    std::vector<MessageType> accepted_replies;
-    GatherHandler handler;
-    GatherReplies replies;
-    Scheduler::EventId timer = 0;
-  };
 
+  void OnDatagram(const Ip6Address& src, const Ip6Address& dst,
+                  const std::vector<uint8_t>& payload);
+  // Offers a parsed message to the pending transactions.  Returns true if
+  // one consumed it.  Unmatched messages of pure reply types are counted as
+  // stale; requests and notifications are not.
+  bool HandleReply(const Ip6Address& src, const Message& message);
+  // Claims a slot and sends the transaction's first copy; the common body of
+  // SendRequest and SendGather (`gather` is null for a request).
+  RequestId Start(const Ip6Address& peer, MessageType type, MessagePayload payload,
+                  std::vector<MessageType> accepted_replies, ResponseHandler handler,
+                  std::unique_ptr<Gather> gather, const RequestOptions& options);
   SequenceNumber AllocateSequence(const Ip6Address& peer);
   // Resolves an id to its live arena entry; nullptr when the transaction
   // already completed (stale id, or generation mismatch on a reused slot).
@@ -195,12 +209,18 @@ class ProtoEndpoint {
   void ReleaseSlot(RequestId id, PendingRequest& entry);
   void ArmTimer(RequestId id);
   void OnTimer(RequestId id);
-  // Removes the entry and invokes its handler with `result`.
-  void Complete(RequestId id, Result<Message> result);
+  // Removes the entry and Finishes it.
+  void Complete(RequestId id, const Status& status, const Message* reply = nullptr);
+  // Invokes a transaction's handler: a request's with `reply` (when `status`
+  // is OK) or `status`, a gather's with its replies (when `status` is OK) or
+  // `status`.
+  static void Finish(const ResponseHandler& handler, Gather* gather, const Status& status,
+                     const Message* reply);
   void NoteInFlight();
 
   Scheduler& scheduler_;
   NetNode* node_;
+  MessageHandler handler_;
   size_t max_in_flight_;
   // One wrapping counter for all peers: per-(peer, sequence) uniqueness is
   // enforced at allocation time against the pending table, so no per-peer
@@ -209,12 +229,9 @@ class ProtoEndpoint {
   std::vector<PendingRequest> slots_;
   std::vector<uint32_t> free_slots_;
   size_t active_requests_ = 0;
-  std::unordered_map<RequestId, PendingGather> gathers_;
   // (peer, sequence) -> transaction id, the O(1) matching index for incoming
-  // replies.  Gather entries index under (group, sequence) and additionally
-  // match any source.
+  // replies.  Any-source transactions index under the unspecified address.
   PendingIndex by_key_;
-  RequestId next_gather_id_ = 1;
   EndpointCounters counters_;
 };
 

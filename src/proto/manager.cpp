@@ -10,11 +10,13 @@
 namespace micropnp {
 
 MicroPnpManager::MicroPnpManager(Scheduler& scheduler, NetNode* node)
-    : scheduler_(scheduler), node_(node), endpoint_(scheduler, node) {
+    : scheduler_(scheduler),
+      node_(node),
+      endpoint_(scheduler, node,
+                [this](const Ip6Address& src, const Ip6Address&, const Message& m) {
+                  OnMessage(src, m);
+                }) {
   node_->BindAnycast(ManagerAnycastAddress());
-  node_->BindUdp(kMicroPnpUdpPort,
-                 [this](const Ip6Address& src, const Ip6Address& dst, uint16_t port,
-                        const std::vector<uint8_t>& payload) { OnDatagram(src, dst, port, payload); });
 }
 
 Status MicroPnpManager::AddDriver(const DriverImage& image) {
@@ -86,17 +88,7 @@ void MicroPnpManager::RemoveDriver(const Ip6Address& thing, DeviceTypeId id, Ack
       options);
 }
 
-void MicroPnpManager::OnDatagram(const Ip6Address& src, const Ip6Address& /*dst*/,
-                                 uint16_t /*port*/, const std::vector<uint8_t>& payload) {
-  Result<Message> parsed = Message::Parse(ByteSpan(payload.data(), payload.size()));
-  if (!parsed.ok()) {
-    MLOG(kDebug, "manager") << "dropping malformed datagram from " << src.ToString();
-    return;
-  }
-  const Message& m = *parsed;
-  if (endpoint_.HandleReply(src, m)) {
-    return;
-  }
+void MicroPnpManager::OnMessage(const Ip6Address& src, const Message& m) {
   switch (m.type) {
     case MessageType::kDriverInstallRequest:
       HandleInstallRequest(src, m);
@@ -112,16 +104,16 @@ void MicroPnpManager::OnDatagram(const Ip6Address& src, const Ip6Address& /*dst*
 void MicroPnpManager::HandleInstallRequest(const Ip6Address& src, const Message& m) {
   const auto* request = m.payload_as<DriverRequestPayload>();
   // A retransmitted copy of a (4) already answered (its (18) offer was lost
-  // or is still in flight): re-serve the cached offer bytes, don't recount
-  // and don't replay the chunk stream — once the Thing holds the offer, its
+  // or is still in flight): re-serve the cached offer, don't recount and
+  // don't replay the chunk stream — once the Thing holds the offer, its
   // selective-repeat NACK pulls exactly the chunks that were lost.  The
   // device check keeps a peer whose sequence counter restarted from being
   // handed a stale entry for a different device.
   for (const ServedOffer& served : recent_offers_) {
     if (served.thing == src && served.sequence == m.sequence &&
-        served.device == request->device_id) {
+        served.offer.device_id == request->device_id) {
       ++upload_retransmissions_;
-      SendWireAfter(lookup_cpu_ms_, src, served.offer_wire);
+      SendAfter(lookup_cpu_ms_, src, MessageType::kDriverUploadOffer, m.sequence, served.offer);
       return;
     }
   }
@@ -166,19 +158,17 @@ void MicroPnpManager::HandleInstallRequest(const Ip6Address& src, const Message&
   } else if (resume) {
     ++resumed_uploads_;
   }
-  std::vector<uint8_t> offer_wire =
-      MakeMessage(MessageType::kDriverUploadOffer, m.sequence, offer).Serialize();
-  recent_offers_.push_back(ServedOffer{src, m.sequence, request->device_id, offer_wire});
+  recent_offers_.push_back(ServedOffer{src, m.sequence, offer});
   if (recent_offers_.size() > 64) {
     recent_offers_.pop_front();
   }
   ++uploads_;
-  SendWireAfter(lookup_cpu_ms_, src, std::move(offer_wire));
+  SendAfter(lookup_cpu_ms_, src, MessageType::kDriverUploadOffer, m.sequence, offer);
   double at_ms = lookup_cpu_ms_;
   for (uint16_t index : missing) {
     at_ms += chunk_interval_ms_;
     ++chunks_sent_;
-    SendWireAfter(at_ms, src, ChunkWire(request->device_id, *img, index));
+    SendChunkAfter(at_ms, src, request->device_id, *img, index);
   }
 }
 
@@ -200,7 +190,7 @@ void MicroPnpManager::HandleChunkRequest(const Ip6Address& src, const Message& m
     at_ms += chunk_interval_ms_;
     ++chunks_sent_;
     ++chunk_retransmissions_;
-    SendWireAfter(at_ms, src, ChunkWire(request->device_id, *img, index));
+    SendChunkAfter(at_ms, src, request->device_id, *img, index);
   }
 }
 
@@ -222,8 +212,8 @@ const MicroPnpManager::PreparedImage* MicroPnpManager::Prepare(DeviceTypeId id) 
   return &(prepared_[id] = std::move(img));
 }
 
-std::vector<uint8_t> MicroPnpManager::ChunkWire(DeviceTypeId id, const PreparedImage& img,
-                                                uint16_t index) const {
+void MicroPnpManager::SendChunkAfter(double delay_ms, const Ip6Address& thing, DeviceTypeId id,
+                                     const PreparedImage& img, uint16_t index) {
   const size_t begin = static_cast<size_t>(index) * img.chunk_size;
   const size_t len = std::min<size_t>(img.chunk_size, img.bytes.size() - begin);
   DriverChunkPayload chunk;
@@ -234,14 +224,14 @@ std::vector<uint8_t> MicroPnpManager::ChunkWire(DeviceTypeId id, const PreparedI
   chunk.data.assign(img.bytes.begin() + static_cast<std::ptrdiff_t>(begin),
                     img.bytes.begin() + static_cast<std::ptrdiff_t>(begin + len));
   // Chunks are notifications outside any endpoint transaction; sequence 0.
-  return MakeMessage(MessageType::kDriverChunk, 0, std::move(chunk)).Serialize();
+  SendAfter(delay_ms, thing, MessageType::kDriverChunk, 0, std::move(chunk));
 }
 
-void MicroPnpManager::SendWireAfter(double delay_ms, const Ip6Address& thing,
-                                    std::vector<uint8_t> wire) {
+void MicroPnpManager::SendAfter(double delay_ms, const Ip6Address& thing, MessageType type,
+                                SequenceNumber sequence, MessagePayload payload) {
   scheduler_.ScheduleAfter(SimTime::FromMillis(delay_ms),
-                           [this, thing, wire = std::move(wire)] {
-                             node_->SendUdp(thing, kMicroPnpUdpPort, wire);
+                           [this, thing, type, sequence, payload = std::move(payload)]() mutable {
+                             endpoint_.Send(thing, type, sequence, std::move(payload));
                            });
 }
 

@@ -84,28 +84,31 @@ class MicroPnpManager {
     uint16_t chunk_count = 0;
   };
 
-  void OnDatagram(const Ip6Address& src, const Ip6Address& dst, uint16_t port,
-                  const std::vector<uint8_t>& payload);
+  // Messages the endpoint did not match to a pending transaction.
+  void OnMessage(const Ip6Address& src, const Message& m);
   void HandleInstallRequest(const Ip6Address& src, const Message& m);
   void HandleChunkRequest(const Ip6Address& src, const Message& m);
   const PreparedImage* Prepare(DeviceTypeId id);
-  std::vector<uint8_t> ChunkWire(DeviceTypeId id, const PreparedImage& img, uint16_t index) const;
-  void SendWireAfter(double delay_ms, const Ip6Address& thing, std::vector<uint8_t> wire);
+  // Schedules the (19) carrying chunk `index` of `img`, built now so a later
+  // repository change cannot alter it.
+  void SendChunkAfter(double delay_ms, const Ip6Address& thing, DeviceTypeId id,
+                      const PreparedImage& img, uint16_t index);
+  void SendAfter(double delay_ms, const Ip6Address& thing, MessageType type,
+                 SequenceNumber sequence, MessagePayload payload);
 
   Scheduler& scheduler_;
   NetNode* node_;
   ProtoEndpoint endpoint_;
   std::map<DeviceTypeId, DriverImage> repository_;
   std::map<DeviceTypeId, PreparedImage> prepared_;
-  // Recently served (4)s, keyed by (thing, sequence), with the serialized
-  // (18) offer kept for cheap re-serve when the Thing retransmits.  The
-  // chunks themselves are not replayed on a duplicate (4): the Thing's
+  // Recently served (4)s, keyed by (thing, sequence), with the (18) offer
+  // kept for cheap re-serve when the Thing retransmits.  The chunks
+  // themselves are not replayed on a duplicate (4): the Thing's
   // selective-repeat NACK asks for exactly the gaps.  Bounded FIFO.
   struct ServedOffer {
     Ip6Address thing;
     SequenceNumber sequence = 0;
-    DeviceTypeId device = 0;
-    std::vector<uint8_t> offer_wire;
+    DriverOfferPayload offer;
   };
   std::deque<ServedOffer> recent_offers_;
   uint64_t uploads_ = 0;

@@ -512,13 +512,4 @@ Message MakeMessage(MessageType type, SequenceNumber seq, MessagePayload payload
   return m;
 }
 
-Message MakeAdvertisement(MessageType type, SequenceNumber seq,
-                          std::vector<AdvertisedPeripheral> peripherals) {
-  return MakeMessage(type, seq, AdvertisementPayload{std::move(peripherals)});
-}
-
-Message MakeDeviceMessage(MessageType type, SequenceNumber seq, DeviceTypeId device) {
-  return MakeMessage(type, seq, DeviceTargetPayload{device});
-}
-
 }  // namespace micropnp

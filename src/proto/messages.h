@@ -296,12 +296,6 @@ struct Message {
 // Builds a message, asserting the payload shape matches the wire type.
 Message MakeMessage(MessageType type, SequenceNumber seq, MessagePayload payload);
 
-// Convenience constructors for the common shapes.
-Message MakeAdvertisement(MessageType type, SequenceNumber seq,
-                          std::vector<AdvertisedPeripheral> peripherals);
-// For the four device-target-only types ((6)(8)(10)(15)).
-Message MakeDeviceMessage(MessageType type, SequenceNumber seq, DeviceTypeId device);
-
 }  // namespace micropnp
 
 #endif  // SRC_PROTO_MESSAGES_H_

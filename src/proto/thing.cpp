@@ -17,13 +17,13 @@ MicroPnpThing::MicroPnpThing(Scheduler& scheduler, NetNode* node,
       rng_(seed),
       driver_manager_(scheduler, router_, decode_cache),
       controller_(scheduler, board_config, rng_),
-      endpoint_(scheduler, node) {
+      endpoint_(scheduler, node,
+                [this](const Ip6Address& src, const Ip6Address& dst, const Message& m) {
+                  OnMessage(src, dst, m);
+                }) {
   controller_.set_change_listener([this](ChannelId ch, DeviceTypeId id, bool connected) {
     OnPeripheralChange(ch, id, connected);
   });
-  node_->BindUdp(kMicroPnpUdpPort,
-                 [this](const Ip6Address& src, const Ip6Address& dst, uint16_t port,
-                        const std::vector<uint8_t>& payload) { OnDatagram(src, dst, port, payload); });
 }
 
 double MicroPnpThing::Jitter(double nominal_ms) {
@@ -95,8 +95,7 @@ void MicroPnpThing::OnPeripheralChange(ChannelId channel, DeviceTypeId id, bool 
     if (stream.active) {
       // Subscribers would otherwise wait until their deadlines:
       // disconnect-while-streaming notifies the group with (15).
-      Message closed = MakeDeviceMessage(MessageType::kStreamClosed, 0, id);
-      node_->SendUdp(stream.group, kMicroPnpUdpPort, closed.Serialize());
+      endpoint_.Send(stream.group, MessageType::kStreamClosed, 0, DeviceTargetPayload{id});
     }
     stream.active = false;
     stream.generation++;
@@ -382,9 +381,10 @@ void MicroPnpThing::MaybeCompleteTransfer(DeviceTypeId id, DriverTransfer& t) {
   }
 }
 
-ChannelId MicroPnpThing::ChannelFor(DeviceTypeId id) {
+ChannelId MicroPnpThing::ChannelFor(DeviceTypeId id, bool with_driver) {
   for (ChannelId ch = 0; ch < controller_.num_channels(); ++ch) {
-    if (controller_.identified(ch) == id) {
+    if (controller_.identified(ch) == id &&
+        (!with_driver || driver_manager_.HostForChannel(ch) != nullptr)) {
       return ch;
     }
   }
@@ -522,8 +522,8 @@ void MicroPnpThing::SendUnsolicitedAdvertisement() {
 
 void MicroPnpThing::SendSolicitedAdvertisement(const Ip6Address& client, SequenceNumber seq) {
   // (3) echoes the discovery's sequence so the client's gather matches it.
-  Message m = MakeAdvertisement(MessageType::kSolicitedAdvertisement, seq, ConnectedPeripherals());
-  node_->SendUdp(client, kMicroPnpUdpPort, m.Serialize());
+  endpoint_.Send(client, MessageType::kSolicitedAdvertisement, seq,
+                 AdvertisementPayload{ConnectedPeripherals()});
   ++advertisements_sent_;
   // The neighbourhood just heard our inventory: suppress the next trickle
   // tick (the interval keeps doubling regardless).
@@ -564,17 +564,7 @@ void MicroPnpThing::TrickleTick(uint64_t generation) {
 
 // ------------------------------------------------------ message handling ----
 
-void MicroPnpThing::OnDatagram(const Ip6Address& src, const Ip6Address& dst, uint16_t /*port*/,
-                               const std::vector<uint8_t>& payload) {
-  Result<Message> parsed = Message::Parse(ByteSpan(payload.data(), payload.size()));
-  if (!parsed.ok()) {
-    MLOG(kDebug, "thing") << "dropping malformed datagram from " << src.ToString();
-    return;
-  }
-  const Message& m = *parsed;
-  if (endpoint_.HandleReply(src, m)) {
-    return;  // (18) offers complete their transaction
-  }
+void MicroPnpThing::OnMessage(const Ip6Address& src, const Ip6Address& dst, const Message& m) {
   switch (m.type) {
     case MessageType::kPeripheralDiscovery:
       HandleDiscovery(src, m, dst);
@@ -609,13 +599,7 @@ void MicroPnpThing::HandleDiscovery(const Ip6Address& src, const Message& m,
   if (!wanted.has_value()) {
     return;
   }
-  bool match = (*wanted == kDeviceTypeAllPeripherals);
-  for (ChannelId ch = 0; ch < controller_.num_channels(); ++ch) {
-    if (controller_.identified(ch) == *wanted) {
-      match = true;
-    }
-  }
-  if (!match) {
+  if (*wanted != kDeviceTypeAllPeripherals && ChannelFor(*wanted) == kInvalidChannel) {
     return;
   }
   // (3) solicited advertisement, unicast back to the discovering client.
@@ -626,18 +610,15 @@ void MicroPnpThing::HandleDiscovery(const Ip6Address& src, const Message& m,
 }
 
 void MicroPnpThing::HandleRead(const Ip6Address& src, const Message& m) {
-  const auto* target = m.payload_as<DeviceTargetPayload>();
-  // Locate the channel serving this device type.
-  for (ChannelId ch = 0; ch < controller_.num_channels(); ++ch) {
-    if (controller_.identified(ch) == target->device_id &&
-        driver_manager_.HostForChannel(ch) != nullptr) {
-      pending_reads_[ch].push_back(PendingRead{src, m.sequence});
-      router_.Post(ch, Event::Of(kEventRead));
-      return;
-    }
+  const ChannelId ch = ChannelFor(m.payload_as<DeviceTargetPayload>()->device_id,
+                                 /*with_driver=*/true);
+  if (ch == kInvalidChannel) {
+    // No such peripheral: the paper defines no negative response; we simply
+    // stay silent, as a real Thing would, and the client's deadline fires.
+    return;
   }
-  // No such peripheral: the paper defines no negative response; we simply
-  // stay silent, as a real Thing would, and the client's deadline fires.
+  pending_reads_[ch].push_back(PendingRead{src, m.sequence});
+  router_.Post(ch, Event::Of(kEventRead));
 }
 
 void MicroPnpThing::OnProduced(ChannelId channel, const ProducedValue& value) {
@@ -655,13 +636,9 @@ void MicroPnpThing::OnProduced(ChannelId channel, const ProducedValue& value) {
     PendingRead pending = queue.front();
     queue.pop_front();
     ++reads_served_;
-    scheduler_.ScheduleAfter(
-        SimTime::FromMillis(Jitter(config_.reply_build_cpu_ms)), [this, pending, id, wire] {
-          // (11) echoes the read's sequence.
-          Message reply =
-              MakeMessage(MessageType::kData, pending.sequence, ValuePayload{*id, wire});
-          node_->SendUdp(pending.client, kMicroPnpUdpPort, reply.Serialize());
-        });
+    // (11) echoes the read's sequence.
+    ReplyAfterBuild(pending.client, MessageType::kData, pending.sequence,
+                    ValuePayload{*id, std::move(wire)});
     return;
   }
   StreamState& stream = streams_[channel];
@@ -690,38 +667,31 @@ void MicroPnpThing::HandleStream(const Ip6Address& src, const Message& m) {
         stream.active = false;
         ++stream.generation;
         // (15) to the group: every subscriber learns the stream is gone.
-        Message closed = MakeDeviceMessage(MessageType::kStreamClosed, m.sequence,
-                                           request->device_id);
-        node_->SendUdp(stream.group, kMicroPnpUdpPort, closed.Serialize());
+        endpoint_.Send(stream.group, MessageType::kStreamClosed, m.sequence,
+                       DeviceTargetPayload{request->device_id});
       }
     }
     // Direct reply to the requester (it may no longer — or never — be a
     // group member); its endpoint drops the group copy as a duplicate.
-    Message closed = MakeDeviceMessage(MessageType::kStreamClosed, m.sequence,
-                                       request->device_id);
-    node_->SendUdp(src, kMicroPnpUdpPort, closed.Serialize());
+    endpoint_.Send(src, MessageType::kStreamClosed, m.sequence,
+                   DeviceTargetPayload{request->device_id});
     return;
   }
-  for (ChannelId ch = 0; ch < controller_.num_channels(); ++ch) {
-    if (controller_.identified(ch) != request->device_id ||
-        driver_manager_.HostForChannel(ch) == nullptr) {
-      continue;
-    }
-    StreamState& stream = streams_[ch];
-    stream.active = true;
-    stream.period_ms = request->period_ms;
-    stream.group = PeripheralGroup(node_->prefix(), request->device_id);
-    const uint64_t generation = ++stream.generation;
-    // (13) established: tell the client which group carries the values.
-    Message established =
-        MakeMessage(MessageType::kStreamEstablished, m.sequence,
-                    StreamEstablishedPayload{request->device_id, stream.group});
-    node_->SendUdp(src, kMicroPnpUdpPort, established.Serialize());
-    // Periodic reads drive (14) data messages.
-    scheduler_.ScheduleAfter(SimTime::FromMillis(stream.period_ms),
-                             [this, ch, generation] { StreamTick(ch, generation); });
+  const ChannelId ch = ChannelFor(request->device_id, /*with_driver=*/true);
+  if (ch == kInvalidChannel) {
     return;
   }
+  StreamState& stream = streams_[ch];
+  stream.active = true;
+  stream.period_ms = request->period_ms;
+  stream.group = PeripheralGroup(node_->prefix(), request->device_id);
+  const uint64_t generation = ++stream.generation;
+  // (13) established: tell the client which group carries the values.
+  endpoint_.Send(src, MessageType::kStreamEstablished, m.sequence,
+                 StreamEstablishedPayload{request->device_id, stream.group});
+  // Periodic reads drive (14) data messages.
+  scheduler_.ScheduleAfter(SimTime::FromMillis(stream.period_ms),
+                           [this, ch, generation] { StreamTick(ch, generation); });
 }
 
 void MicroPnpThing::StreamTick(ChannelId channel, uint64_t generation) {
@@ -737,43 +707,34 @@ void MicroPnpThing::StreamTick(ChannelId channel, uint64_t generation) {
 void MicroPnpThing::HandleWrite(const Ip6Address& src, const Message& m) {
   const auto* write = m.payload_as<WritePayload>();
   uint8_t status = 1;  // not found
-  for (ChannelId ch = 0; ch < controller_.num_channels(); ++ch) {
-    if (controller_.identified(ch) == write->device_id &&
-        driver_manager_.HostForChannel(ch) != nullptr) {
-      router_.Post(ch, Event::Of(kEventWrite, write->value));
-      ++writes_served_;
-      status = 0;
-      break;
-    }
+  const ChannelId ch = ChannelFor(write->device_id, /*with_driver=*/true);
+  if (ch != kInvalidChannel) {
+    router_.Post(ch, Event::Of(kEventWrite, write->value));
+    ++writes_served_;
+    status = 0;
   }
   // (17) acknowledgement confirming the establishment of the new value.
-  scheduler_.ScheduleAfter(
-      SimTime::FromMillis(Jitter(config_.reply_build_cpu_ms)),
-      [this, src, seq = m.sequence, device = write->device_id, status] {
-        Message ack =
-            MakeMessage(MessageType::kWriteAck, seq, StatusAckPayload{device, status});
-        node_->SendUdp(src, kMicroPnpUdpPort, ack.Serialize());
-      });
+  ReplyAfterBuild(src, MessageType::kWriteAck, m.sequence,
+                  StatusAckPayload{write->device_id, status});
 }
 
 void MicroPnpThing::HandleDriverDiscovery(const Ip6Address& src, const Message& m) {
-  Message reply = MakeMessage(MessageType::kDriverAdvertisement, m.sequence,
-                              DriverAdvertisementPayload{driver_manager_.InstalledDrivers()});
-  scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(config_.reply_build_cpu_ms)),
-                           [this, src, reply] {
-                             node_->SendUdp(src, kMicroPnpUdpPort, reply.Serialize());
-                           });
+  ReplyAfterBuild(src, MessageType::kDriverAdvertisement, m.sequence,
+                  DriverAdvertisementPayload{driver_manager_.InstalledDrivers()});
 }
 
 void MicroPnpThing::HandleDriverRemoval(const Ip6Address& src, const Message& m) {
   const auto* target = m.payload_as<DeviceTargetPayload>();
   Status removed = driver_manager_.RemoveImage(target->device_id);
-  Message ack = MakeMessage(MessageType::kDriverRemovalAck, m.sequence,
-                            StatusAckPayload{target->device_id,
-                                             static_cast<uint8_t>(removed.ok() ? 0 : 1)});
+  ReplyAfterBuild(src, MessageType::kDriverRemovalAck, m.sequence,
+                  StatusAckPayload{target->device_id, static_cast<uint8_t>(removed.ok() ? 0 : 1)});
+}
+
+void MicroPnpThing::ReplyAfterBuild(const Ip6Address& peer, MessageType type,
+                                    SequenceNumber sequence, MessagePayload payload) {
   scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(config_.reply_build_cpu_ms)),
-                           [this, src, ack] {
-                             node_->SendUdp(src, kMicroPnpUdpPort, ack.Serialize());
+                           [this, peer, type, sequence, payload = std::move(payload)]() mutable {
+                             endpoint_.Send(peer, type, sequence, std::move(payload));
                            });
 }
 

@@ -188,7 +188,9 @@ class MicroPnpThing {
   void HandleDriverChunk(const Message& m);
   void ResetTransfer(DriverTransfer& t, uint32_t crc, uint16_t chunk_count);
   void MaybeCompleteTransfer(DeviceTypeId id, DriverTransfer& t);
-  ChannelId ChannelFor(DeviceTypeId id);
+  // The lowest channel whose identified peripheral is `id` and, with
+  // `with_driver`, has an active driver host; kInvalidChannel when none.
+  ChannelId ChannelFor(DeviceTypeId id, bool with_driver = false);
   std::vector<uint8_t> AssembleTransfer(const DriverTransfer& t) const;
   void ArmNackTimer(DeviceTypeId id);
   void NackTick(DeviceTypeId id, uint64_t generation);
@@ -197,15 +199,18 @@ class MicroPnpThing {
   void ResetTrickle();
   void TrickleTick(uint64_t generation);
 
-  // Message handling.
-  void OnDatagram(const Ip6Address& src, const Ip6Address& dst, uint16_t port,
-                  const std::vector<uint8_t>& payload);
+  // Message handling: what the endpoint did not match to a pending
+  // transaction.
+  void OnMessage(const Ip6Address& src, const Ip6Address& dst, const Message& m);
   void HandleDiscovery(const Ip6Address& src, const Message& m, const Ip6Address& group);
   void HandleRead(const Ip6Address& src, const Message& m);
   void HandleStream(const Ip6Address& src, const Message& m);
   void HandleWrite(const Ip6Address& src, const Message& m);
   void HandleDriverDiscovery(const Ip6Address& src, const Message& m);
   void HandleDriverRemoval(const Ip6Address& src, const Message& m);
+  // Sends a reply after the reply_build_cpu_ms cost of building it.
+  void ReplyAfterBuild(const Ip6Address& peer, MessageType type, SequenceNumber sequence,
+                       MessagePayload payload);
 
   // Driver result routing (read replies and stream data).
   void OnProduced(ChannelId channel, const ProducedValue& value);

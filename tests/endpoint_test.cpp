@@ -1,11 +1,11 @@
 // ProtoEndpoint: the typed request/response core of the interaction
 // protocol.  Covers the transaction lifecycle (exactly-once completion,
-// deadlines, cancellation, retransmit-with-backoff), the (peer, sequence)
-// matching rules (stale, duplicate and wrapped-sequence replies), the
-// regression tests for the seed's pending-table leaks (manager driver
-// operations, client stream requests), and wire robustness: truncated and
-// garbage datagrams must parse-fail cleanly and never crash or corrupt
-// endpoint state.
+// deadlines, cancellation, retransmit-with-backoff), discovery gathers as
+// ordinary transactions, the (peer, sequence) matching rules (stale,
+// duplicate and wrapped-sequence replies), the regression tests for the
+// seed's pending-table leaks (manager driver operations, client stream
+// requests), and wire robustness: truncated and garbage datagrams must
+// parse-fail cleanly and never crash or corrupt endpoint state.
 
 #include <gtest/gtest.h>
 
@@ -34,15 +34,7 @@ class EndpointHarness : public ::testing::Test {
     requester_node_ = deployment_.AddRelayNode("requester");
     responder_node_ = deployment_.AddRelayNode("responder");
     endpoint_ = std::make_unique<ProtoEndpoint>(deployment_.scheduler(), requester_node_,
-                                                kCapacity);
-    requester_node_->BindUdp(
-        kMicroPnpUdpPort, [this](const Ip6Address& src, const Ip6Address&, uint16_t,
-                                 const std::vector<uint8_t>& payload) {
-          Result<Message> m = Message::Parse(ByteSpan(payload.data(), payload.size()));
-          if (m.ok()) {
-            (void)endpoint_->HandleReply(src, *m);
-          }
-        });
+                                                nullptr, kCapacity);
     responder_node_->BindUdp(
         kMicroPnpUdpPort, [this](const Ip6Address& src, const Ip6Address&, uint16_t,
                                  const std::vector<uint8_t>& payload) {
@@ -76,6 +68,32 @@ class EndpointHarness : public ::testing::Test {
     WireValue v;
     v.scalar = 215;
     return MakeMessage(MessageType::kData, seq, ValuePayload{kTmp36TypeId, v}).Serialize();
+  }
+
+  // A (3) solicited advertisement answering the discovery with sequence `seq`.
+  std::vector<uint8_t> AdvertisementReply(SequenceNumber seq) {
+    return MakeMessage(MessageType::kSolicitedAdvertisement, seq, AdvertisementPayload{})
+        .Serialize();
+  }
+
+  // Multicasts a discovery (2) to the TMP36 group, which the responder joins,
+  // gathering (3)s for `window_ms`.  `fires` counts handler invocations;
+  // `replies` receives the collection or `status` the error.
+  ProtoEndpoint::RequestId SendDiscoveryGather(
+      double window_ms, std::shared_ptr<int> fires, std::shared_ptr<Status> status,
+      std::shared_ptr<ProtoEndpoint::GatherReplies> replies) {
+    const Ip6Address group = PeripheralGroup(requester_node_->prefix(), kTmp36TypeId);
+    responder_node_->JoinGroup(group);
+    return endpoint_->SendGather(
+        group, MessageType::kPeripheralDiscovery, PeripheralDiscoveryPayload{},
+        {MessageType::kSolicitedAdvertisement}, window_ms,
+        [fires, status, replies](Result<ProtoEndpoint::GatherReplies> result) {
+          ++*fires;
+          *status = result.status();
+          if (result.ok()) {
+            *replies = std::move(*result);
+          }
+        });
   }
 
   Deployment deployment_;
@@ -283,6 +301,108 @@ TEST_F(EndpointHarness, WrappedSequenceNeverAliasesPendingTransaction) {
   deployment_.RunForMillis(200);
   EXPECT_EQ(*fires, 0);
   EXPECT_EQ(endpoint_->counters().stale_replies_dropped, 1u);
+}
+
+// --------------------------------------------------------------- gathers ----
+
+TEST_F(EndpointHarness, GatherCollectsAcceptedRepliesInsideWindowAndCompletesOnce) {
+  // Two accepted (3)s inside the 500 ms window, a wrong-type reply with the
+  // gather's sequence, and a (3) long after the window closed.
+  responder_ = [this](const Ip6Address& src, const Message& m) {
+    const SequenceNumber seq = m.sequence;
+    responder_node_->SendUdp(src, kMicroPnpUdpPort, AdvertisementReply(seq));
+    responder_node_->SendUdp(src, kMicroPnpUdpPort, DataReply(seq));
+    deployment_.scheduler().ScheduleAfter(SimTime::FromMillis(200), [this, src, seq] {
+      responder_node_->SendUdp(src, kMicroPnpUdpPort, AdvertisementReply(seq));
+    });
+    deployment_.scheduler().ScheduleAfter(SimTime::FromMillis(1500), [this, src, seq] {
+      responder_node_->SendUdp(src, kMicroPnpUdpPort, AdvertisementReply(seq));
+    });
+  };
+  auto fires = std::make_shared<int>(0);
+  auto status = std::make_shared<Status>();
+  auto replies = std::make_shared<ProtoEndpoint::GatherReplies>();
+  SendDiscoveryGather(500.0, fires, status, replies);
+  EXPECT_EQ(endpoint_->in_flight(), 1u);
+  deployment_.RunForMillis(3000);
+
+  EXPECT_EQ(*fires, 1);
+  EXPECT_TRUE(status->ok()) << status->ToString();
+  ASSERT_EQ(replies->size(), 2u);
+  for (const auto& [src, reply] : *replies) {
+    EXPECT_EQ(src, responder_node_->address());
+    EXPECT_EQ(reply.type, MessageType::kSolicitedAdvertisement);
+  }
+  EXPECT_EQ(endpoint_->in_flight(), 0u);
+  const EndpointCounters& c = endpoint_->counters();
+  EXPECT_EQ(c.requests_started, 1u);
+  EXPECT_EQ(c.completed_ok, 1u);
+  EXPECT_EQ(c.deadline_exceeded, 0u);
+  EXPECT_EQ(c.replies_matched, 2u);
+  EXPECT_EQ(c.stale_replies_dropped, 2u);  // the wrong type and the late (3)
+}
+
+TEST_F(EndpointHarness, GatherCountsAgainstCapacityAndCancelsExactlyOnce) {
+  // Silent responder: every transaction stays pending.
+  auto fires = std::make_shared<int>(0);
+  auto status = std::make_shared<Status>();
+  auto replies = std::make_shared<ProtoEndpoint::GatherReplies>();
+  const ProtoEndpoint::RequestId gather = SendDiscoveryGather(1000.0, fires, status, replies);
+  ASSERT_NE(gather, ProtoEndpoint::kInvalidRequest);
+  auto read_fires = std::make_shared<int>(0);
+  auto read_status = std::make_shared<Status>();
+  for (size_t i = 1; i < kCapacity; ++i) {
+    SendRead(read_fires, read_status);
+  }
+  EXPECT_EQ(endpoint_->in_flight(), kCapacity);
+
+  // The table is full: a second gather fails fast, in the same turn.
+  auto rejected_fires = std::make_shared<int>(0);
+  auto rejected_status = std::make_shared<Status>();
+  EXPECT_EQ(SendDiscoveryGather(1000.0, rejected_fires, rejected_status, replies),
+            ProtoEndpoint::kInvalidRequest);
+  EXPECT_EQ(*rejected_fires, 1);
+  EXPECT_EQ(rejected_status->code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(endpoint_->counters().rejected_capacity, 1u);
+
+  deployment_.RunForMillis(10);
+  ASSERT_TRUE(endpoint_->Cancel(gather));
+  EXPECT_EQ(*fires, 1);
+  EXPECT_EQ(status->code(), StatusCode::kCancelled);
+  EXPECT_EQ(endpoint_->counters().cancelled, 1u);
+  EXPECT_EQ(endpoint_->in_flight(), kCapacity - 1);
+  EXPECT_FALSE(endpoint_->Cancel(gather));
+
+  deployment_.RunForMillis(5000);  // past the window and every read deadline
+  EXPECT_EQ(*fires, 1);            // the cancelled gather's window never fires
+  EXPECT_EQ(endpoint_->counters().completed_ok, 0u);
+  EXPECT_EQ(endpoint_->in_flight(), 0u);
+}
+
+TEST_F(EndpointHarness, DestroyingEndpointDropsPendingGatherSilently) {
+  responder_ = [this](const Ip6Address& src, const Message& m) {
+    responder_node_->SendUdp(src, kMicroPnpUdpPort, AdvertisementReply(m.sequence));
+  };
+  auto fires = std::make_shared<int>(0);
+  auto status = std::make_shared<Status>();
+  auto replies = std::make_shared<ProtoEndpoint::GatherReplies>();
+  SendDiscoveryGather(1000.0, fires, status, replies);
+  deployment_.RunForMillis(500);  // the (3) is collected; the window is open
+  ASSERT_EQ(endpoint_->counters().replies_matched, 1u);
+  endpoint_.reset();
+  deployment_.RunForMillis(3000);
+  EXPECT_EQ(*fires, 0);
+}
+
+// The endpoint owns port 6030, so its destructor unbinds it: a datagram
+// arriving afterwards reaches the node but no handler (under ASan, a handler
+// left bound to the destroyed endpoint fails here).
+TEST_F(EndpointHarness, DestroyingEndpointUnbindsPort) {
+  endpoint_.reset();
+  const uint64_t received = requester_node_->datagrams_received();
+  responder_node_->SendUdp(requester_node_->address(), kMicroPnpUdpPort, DataReply(1));
+  deployment_.RunForMillis(500);
+  EXPECT_EQ(requester_node_->datagrams_received(), received + 1);
 }
 
 // ------------------------------------------------- lossy-fabric end to end ----
@@ -539,7 +659,7 @@ TEST(WireRobustness, GarbageDatagramsNeverCrash) {
 // dropped without mutating endpoint state, and the system keeps serving.
 TEST(WireRobustness, LiveNodesSurviveGarbageOnPort6030) {
   Deployment deployment;
-  deployment.AddManager();
+  MicroPnpManager& manager = deployment.AddManager();
   MicroPnpThing& thing = deployment.AddThing("thing");
   MicroPnpClient& client = deployment.AddClient("client");
   NetNode* attacker = deployment.AddRelayNode("attacker");
@@ -550,7 +670,14 @@ TEST(WireRobustness, LiveNodesSurviveGarbageOnPort6030) {
 
   const EndpointCounters thing_before = thing.endpoint().counters();
   const EndpointCounters client_before = client.endpoint().counters();
+  const EndpointCounters manager_before = manager.endpoint().counters();
+  const uint64_t uploads_before = manager.uploads();
+  const uint64_t manager_rx_before = manager.node().datagrams_received();
 
+  // The Thing, the client, and the manager at its unicast and its anycast
+  // address.
+  const std::array<Ip6Address, 4> targets = {thing.node().address(), client.node().address(),
+                                             manager.node().address(), ManagerAnycastAddress()};
   Rng rng(0xbadbeef);
   for (int i = 0; i < 200; ++i) {
     const size_t len = rng.UniformInt(0, 48);
@@ -558,24 +685,29 @@ TEST(WireRobustness, LiveNodesSurviveGarbageOnPort6030) {
     for (uint8_t& b : bytes) {
       b = static_cast<uint8_t>(rng.NextU32() & 0xff);
     }
-    attacker->SendUdp(i % 2 == 0 ? thing.node().address() : client.node().address(),
-                      kMicroPnpUdpPort, bytes);
+    attacker->SendUdp(targets[static_cast<size_t>(i) % targets.size()], kMicroPnpUdpPort, bytes);
   }
   // Truncated copies of every valid message, too.
   for (const Message& m : RepresentativeMessages()) {
     std::vector<uint8_t> wire = m.Serialize();
     wire.resize(wire.size() / 2);
-    attacker->SendUdp(thing.node().address(), kMicroPnpUdpPort, wire);
-    attacker->SendUdp(client.node().address(), kMicroPnpUdpPort, wire);
+    for (const Ip6Address& target : targets) {
+      attacker->SendUdp(target, kMicroPnpUdpPort, wire);
+    }
   }
   deployment.RunForMillis(2000);
 
-  // Malformed datagrams never reach the endpoints: counters unchanged.
+  // Malformed datagrams are dropped at the parse: counters unchanged.
   EXPECT_EQ(thing.endpoint().counters().stale_replies_dropped,
             thing_before.stale_replies_dropped);
   EXPECT_EQ(thing.endpoint().in_flight(), 0u);
   EXPECT_EQ(client.endpoint().counters().requests_started, client_before.requests_started);
   EXPECT_EQ(client.endpoint().in_flight(), 0u);
+  EXPECT_EQ(manager.endpoint().counters().stale_replies_dropped,
+            manager_before.stale_replies_dropped);
+  EXPECT_EQ(manager.endpoint().in_flight(), 0u);
+  EXPECT_EQ(manager.uploads(), uploads_before);
+  EXPECT_GE(manager.node().datagrams_received() - manager_rx_before, 100u);  // both addresses
 
   // And the system still works.
   std::optional<Status> outcome;
@@ -605,15 +737,7 @@ TEST(EndpointSoak, TenThousandConcurrentRequestsAcrossThousandPeers) {
   Rng rng(config.seed);
 
   NetNode* requester = deployment.AddRelayNode("requester");
-  ProtoEndpoint endpoint(scheduler, requester, /*max_in_flight=*/16384);
-  requester->BindUdp(kMicroPnpUdpPort,
-                     [&](const Ip6Address& src, const Ip6Address&, uint16_t,
-                         const std::vector<uint8_t>& payload) {
-                       Result<Message> m = Message::Parse(ByteSpan(payload.data(), payload.size()));
-                       if (m.ok()) {
-                         (void)endpoint.HandleReply(src, *m);
-                       }
-                     });
+  ProtoEndpoint endpoint(scheduler, requester, nullptr, /*max_in_flight=*/16384);
 
   // Peers with scripted behaviour drawn per incoming request.
   std::vector<NetNode*> peers;

@@ -27,24 +27,25 @@ inline std::vector<Message> RepresentativeMessages() {
   array.bytes = {'4', 'A', '0', '0', 'D', '2'};
   const Ip6Address group = PeripheralGroup(0x20010db80000ull, 0xad1c0001);
   return {
-      MakeAdvertisement(MessageType::kUnsolicitedAdvertisement, 101, {p}),
+      MakeMessage(MessageType::kUnsolicitedAdvertisement, 101, AdvertisementPayload{{p}}),
       MakeMessage(MessageType::kPeripheralDiscovery, 102, PeripheralDiscoveryPayload{}),
-      MakeAdvertisement(MessageType::kSolicitedAdvertisement, 103, {p}),
+      MakeMessage(MessageType::kSolicitedAdvertisement, 103, AdvertisementPayload{{p}}),
       MakeMessage(MessageType::kDriverInstallRequest, 104,
                   DriverRequestPayload{0xad1c0001, 0xdeadbeef, 12, {0xff, 0x0f}}),
       MakeMessage(MessageType::kDriverUpload, 105, DriverUploadPayload{0xad1c0001, {1, 2, 3}}),
-      MakeDeviceMessage(MessageType::kDriverDiscovery, 106, kDeviceTypeAllPeripherals),
+      MakeMessage(MessageType::kDriverDiscovery, 106,
+                  DeviceTargetPayload{kDeviceTypeAllPeripherals}),
       MakeMessage(MessageType::kDriverAdvertisement, 107,
                   DriverAdvertisementPayload{{0xad1c0001, 0x0a0b0004}}),
-      MakeDeviceMessage(MessageType::kDriverRemovalRequest, 108, 0xad1c0001),
+      MakeMessage(MessageType::kDriverRemovalRequest, 108, DeviceTargetPayload{0xad1c0001}),
       MakeMessage(MessageType::kDriverRemovalAck, 109, StatusAckPayload{0xad1c0001, 1}),
-      MakeDeviceMessage(MessageType::kRead, 110, 0xad1c0001),
+      MakeMessage(MessageType::kRead, 110, DeviceTargetPayload{0xad1c0001}),
       MakeMessage(MessageType::kData, 111, ValuePayload{0xad1c0001, scalar}),
       MakeMessage(MessageType::kStream, 112, StreamRequestPayload{0xad1c0001, 10'000}),
       MakeMessage(MessageType::kStreamEstablished, 113,
                   StreamEstablishedPayload{0xad1c0001, group}),
       MakeMessage(MessageType::kStreamData, 114, ValuePayload{0xad1c0001, array}),
-      MakeDeviceMessage(MessageType::kStreamClosed, 115, 0xad1c0001),
+      MakeMessage(MessageType::kStreamClosed, 115, DeviceTargetPayload{0xad1c0001}),
       MakeMessage(MessageType::kWrite, 116, WritePayload{0xad1c0001, 17}),
       MakeMessage(MessageType::kWriteAck, 117, StatusAckPayload{0xad1c0001, 0}),
       MakeMessage(MessageType::kDriverUploadOffer, 118,

@@ -21,7 +21,7 @@ TEST(Messages, AdvertisementRoundTrip) {
   p.type = kTmp36TypeId;
   p.info.AddString(TlvType::kFriendlyName, "TMP36");
   p.info.AddU8(TlvType::kChannel, 1);
-  Message m = MakeAdvertisement(MessageType::kUnsolicitedAdvertisement, 7, {p});
+  Message m = MakeMessage(MessageType::kUnsolicitedAdvertisement, 7, AdvertisementPayload{{p}});
 
   std::vector<uint8_t> wire = m.Serialize();
   Result<Message> parsed = Message::Parse(ByteSpan(wire.data(), wire.size()));
@@ -164,7 +164,8 @@ TEST_F(NetworkedSystem, DiscoveryDeduplicatesRepeatedSolicitedReplies) {
     AdvertisedPeripheral p;
     p.type = kTmp36TypeId;
     const std::vector<uint8_t> wire =
-        MakeAdvertisement(MessageType::kSolicitedAdvertisement, m->sequence, {p}).Serialize();
+        MakeMessage(MessageType::kSolicitedAdvertisement, m->sequence, AdvertisementPayload{{p}})
+            .Serialize();
     fake->SendUdp(src, kMicroPnpUdpPort, wire);
     fake->SendUdp(src, kMicroPnpUdpPort, wire);
   });
