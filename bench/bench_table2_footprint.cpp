@@ -2,14 +2,14 @@
 // of each software stack component on the ATMega128RFA1 (128 KB flash,
 // 16 KB RAM), absolute and as a percentage of the platform.
 //
-// Measured values come from the footprint model in src/rt/footprint.cpp:
+// Measured values come from the footprint model in bench/paper/footprint.cpp:
 // real dimensioning of this implementation (opcode count, queue depths,
 // buffer sizes) with documented per-unit AVR code-size constants (see
-// DESIGN.md substitution table).
+// docs/BENCHMARKS.md, "Substitutions").
 
 #include <cstdio>
 
-#include "src/rt/footprint.h"
+#include "bench/paper/footprint.h"
 
 namespace micropnp {
 namespace {

@@ -6,17 +6,18 @@
 //   * DSL SLoC        — counted from the real bundled .updl sources;
 //   * DSL bytes       — real compiled bytecode (code) and full OTA image;
 //   * native SLoC     — counted from the real native driver sources in
-//                        src/baseline/ (compiled into this repository);
+//                        bench/paper/ (compiled with the tests and benches);
 //   * native bytes    — manifest: the paper's avr-gcc measurements (no AVR
-//                        toolchain offline; see DESIGN.md).
+//                        toolchain offline; see docs/BENCHMARKS.md,
+//                        "Substitutions").
 //
 // Headline claims: "µPnP drivers contain 52% fewer source lines of code and
 // have a 94% smaller memory footprint."
 
 #include <cstdio>
 
-#include "src/baseline/table3.h"
-#include "src/common/sloc.h"
+#include "bench/paper/sloc.h"
+#include "bench/paper/table3.h"
 #include "src/core/driver_sources.h"
 #include "src/dsl/compiler.h"
 #include "src/periph/peripheral.h"

@@ -1,4 +1,4 @@
-#include "src/rt/footprint.h"
+#include "bench/paper/footprint.h"
 
 #include "src/dsl/bytecode.h"
 #include "src/hw/eseries.h"

@@ -10,8 +10,8 @@
 // paper's totals; the *structure* — what contributes, and how it scales with
 // the implementation's parameters — is honest and testable.
 
-#ifndef SRC_RT_FOOTPRINT_H_
-#define SRC_RT_FOOTPRINT_H_
+#ifndef BENCH_PAPER_FOOTPRINT_H_
+#define BENCH_PAPER_FOOTPRINT_H_
 
 #include <cstddef>
 #include <string>
@@ -42,4 +42,4 @@ FootprintEntry EmbeddedFootprintTotal();
 
 }  // namespace micropnp
 
-#endif  // SRC_RT_FOOTPRINT_H_
+#endif  // BENCH_PAPER_FOOTPRINT_H_

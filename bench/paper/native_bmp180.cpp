@@ -1,4 +1,4 @@
-#include "src/baseline/native_bmp180.h"
+#include "bench/paper/native_bmp180.h"
 
 namespace micropnp {
 

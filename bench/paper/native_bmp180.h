@@ -5,8 +5,8 @@
 // the full Bosch integer compensation pipeline.  Mirrors the structure of
 // Bosch's reference API.
 
-#ifndef SRC_BASELINE_NATIVE_BMP180_H_
-#define SRC_BASELINE_NATIVE_BMP180_H_
+#ifndef BENCH_PAPER_NATIVE_BMP180_H_
+#define BENCH_PAPER_NATIVE_BMP180_H_
 
 #include <cstdint>
 
@@ -58,4 +58,4 @@ int32_t native_bmp180_compensate_pressure(const NativeBmp180Calib* calib, int32_
 
 }  // namespace micropnp
 
-#endif  // SRC_BASELINE_NATIVE_BMP180_H_
+#endif  // BENCH_PAPER_NATIVE_BMP180_H_

@@ -1,4 +1,4 @@
-#include "src/baseline/native_hih4030.h"
+#include "bench/paper/native_hih4030.h"
 
 namespace micropnp {
 

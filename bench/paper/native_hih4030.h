@@ -4,8 +4,8 @@
 // sensor's ratiometric transfer function and first-order temperature
 // compensation, all in software floating point.
 
-#ifndef SRC_BASELINE_NATIVE_HIH4030_H_
-#define SRC_BASELINE_NATIVE_HIH4030_H_
+#ifndef BENCH_PAPER_NATIVE_HIH4030_H_
+#define BENCH_PAPER_NATIVE_HIH4030_H_
 
 #include <cstdint>
 
@@ -43,4 +43,4 @@ double native_hih4030_volts_to_rh(double volts, double supply_volts);
 
 }  // namespace micropnp
 
-#endif  // SRC_BASELINE_NATIVE_HIH4030_H_
+#endif  // BENCH_PAPER_NATIVE_HIH4030_H_

@@ -1,4 +1,4 @@
-#include "src/baseline/native_id20la.h"
+#include "bench/paper/native_id20la.h"
 
 namespace micropnp {
 

@@ -5,8 +5,8 @@
 // handler, frame assembly, checksum verification and timeout bookkeeping —
 // all the platform concerns the DSL runtime absorbs.
 
-#ifndef SRC_BASELINE_NATIVE_ID20LA_H_
-#define SRC_BASELINE_NATIVE_ID20LA_H_
+#ifndef BENCH_PAPER_NATIVE_ID20LA_H_
+#define BENCH_PAPER_NATIVE_ID20LA_H_
 
 #include <cstdint>
 
@@ -56,4 +56,4 @@ int native_id20la_verify_checksum(const char* payload12);
 
 }  // namespace micropnp
 
-#endif  // SRC_BASELINE_NATIVE_ID20LA_H_
+#endif  // BENCH_PAPER_NATIVE_ID20LA_H_

@@ -1,4 +1,4 @@
-#include "src/baseline/native_tmp36.h"
+#include "bench/paper/native_tmp36.h"
 
 namespace micropnp {
 

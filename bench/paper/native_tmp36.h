@@ -6,8 +6,8 @@
 // point (which on the ATMega128RFA1 pulls in the software float library —
 // the reason native ADC drivers are ~3 KB of flash in Table 3).
 
-#ifndef SRC_BASELINE_NATIVE_TMP36_H_
-#define SRC_BASELINE_NATIVE_TMP36_H_
+#ifndef BENCH_PAPER_NATIVE_TMP36_H_
+#define BENCH_PAPER_NATIVE_TMP36_H_
 
 #include <cstdint>
 
@@ -46,4 +46,4 @@ double native_tmp36_code_to_celsius(uint16_t code, double vref, uint8_t resoluti
 
 }  // namespace micropnp
 
-#endif  // SRC_BASELINE_NATIVE_TMP36_H_
+#endif  // BENCH_PAPER_NATIVE_TMP36_H_

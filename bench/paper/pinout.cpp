@@ -1,4 +1,4 @@
-#include "src/hw/pinout.h"
+#include "bench/paper/pinout.h"
 
 namespace micropnp {
 

@@ -4,8 +4,8 @@
 // identification circuit, pins 10..12 are multiplexed onto the communication
 // bus selected after identification.
 
-#ifndef SRC_HW_PINOUT_H_
-#define SRC_HW_PINOUT_H_
+#ifndef BENCH_PAPER_PINOUT_H_
+#define BENCH_PAPER_PINOUT_H_
 
 #include <array>
 #include <string>
@@ -29,4 +29,4 @@ std::array<std::string, 3> CommPinRow(BusKind bus);
 
 }  // namespace micropnp
 
-#endif  // SRC_HW_PINOUT_H_
+#endif  // BENCH_PAPER_PINOUT_H_

@@ -1,4 +1,4 @@
-#include "src/common/sloc.h"
+#include "bench/paper/sloc.h"
 
 namespace micropnp {
 

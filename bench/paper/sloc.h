@@ -4,8 +4,8 @@
 // The paper reports SLoC for μPnP DSL drivers and for native C drivers.  We
 // count non-blank, non-comment lines, which is the conventional SLoC metric.
 
-#ifndef SRC_COMMON_SLOC_H_
-#define SRC_COMMON_SLOC_H_
+#ifndef BENCH_PAPER_SLOC_H_
+#define BENCH_PAPER_SLOC_H_
 
 #include <string>
 #include <string_view>
@@ -23,4 +23,4 @@ int CountSloc(std::string_view source, SlocLanguage language);
 
 }  // namespace micropnp
 
-#endif  // SRC_COMMON_SLOC_H_
+#endif  // BENCH_PAPER_SLOC_H_

@@ -3,12 +3,12 @@
 // SLoC is *measured* from the real native driver sources in this directory
 // (embedded by CMake).  Flash bytes use a documented manifest: the paper's
 // avr-gcc measurements for the same four drivers, since no AVR toolchain is
-// available offline (see DESIGN.md, substitution table).  The float-using
-// ADC drivers carry the AVR software floating point library, which is why
-// they dwarf the integer-only UART/I2C drivers.
+// available offline (see docs/BENCHMARKS.md, "Substitutions").  The
+// float-using ADC drivers carry the AVR software floating point library,
+// which is why they dwarf the integer-only UART/I2C drivers.
 
-#ifndef SRC_BASELINE_TABLE3_H_
-#define SRC_BASELINE_TABLE3_H_
+#ifndef BENCH_PAPER_TABLE3_H_
+#define BENCH_PAPER_TABLE3_H_
 
 #include <span>
 
@@ -29,4 +29,4 @@ std::span<const NativeDriverInfo> NativeDrivers();
 
 }  // namespace micropnp
 
-#endif  // SRC_BASELINE_TABLE3_H_
+#endif  // BENCH_PAPER_TABLE3_H_

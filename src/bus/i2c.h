@@ -45,7 +45,6 @@ class I2cPort {
   // over the bus).
   Status Attach(I2cDevice* device);
   Status Detach(I2cDevice* device);
-  size_t device_count() const { return devices_.size(); }
 
   // Master transactions.  Addressing an absent device reports kUnavailable —
   // the electrical reality of an unacknowledged address byte.

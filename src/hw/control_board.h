@@ -9,11 +9,12 @@
 // the moment a peripheral changes until the scan completes, which is why
 // average power scales linearly with the plug/unplug rate (Figure 12).
 //
-// Timing/energy calibration (documented in DESIGN.md): with the default
-// codec (E96 ladder, 3.48 kOhm base, k=1.1, C=10 nF), a full 3-channel scan
-// plus the verification pass over the connected channel lands in the paper's
-// measured 220..300 ms identification window, and the two-level power model
-// (quiet vs pulse-high) lands in the 2.48..6.756 mJ energy window.
+// Timing/energy calibration (docs/BENCHMARKS.md, "Substitutions"): with the
+// default codec (E96 ladder, 3.48 kOhm base, k=1.1, C=10 nF), a full
+// 3-channel scan plus the verification pass over the connected channel lands
+// in the paper's measured 220..300 ms identification window, and the
+// two-level power model (quiet vs pulse-high) lands in the 2.48..6.756 mJ
+// energy window.
 
 #ifndef SRC_HW_CONTROL_BOARD_H_
 #define SRC_HW_CONTROL_BOARD_H_

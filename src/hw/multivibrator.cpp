@@ -14,17 +14,12 @@ double SampleToleranced(double nominal, double tol, Rng& rng) {
 }
 
 MonostableMultivibrator::MonostableMultivibrator(const MultivibratorSpec& spec, Rng& rng)
-    : spec_(spec),
-      actual_k_(SampleToleranced(spec.k, spec.k_tolerance, rng)),
+    : actual_k_(SampleToleranced(spec.k, spec.k_tolerance, rng)),
       actual_c_(Farads(SampleToleranced(spec.c.value(), spec.c_tolerance, rng))),
       calibration_error_(SampleToleranced(1.0, spec.calibration_tolerance, rng)) {}
 
 Seconds MonostableMultivibrator::PulseFor(Ohms r) const {
   return PulseLength(actual_k_, r, actual_c_);
-}
-
-Seconds MonostableMultivibrator::NominalPulseFor(Ohms r) const {
-  return PulseLength(spec_.k, r, spec_.c);
 }
 
 Seconds MonostableMultivibrator::CalibratedReference(Ohms r_ref) const {

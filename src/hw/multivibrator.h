@@ -42,10 +42,6 @@ class MonostableMultivibrator {
   // Pulse length for an attached resistance: T = k_actual * R * C_actual.
   Seconds PulseFor(Ohms r) const;
 
-  // Pulse length this part would produce with *nominal* k and C — what the
-  // datasheet promises.
-  Seconds NominalPulseFor(Ohms r) const;
-
   // The factory-measured pulse for the reference resistor `r_ref`, including
   // the calibration error sampled at construction.  Decoders divide measured
   // pulses by this to cancel k and C variation.
@@ -55,7 +51,6 @@ class MonostableMultivibrator {
   Farads actual_c() const { return actual_c_; }
 
  private:
-  MultivibratorSpec spec_;
   double actual_k_;
   Farads actual_c_;
   double calibration_error_;  // multiplicative, ~1.0

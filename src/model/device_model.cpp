@@ -1,9 +1,7 @@
 #include "src/model/device_model.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <string_view>
 
 #include "src/core/driver_sources.h"
 #include "src/dsl/parser.h"
@@ -12,35 +10,9 @@ namespace micropnp {
 
 namespace {
 
-// Orders the model surface deterministically: properties/telemetry first
-// (there is at most one of each today), commands by event id.
-void SortModel(DeviceModel& model) {
-  std::sort(model.commands.begin(), model.commands.end(),
-            [](const ModelCommand& a, const ModelCommand& b) { return a.event < b.event; });
-}
-
-std::string FallbackName(DeviceTypeId id, const std::string& name) {
-  return name.empty() ? FormatDeviceTypeId(id) : name;
-}
-
-void AddValueSurface(DeviceModel& model, bool readable, bool writable) {
-  if (!readable && !writable) {
-    return;
-  }
-  ModelProperty value;
-  value.name = "value";
-  value.access = writable ? PropertyAccess::kReadWrite : PropertyAccess::kReadOnly;
-  model.properties.push_back(std::move(value));
-  if (readable) {
-    // The stream path serves any readable peripheral periodically, so every
-    // readable property doubles as a telemetry channel.
-    model.telemetry.push_back(ModelTelemetry{"value"});
-  }
-}
-
 bool IsCommandEvent(EventId id) { return id >= kEventCustomBase && !IsErrorEvent(id); }
 
-// Name for a command whose handler name is unknown (image/facets derivation).
+// Name for a command whose handler name is unknown (facets expansion).
 std::string SyntheticCommandName(EventId event) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "cmd_0x%02x", event);
@@ -48,28 +20,6 @@ std::string SyntheticCommandName(EventId event) {
 }
 
 }  // namespace
-
-const char* ModelSourceName(ModelSource source) {
-  switch (source) {
-    case ModelSource::kDslSource:
-      return "dsl-source";
-    case ModelSource::kDslImage:
-      return "dsl-image";
-    case ModelSource::kNativeManifest:
-      return "native-manifest";
-    case ModelSource::kAdvertisement:
-      return "advertisement";
-  }
-  return "unknown";
-}
-
-bool DeviceModel::readable() const { return !properties.empty() && !telemetry.empty(); }
-
-bool DeviceModel::writable() const {
-  return std::any_of(properties.begin(), properties.end(), [](const ModelProperty& p) {
-    return p.access == PropertyAccess::kReadWrite;
-  });
-}
 
 Result<DeviceModel> DeriveModelFromSource(const std::string& dsl_source,
                                           const std::string& name) {
@@ -79,13 +29,11 @@ Result<DeviceModel> DeriveModelFromSource(const std::string& dsl_source,
   }
   DeviceModel model;
   model.device_id = ast->device_id;
-  model.name = FallbackName(ast->device_id, name);
+  model.name = name.empty() ? FormatDeviceTypeId(ast->device_id) : name;
   model.source = ModelSource::kDslSource;
-  bool readable = false;
-  bool writable = false;
   // Custom event ids are allocated by the compiler in declaration order from
-  // kEventCustomBase; mirroring that here keeps AST- and image-derived
-  // models id-compatible (asserted by tests/model_test.cpp).
+  // kEventCustomBase; mirroring that here gives each command the event id
+  // the compiled image handles it under, and keeps `commands` in event order.
   EventId next_custom = kEventCustomBase;
   for (const Handler& handler : ast->handlers) {
     if (handler.is_error) {
@@ -100,64 +48,9 @@ Result<DeviceModel> DeriveModelFromSource(const std::string& dsl_source,
       model.commands.push_back(std::move(command));
       continue;
     }
-    readable = readable || *well_known == kEventRead;
-    writable = writable || *well_known == kEventWrite;
+    model.readable = model.readable || *well_known == kEventRead;
+    model.writable = model.writable || *well_known == kEventWrite;
   }
-  AddValueSurface(model, readable, writable);
-  SortModel(model);
-  return model;
-}
-
-DeviceModel DeriveModelFromImage(const DriverImage& image, const std::string& name) {
-  DeviceModel model;
-  model.device_id = image.device_id;
-  model.name = FallbackName(image.device_id, name);
-  model.source = ModelSource::kDslImage;
-  bool readable = false;
-  bool writable = false;
-  for (const HandlerEntry& handler : image.handlers) {
-    if (IsCommandEvent(handler.event)) {
-      ModelCommand command;
-      command.name = SyntheticCommandName(handler.event);
-      command.event = handler.event;
-      command.argc = handler.argc;
-      model.commands.push_back(std::move(command));
-      continue;
-    }
-    readable = readable || handler.event == kEventRead;
-    writable = writable || handler.event == kEventWrite;
-  }
-  AddValueSurface(model, readable, writable);
-  SortModel(model);
-  return model;
-}
-
-DeviceModel DeriveModelFromNative(const NativeDriverInfo& native) {
-  DeviceModel model;
-  model.device_id = native.device_id;
-  model.name = native.name;
-  model.source = ModelSource::kNativeManifest;
-  // Native drivers are C entry points, not event handlers: the manifest's
-  // source is scanned for `native_*` entry-point identifiers containing
-  // _read / _write.  Only entry points count — internal register helpers
-  // like bmp180_write_reg are bus plumbing, not a writable device surface.
-  // All four Table 3 rows are read-only sensors.
-  const std::string_view source(native.source);
-  bool readable = false;
-  bool writable = false;
-  size_t pos = 0;
-  while ((pos = source.find("native_", pos)) != std::string_view::npos) {
-    size_t end = pos;
-    while (end < source.size() &&
-           (std::isalnum(static_cast<unsigned char>(source[end])) || source[end] == '_')) {
-      ++end;
-    }
-    const std::string_view ident = source.substr(pos, end - pos);
-    readable = readable || ident.find("_read") != std::string_view::npos;
-    writable = writable || ident.find("_write") != std::string_view::npos;
-    pos = end;
-  }
-  AddValueSurface(model, readable, writable);
   return model;
 }
 
@@ -185,8 +78,8 @@ ModelFacets ModelFacets::Decode(uint16_t wire) {
 
 ModelFacets FacetsOf(const DeviceModel& model) {
   ModelFacets facets;
-  facets.readable = model.readable();
-  facets.writable = model.writable();
+  facets.readable = model.readable;
+  facets.writable = model.writable;
   facets.command_count = static_cast<uint8_t>(std::min<size_t>(model.commands.size(), 255));
   return facets;
 }
@@ -210,7 +103,8 @@ DeviceModel ModelFromFacets(DeviceTypeId device_id, const ModelFacets& facets) {
   model.device_id = device_id;
   model.name = FormatDeviceTypeId(device_id);
   model.source = ModelSource::kAdvertisement;
-  AddValueSurface(model, facets.readable, facets.writable);
+  model.readable = facets.readable;
+  model.writable = facets.writable;
   for (uint8_t i = 0; i < facets.command_count; ++i) {
     ModelCommand command;
     command.event = static_cast<EventId>(kEventCustomBase + i);
@@ -237,11 +131,6 @@ bool FindFacetsTlv(const TlvList& info, ModelFacets* out) {
 
 ModelCatalog ModelCatalog::BuiltIn() {
   ModelCatalog catalog;
-  // Native manifest first, DSL models second: Register replaces, so the
-  // richer DSL-source model wins whenever both cover one device id.
-  for (const NativeDriverInfo& native : NativeDrivers()) {
-    catalog.Register(DeriveModelFromNative(native));
-  }
   for (const BundledDriver& driver : BundledDrivers()) {
     Result<DeviceModel> model = DeriveModelFromSource(driver.source, driver.name);
     if (model.ok()) {

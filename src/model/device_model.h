@@ -2,24 +2,22 @@
 //
 // μPnP solves the southbound half of plug-and-play: a peripheral is
 // identified, its driver installed, and its values readable one transaction
-// at a time.  The model layer is the production tier above that (the Azure
-// IoT Plug-and-Play / W3C WoT "Thing Description" mold): every discovered
-// peripheral gets a typed DeviceModel — telemetry channels, read-only vs
-// writable properties, commands — derived automatically from the driver
-// metadata the system already has:
+// at a time.  The model layer is the production tier above that: every
+// discovered peripheral gets a typed DeviceModel (is its value readable,
+// writable, streamable; which driver-private commands it has), derived
+// automatically from one of two inputs:
 //
-//  * a DSL driver source (richest: handler names and arities from the AST),
-//  * a compiled DriverImage (handler event ids only; names synthesized),
-//  * a Table 3 native-driver manifest entry (entry-point scan), or
+//  * a DSL driver source (the built-in catalog: handler names and arities
+//    from the AST), or
 //  * the model-facets TLV a Thing advertises (kModelFacets, emitted from the
-//    installed image's handled events — lets a gateway model Things whose
+//    installed image's handled events; lets a gateway model Things whose
 //    driver it has never seen).
 //
 // Derivation rules (docs/MODEL.md):
-//  * a `read` handler   -> property "value" + telemetry channel "value"
-//                          (the Thing's stream path (12)..(15) serves any
-//                          readable peripheral periodically);
-//  * a `write` handler  -> property "value" becomes writable;
+//  * a `read` handler   -> readable, and streamable (the Thing's stream path
+//                          (12)..(15) serves any readable peripheral
+//                          periodically);
+//  * a `write` handler  -> writable;
 //  * driver-private handlers (event id in [0x40, 0x80)) -> commands
 //    (descriptive metadata; the wire protocol cannot invoke them remotely);
 //  * error handlers and lifecycle/bus-internal events (init, destroy,
@@ -34,43 +32,17 @@
 #include <string>
 #include <vector>
 
-#include "src/baseline/table3.h"
 #include "src/common/status.h"
 #include "src/common/tlv.h"
 #include "src/common/types.h"
-#include "src/dsl/driver_image.h"
 #include "src/dsl/events.h"
 
 namespace micropnp {
 
-// Where a model's metadata came from, in decreasing order of richness.
+// Where a model's metadata came from.
 enum class ModelSource : uint8_t {
-  kDslSource = 0,       // parsed driver AST: names + arities
-  kDslImage = 1,        // compiled image: event ids, names synthesized
-  kNativeManifest = 2,  // Table 3 manifest entry
-  kAdvertisement = 3,   // kModelFacets TLV from a live advertisement
-};
-
-const char* ModelSourceName(ModelSource source);
-
-enum class PropertyAccess : uint8_t { kReadOnly = 0, kReadWrite = 1 };
-
-// A property is addressable state served over (10)/(11) reads and — when
-// writable — (16)/(17) writes.  μPnP drivers expose one value per
-// peripheral, so the property is canonically named "value".
-struct ModelProperty {
-  std::string name;
-  PropertyAccess access = PropertyAccess::kReadOnly;
-
-  bool operator==(const ModelProperty&) const = default;
-};
-
-// A telemetry channel is a property the Thing can push periodically over
-// the stream path (12)..(15).
-struct ModelTelemetry {
-  std::string name;
-
-  bool operator==(const ModelTelemetry&) const = default;
+  kDslSource = 0,      // parsed driver AST: names + arities
+  kAdvertisement = 1,  // kModelFacets TLV from a live advertisement
 };
 
 // A driver-private handler, surfaced as descriptive metadata ("this driver
@@ -87,14 +59,15 @@ struct ModelCommand {
 struct DeviceModel {
   DeviceTypeId device_id = 0;
   std::string name;  // friendly name when known ("TMP36"), else hex id
-  ModelSource source = ModelSource::kDslImage;
-  std::vector<ModelTelemetry> telemetry;
-  std::vector<ModelProperty> properties;
+  ModelSource source = ModelSource::kDslSource;
+  // The one value a μPnP peripheral exposes: served by (10)/(11) reads when
+  // readable, by (16)/(17) writes when writable.
+  bool readable = false;
+  bool writable = false;
   std::vector<ModelCommand> commands;
 
-  bool readable() const;
-  bool writable() const;
-  bool streamable() const { return !telemetry.empty(); }
+  // The stream path (12)..(15) serves any readable peripheral.
+  bool streamable() const { return readable; }
 
   bool operator==(const DeviceModel&) const = default;
 };
@@ -105,14 +78,6 @@ struct DeviceModel {
 // names and arities.  `name` labels the model ("" falls back to the hex id).
 Result<DeviceModel> DeriveModelFromSource(const std::string& dsl_source,
                                           const std::string& name = "");
-
-// From a compiled image: event ids only; custom-command names are
-// synthesized as "cmd_0x41" etc.
-DeviceModel DeriveModelFromImage(const DriverImage& image, const std::string& name = "");
-
-// From a Table 3 native manifest row: scans the native source for read/write
-// entry points (the native drivers are C functions, not event handlers).
-DeviceModel DeriveModelFromNative(const NativeDriverInfo& native);
 
 // --- model facets: the compact wire form -------------------------------------
 // What a Thing can advertise about an installed driver in one u16 TLV
@@ -145,15 +110,13 @@ bool FindFacetsTlv(const TlvList& info, ModelFacets* out);
 // --- catalog -----------------------------------------------------------------
 
 // DeviceTypeId -> DeviceModel registry.  BuiltIn() derives a model for every
-// bundled DSL driver and fills remaining device ids from the Table 3 native
-// manifest, so the gateway can type the whole reproduction fleet offline.
+// bundled DSL driver, so the gateway can type the whole reproduction fleet
+// offline.
 class ModelCatalog {
  public:
-  // Preference order on collision: DSL-source models (richer) win over
-  // native-manifest models.
   static ModelCatalog BuiltIn();
 
-  // Inserts or replaces (register always wins; callers order by richness).
+  // Inserts or replaces.
   void Register(DeviceModel model);
   const DeviceModel* Find(DeviceTypeId device_id) const;
   size_t size() const { return models_.size(); }

@@ -106,7 +106,7 @@ void ModelServer::ReadValue(const Ip6Address& thing, DeviceTypeId device,
     callback(NotFound("no model for thing/device"));
     return;
   }
-  if (!model->readable()) {
+  if (!model->readable) {
     ++counters_.model_misses;
     callback(FailedPrecondition("property is not readable"));
     return;
@@ -174,7 +174,7 @@ void ModelServer::WriteValue(const Ip6Address& thing, DeviceTypeId device, int32
     callback(NotFound("no model for thing/device"));
     return;
   }
-  if (!model->writable()) {
+  if (!model->writable) {
     ++counters_.model_misses;
     callback(FailedPrecondition("property is not writable"));
     return;
@@ -385,10 +385,13 @@ Result<SubscriptionId> ModelClient::Subscribe(const Ip6Address& thing, DeviceTyp
 
 void ModelClient::Unsubscribe(const Ip6Address& thing, DeviceTypeId device, SubscriptionId id) {
   auto it = std::find_if(subscriptions_.begin(), subscriptions_.end(),
-                         [&](const OwnedSubscription& sub) { return sub.id == id; });
-  if (it != subscriptions_.end()) {
-    subscriptions_.erase(it);
+                         [&](const OwnedSubscription& sub) {
+                           return sub.id == id && sub.thing == thing && sub.device == device;
+                         });
+  if (it == subscriptions_.end()) {
+    return;  // another client's subscription, or already gone
   }
+  subscriptions_.erase(it);
   server_->Unsubscribe(thing, device, id);
 }
 

@@ -206,6 +206,8 @@ class ModelClient {
   }
   Result<SubscriptionId> Subscribe(const Ip6Address& thing, DeviceTypeId device,
                                    ModelServer::ValueCallback on_value);
+  // Drops one of this client's own subscriptions; an id this client does not
+  // hold for (thing, device) is ignored.
   void Unsubscribe(const Ip6Address& thing, DeviceTypeId device, SubscriptionId id);
   void UnsubscribeAll();
 

@@ -38,7 +38,6 @@ NetNode::NetNode(Fabric& fabric, std::string name, Ip6Address unicast, NodeProfi
 }
 
 void NetNode::SendUdp(const Ip6Address& dst, uint16_t port, const std::vector<uint8_t>& payload) {
-  ++datagrams_sent_;
   fabric_.Route(*this, dst, port, payload);
 }
 

@@ -100,7 +100,6 @@ class NetNode {
   void JoinGroup(const Ip6Address& group);
   void LeaveGroup(const Ip6Address& group);
   bool InGroup(const Ip6Address& group) const { return groups_.count(group) != 0; }
-  size_t group_count() const { return groups_.size(); }
 
   // Anycast service binding (the μPnP Manager address, Section 5).
   void BindAnycast(const Ip6Address& anycast);
@@ -109,7 +108,6 @@ class NetNode {
   const std::vector<NetNode*>& children() const { return children_; }
   int depth() const { return depth_; }
 
-  uint64_t datagrams_sent() const { return datagrams_sent_; }
   uint64_t datagrams_received() const { return datagrams_received_; }
 
  private:
@@ -139,7 +137,6 @@ class NetNode {
   // in children_ order (the descent's RNG draw order).  A group has an entry
   // only while its list is non-empty.
   std::unordered_map<Ip6Address, std::vector<NetNode*>> member_children_;
-  uint64_t datagrams_sent_ = 0;
   uint64_t datagrams_received_ = 0;
 };
 
@@ -155,7 +152,6 @@ class Fabric {
   const LinkModel& link() const { return link_; }
   void set_link(const LinkModel& link) { link_ = link; }
 
-  MulticastMode multicast_mode() const { return multicast_mode_; }
   void set_multicast_mode(MulticastMode mode) { multicast_mode_ = mode; }
 
   // --- statistics -----------------------------------------------------------

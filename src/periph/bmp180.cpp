@@ -56,7 +56,6 @@ Status Bmp180::OnWrite(ByteSpan data, SimTime now) {
       conversion_pending_ = true;
       conversion_ready_at_ =
           now + SimTime::FromSeconds(Bmp180ConversionSeconds(pending_is_pressure_, pending_oss_));
-      ++conversions_started_;
       return OkStatus();
     }
     case kRegSoftReset:

@@ -52,7 +52,6 @@ class Bmp180 : public Peripheral, public I2cDevice {
   Result<std::vector<uint8_t>> OnRead(size_t count, SimTime now) override;
 
   const Bmp180Calibration& calibration() const { return cal_; }
-  uint64_t conversions_started() const { return conversions_started_; }
   uint64_t premature_reads() const { return premature_reads_; }
 
  private:
@@ -71,7 +70,6 @@ class Bmp180 : public Peripheral, public I2cDevice {
   // Latched output registers (0xF6..0xF8).
   std::array<uint8_t, 3> out_{0, 0, 0};
   int32_t last_b5_ = 0;  // device-internal; drivers must track their own B5
-  uint64_t conversions_started_ = 0;
   uint64_t premature_reads_ = 0;
 };
 

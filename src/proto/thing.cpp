@@ -263,7 +263,6 @@ void MicroPnpThing::ProcessOffer(ChannelId channel, DeviceTypeId id,
     ResetTransfer(t, offer.image_crc, offer.chunk_count);
   }
   t.channel = channel;
-  t.offer_seen = true;
   const bool up_to_date = (offer.flags & kDriverOfferUpToDate) != 0;
   if (up_to_date && !t.complete) {
     // The manager judged us complete but we are not (cache lost between
@@ -339,7 +338,6 @@ void MicroPnpThing::ResetTransfer(DriverTransfer& t, uint32_t crc, uint16_t chun
   t.chunks.assign(chunk_count, {});
   t.have.assign(chunk_count, false);
   t.have_count = 0;
-  t.offer_seen = false;
   t.complete = false;
   t.install_started = false;
   t.nack_armed = false;

@@ -154,7 +154,6 @@ class MicroPnpThing {
     std::vector<bool> have;
     uint16_t have_count = 0;
     ChannelId channel = kInvalidChannel;  // most recent requesting channel
-    bool offer_seen = false;
     bool complete = false;  // all chunks held and CRC verified
     bool install_started = false;
     bool nack_armed = false;

@@ -12,7 +12,6 @@ DriverHost::DriverHost(std::shared_ptr<const DecodedImage> image, int slot, Sche
   ctx.bus = &bus_;
   ctx.router = &router_;
   ctx.driver_slot = slot_;
-  ctx.energy_accumulator = &interconnect_energy_;
   for (LibraryId lib : vm_.image().imports) {
     if (lib < libs_.size()) {
       libs_[lib] = MakeNativeLibrary(lib, ctx);

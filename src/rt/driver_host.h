@@ -59,7 +59,6 @@ class DriverHost final : public VmHost {
 
   Vm& vm() { return vm_; }
   const Vm& vm() const { return vm_; }
-  Joules interconnect_energy() const { return interconnect_energy_; }
   uint64_t traps() const { return traps_; }
   uint64_t events_handled() const { return events_handled_; }
 
@@ -73,7 +72,6 @@ class DriverHost final : public VmHost {
   Vm vm_;
   std::array<std::unique_ptr<NativeLibrary>, kLibraryCount> libs_;
   ResultHandler result_handler_;
-  Joules interconnect_energy_{0.0};
   uint64_t traps_ = 0;
   uint64_t events_handled_ = 0;
 };

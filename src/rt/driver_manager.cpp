@@ -60,7 +60,6 @@ Status DriverManager::InstallImage(const DriverImage& image) {
     ++decode_cache_hits_;
   }
   images_[image.device_id] = std::move(*decoded);
-  ++installs_;
   return OkStatus();
 }
 
@@ -82,11 +81,6 @@ Status DriverManager::RemoveImage(DeviceTypeId device_id) {
 
 bool DriverManager::HasDriverFor(DeviceTypeId device_id) const {
   return images_.count(device_id) != 0;
-}
-
-const DriverImage* DriverManager::ImageFor(DeviceTypeId device_id) const {
-  auto it = images_.find(device_id);
-  return it == images_.end() ? nullptr : &it->second->image();
 }
 
 std::shared_ptr<const DecodedImage> DriverManager::DecodedFor(DeviceTypeId device_id) const {
@@ -135,15 +129,6 @@ Status DriverManager::Deactivate(ChannelId channel) {
 DriverHost* DriverManager::HostForChannel(ChannelId channel) {
   auto it = hosts_.find(channel);
   return it == hosts_.end() ? nullptr : it->second.get();
-}
-
-DriverHost* DriverManager::HostForDevice(DeviceTypeId device_id) {
-  for (auto& [channel, host] : hosts_) {
-    if (host->device_id() == device_id) {
-      return host.get();
-    }
-  }
-  return nullptr;
 }
 
 size_t DriverManager::DispatchPending() {

@@ -67,7 +67,6 @@ class DriverManager {
   Status InstallImage(const DriverImage& image);
   Status RemoveImage(DeviceTypeId device_id);  // fails while a host uses it
   bool HasDriverFor(DeviceTypeId device_id) const;
-  const DriverImage* ImageFor(DeviceTypeId device_id) const;
   std::shared_ptr<const DecodedImage> DecodedFor(DeviceTypeId device_id) const;
   std::vector<DeviceTypeId> InstalledDrivers() const;
   // Handled-event export for the model layer; empty when no image installed.
@@ -82,7 +81,6 @@ class DriverManager {
   // Fires destroy, tears down libraries, releases the slot.
   Status Deactivate(ChannelId channel);
   DriverHost* HostForChannel(ChannelId channel);
-  DriverHost* HostForDevice(DeviceTypeId device_id);
   size_t active_hosts() const { return hosts_.size(); }
 
   // Drains the event router into the active hosts, each pump bounded to the
@@ -95,8 +93,6 @@ class DriverManager {
 
   EventRouter& router() { return router_; }
 
-  // Over-the-air installs handled (Table 4's driver installation step).
-  uint64_t installs() const { return installs_; }
   // Installs that reused a cached decoded image (verify+decode skipped).
   uint64_t decode_cache_hits() const { return decode_cache_hits_; }
 
@@ -112,7 +108,6 @@ class DriverManager {
   std::map<DeviceTypeId, std::shared_ptr<const DecodedImage>> images_;
   std::map<ChannelId, std::unique_ptr<DriverHost>> hosts_;
   bool pump_scheduled_ = false;
-  uint64_t installs_ = 0;
   uint64_t decode_cache_hits_ = 0;
 };
 

@@ -43,7 +43,6 @@ bool EventRouter::DispatchOne(const Sink& sink) {
   Entry entry = std::move(queue->front());
   queue->pop_front();
   cycles_ += kRouterDispatchCycles;
-  ++events_dispatched_;
   sink(entry.slot, entry.event);
   return true;
 }

@@ -61,7 +61,6 @@ class EventRouter {
   using WakeupHook = std::function<void()>;
   void set_on_post(WakeupHook hook) { on_post_ = std::move(hook); }
 
-  uint64_t events_dispatched() const { return events_dispatched_; }
   uint64_t events_dropped() const { return events_dropped_; }
   uint64_t cycles() const { return cycles_; }
   double MicrosAtMcuClock() const { return static_cast<double>(cycles_) / kMcuClockHz * 1e6; }
@@ -75,7 +74,6 @@ class EventRouter {
   std::deque<Entry> regular_;
   std::deque<Entry> errors_;
   WakeupHook on_post_;
-  uint64_t events_dispatched_ = 0;
   uint64_t events_dropped_ = 0;
   uint64_t cycles_ = 0;
 };

@@ -19,6 +19,21 @@ std::unique_ptr<NativeLibrary> MakeNativeLibrary(LibraryId id, const NativeLibCo
   }
 }
 
+NativeLibrary::~NativeLibrary() {
+  for (const Scheduler::EventId id : completions_) {
+    ctx_.scheduler->Cancel(id);
+  }
+}
+
+void NativeLibrary::ScheduleCompletion(SimDuration delay, Scheduler::Action completion) {
+  // Forgetting the completions that already ran keeps the list as long as
+  // the I/O in flight, and its capacity reused, so steady I/O allocates here
+  // only the first time.
+  std::erase_if(completions_,
+                [this](Scheduler::EventId id) { return !ctx_.scheduler->IsPending(id); });
+  completions_.push_back(ctx_.scheduler->ScheduleAfter(delay, std::move(completion)));
+}
+
 // ------------------------------------------------------------------- adc ---
 
 void AdcNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> args) {
@@ -52,12 +67,11 @@ void AdcNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> arg
         PostErrorToDriver(kErrorInvalidConfiguration);
         return;
       }
-      ChargeEnergy(BusKind::kAdc);
       const int32_t value = *code;
       // Split phase: the conversion result arrives after the ADC's
       // conversion time, as a newdata event.
-      ctx_.scheduler->ScheduleAfter(ctx_.bus->adc().conversion_time(),
-                                    [this, value] { PostToDriver(Event::Of(kEventNewData, value)); });
+      ScheduleCompletion(ctx_.bus->adc().conversion_time(),
+                         [this, value] { PostToDriver(Event::Of(kEventNewData, value)); });
       return;
     }
     default:
@@ -109,7 +123,6 @@ void UartNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> ar
         PostErrorToDriver(kErrorInvalidConfiguration);
         return;
       }
-      ChargeEnergy(BusKind::kUart);
       Status status = uart.HostSend(static_cast<uint8_t>(args.size() > 0 ? args[0] & 0xff : 0));
       if (!status.ok()) {
         PostErrorToDriver(kErrorInvalidConfiguration);
@@ -131,7 +144,6 @@ void UartNativeLibrary::OnByte(uint8_t byte) {
   if (!listening_) {
     return;
   }
-  ChargeEnergy(BusKind::kUart);
   if (!frame_open_) {
     frame_open_ = true;
   }
@@ -141,7 +153,7 @@ void UartNativeLibrary::OnByte(uint8_t byte) {
 
 void UartNativeLibrary::ArmTimeout() {
   const uint64_t generation = ++timeout_generation_;
-  ctx_.scheduler->ScheduleAfter(SimTime::FromMillis(kInterByteTimeoutMs), [this, generation] {
+  ScheduleCompletion(SimTime::FromMillis(kInterByteTimeoutMs), [this, generation] {
     if (generation == timeout_generation_ && listening_ && frame_open_) {
       frame_open_ = false;
       PostErrorToDriver(kErrorTimeout);  // frame stalled mid-way
@@ -183,7 +195,6 @@ void I2cNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> arg
         PostErrorToDriver(kErrorInvalidConfiguration);
         return;
       }
-      ChargeEnergy(BusKind::kI2c);
       const uint8_t payload[2] = {static_cast<uint8_t>(args[1] & 0xff),
                                   static_cast<uint8_t>(args[2] & 0xff)};
       Status status = i2c.Write(static_cast<uint8_t>(args[0] & 0x7f), ByteSpan(payload, 2));
@@ -211,7 +222,6 @@ void I2cNativeLibrary::Read(int32_t addr, int32_t reg, int bytes) {
     PostErrorToDriver(kErrorInvalidConfiguration);
     return;
   }
-  ChargeEnergy(BusKind::kI2c);
   I2cPort& i2c = ctx_.bus->i2c();
   const uint8_t pointer = static_cast<uint8_t>(reg & 0xff);
   Result<std::vector<uint8_t>> data =
@@ -227,8 +237,7 @@ void I2cNativeLibrary::Read(int32_t addr, int32_t reg, int bytes) {
   }
   // Result arrives after the wire time of the transaction.
   const SimDuration wire = i2c.TransactionTime(static_cast<size_t>(bytes) + 1, 2);
-  ctx_.scheduler->ScheduleAfter(wire,
-                                [this, value] { PostToDriver(Event::Of(kEventNewData, value)); });
+  ScheduleCompletion(wire, [this, value] { PostToDriver(Event::Of(kEventNewData, value)); });
 }
 
 // ------------------------------------------------------------------- spi ---
@@ -256,7 +265,6 @@ void SpiNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> arg
         PostErrorToDriver(kErrorSpiInUse);
         return;
       }
-      ChargeEnergy(BusKind::kSpi);
       const uint8_t tx[2] = {static_cast<uint8_t>(args[0] & 0xff),
                              static_cast<uint8_t>(args[1] & 0xff)};
       Result<std::vector<uint8_t>> rx = spi.Transfer(ByteSpan(tx, 2));
@@ -265,7 +273,7 @@ void SpiNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> arg
         return;
       }
       const int32_t value = static_cast<int32_t>(((*rx)[0] << 8) | (*rx)[1]);
-      ctx_.scheduler->ScheduleAfter(spi.TransferTime(2), [this, value] {
+      ScheduleCompletion(spi.TransferTime(2), [this, value] {
         PostToDriver(Event::Of(kEventNewData, value));
       });
       return;
@@ -287,8 +295,8 @@ void TimerNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> a
       }
       running_ = true;
       const uint64_t generation = ++generation_;
-      ctx_.scheduler->ScheduleAfter(SimTime::FromMillis(period_ms),
-                                    [this, generation, period_ms] { Tick(generation, period_ms); });
+      ScheduleCompletion(SimTime::FromMillis(period_ms),
+                         [this, generation, period_ms] { Tick(generation, period_ms); });
       return;
     }
     case kTimerStop:
@@ -298,7 +306,7 @@ void TimerNativeLibrary::Invoke(LibraryFunctionId fn, std::span<const int32_t> a
     case kTimerOnce: {
       const double delay_ms = args.size() > 0 ? static_cast<double>(args[0]) : 0.0;
       const uint64_t generation = generation_;
-      ctx_.scheduler->ScheduleAfter(SimTime::FromMillis(delay_ms), [this, generation] {
+      ScheduleCompletion(SimTime::FromMillis(delay_ms), [this, generation] {
         if (generation == generation_) {
           PostToDriver(Event::Of(kEventTick));
         }
@@ -315,8 +323,8 @@ void TimerNativeLibrary::Tick(uint64_t generation, double period_ms) {
     return;
   }
   PostToDriver(Event::Of(kEventTick));
-  ctx_.scheduler->ScheduleAfter(SimTime::FromMillis(period_ms),
-                                [this, generation, period_ms] { Tick(generation, period_ms); });
+  ScheduleCompletion(SimTime::FromMillis(period_ms),
+                     [this, generation, period_ms] { Tick(generation, period_ms); });
 }
 
 void TimerNativeLibrary::Teardown() {

@@ -16,11 +16,10 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "src/bus/channel_bus.h"
-#include "src/common/units.h"
 #include "src/dsl/native_interface.h"
-#include "src/hw/energy_model.h"
 #include "src/rt/event.h"
 #include "src/rt/event_router.h"
 #include "src/sim/scheduler.h"
@@ -33,14 +32,16 @@ struct NativeLibContext {
   ChannelBus* bus = nullptr;
   EventRouter* router = nullptr;
   int driver_slot = 0;
-  // Interconnect energy accounting (feeds the Figure 12 "+bus" curves).
-  Joules* energy_accumulator = nullptr;
 };
 
 class NativeLibrary {
  public:
   explicit NativeLibrary(const NativeLibContext& ctx) : ctx_(ctx) {}
-  virtual ~NativeLibrary() = default;
+  // Cancels the completions still pending, so none runs on a destroyed
+  // library or reaches a driver activated later on the same channel.
+  virtual ~NativeLibrary();
+  NativeLibrary(const NativeLibrary&) = delete;
+  NativeLibrary& operator=(const NativeLibrary&) = delete;
 
   virtual LibraryId id() const = 0;
   // Handles a kSignalLib instruction.  Problems surface as error events
@@ -52,13 +53,14 @@ class NativeLibrary {
  protected:
   void PostToDriver(const Event& e) { ctx_.router->Post(ctx_.driver_slot, e); }
   void PostErrorToDriver(EventId error) { ctx_.router->PostError(ctx_.driver_slot, Event::Of(error)); }
-  void ChargeEnergy(BusKind bus) {
-    if (ctx_.energy_accumulator != nullptr) {
-      *ctx_.energy_accumulator += InterconnectEnergyPerOperation(bus);
-    }
-  }
+  // Runs `completion` `delay` from now unless this library is destroyed
+  // first.  Every split-phase completion is scheduled through here.
+  void ScheduleCompletion(SimDuration delay, Scheduler::Action completion);
 
   NativeLibContext ctx_;
+
+ private:
+  std::vector<Scheduler::EventId> completions_;  // scheduled; pruned once run
 };
 
 // Factory used by the driver host when instantiating a driver's imports.

@@ -55,10 +55,6 @@ Peripheral* PeripheralController::peripheral(ChannelId channel) {
   return channel < plugged_.size() ? plugged_[channel] : nullptr;
 }
 
-Seconds PeripheralController::last_scan_duration() const {
-  return last_scan_.has_value() ? last_scan_->duration : Seconds(0.0);
-}
-
 void PeripheralController::OnInterrupt() {
   if (scan_scheduled_) {
     return;  // a scan is already pending; it will observe the latest state
@@ -69,8 +65,6 @@ void PeripheralController::OnInterrupt() {
   // clock — modelling the MCU blocked in the identification routine.
   scheduler_.ScheduleAfter(SimTime::FromNanos(0), [this] {
     ScanResult scan = board_.Scan();
-    ++scans_;
-    last_scan_ = scan;
     scheduler_.ScheduleAfter(SimTime::FromSeconds(scan.duration.value()),
                              [this, scan] {
                                scan_scheduled_ = false;

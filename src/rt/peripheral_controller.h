@@ -54,13 +54,6 @@ class PeripheralController {
   using ChangeListener = std::function<void(ChannelId, DeviceTypeId id, bool connected)>;
   void set_change_listener(ChangeListener listener) { listener_ = std::move(listener); }
 
-  // Most recent scan statistics (duration/energy, Section 6.1).
-  const std::optional<ScanResult>& last_scan() const { return last_scan_; }
-  uint64_t scans() const { return scans_; }
-  // Duration of the identification process for the most recent scan; the
-  // Thing adds this to Table 4's network time for the end-to-end 488 ms
-  // figure of Section 8.
-  Seconds last_scan_duration() const;
 
  private:
   void OnInterrupt();
@@ -74,8 +67,6 @@ class PeripheralController {
   std::vector<std::optional<DeviceTypeId>> identified_; // post-scan state
   ChangeListener listener_;
   bool scan_scheduled_ = false;
-  std::optional<ScanResult> last_scan_;
-  uint64_t scans_ = 0;
 };
 
 }  // namespace micropnp

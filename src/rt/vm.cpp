@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "src/rt/event_router.h"  // kMcuClockHz
-
 namespace micropnp {
 
 Vm::Vm(std::shared_ptr<const DecodedImage> image) : decoded_(std::move(image)) {
@@ -47,14 +45,6 @@ int32_t Vm::TruncateTo(DslType type, int32_t v) {
       return v != 0 ? 1 : 0;
   }
   return v;
-}
-
-double Vm::MicrosPerInstructionAtMcuClock() const {
-  if (total_instructions_ == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(total_cycles_) / static_cast<double>(total_instructions_) /
-         kMcuClockHz * 1e6;
 }
 
 // ---- dispatch ---------------------------------------------------------------

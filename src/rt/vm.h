@@ -94,7 +94,6 @@ class Vm {
   const DecodedImage& decoded() const { return *decoded_; }
   uint64_t total_instructions() const { return total_instructions_; }
   uint64_t total_cycles() const { return total_cycles_; }
-  double MicrosPerInstructionAtMcuClock() const;
 
  private:
   std::shared_ptr<const DecodedImage> decoded_;

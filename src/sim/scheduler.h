@@ -53,6 +53,8 @@ class Scheduler {
 
   // Cancels a pending event.  Returns false if it already ran or is unknown.
   bool Cancel(EventId id);
+  // True until the event runs or is cancelled.
+  bool IsPending(EventId id) const { return actions_.contains(id); }
 
   // Runs events until the queue drains.  Returns the number of events run.
   size_t Run();

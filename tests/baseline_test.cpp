@@ -3,12 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include "src/baseline/native_bmp180.h"
-#include "src/baseline/native_hih4030.h"
-#include "src/baseline/native_id20la.h"
-#include "src/baseline/native_tmp36.h"
-#include "src/baseline/table3.h"
-#include "src/common/sloc.h"
+#include "bench/paper/native_bmp180.h"
+#include "bench/paper/native_hih4030.h"
+#include "bench/paper/native_id20la.h"
+#include "bench/paper/native_tmp36.h"
+#include "bench/paper/sloc.h"
+#include "bench/paper/table3.h"
 #include "src/periph/bmp180.h"
 #include "src/periph/bmp180_math.h"
 #include "src/periph/environment.h"

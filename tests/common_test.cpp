@@ -3,10 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/paper/sloc.h"
 #include "src/common/bytes.h"
 #include "src/common/crc.h"
 #include "src/common/rng.h"
-#include "src/common/sloc.h"
 #include "src/common/status.h"
 #include "src/common/tlv.h"
 #include "src/common/types.h"

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/sloc.h"
+#include "bench/paper/sloc.h"
 #include "src/core/driver_sources.h"
 #include "src/periph/peripheral.h"
 #include "src/dsl/bytecode.h"

@@ -7,13 +7,13 @@
 #include <cmath>
 #include <set>
 
+#include "bench/paper/pinout.h"
 #include "src/common/rng.h"
 #include "src/hw/control_board.h"
 #include "src/hw/energy_model.h"
 #include "src/hw/eseries.h"
 #include "src/hw/id_codec.h"
 #include "src/hw/multivibrator.h"
-#include "src/hw/pinout.h"
 
 namespace micropnp {
 namespace {

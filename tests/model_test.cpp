@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/baseline/table3.h"
 #include "src/core/deployment.h"
 #include "src/core/driver_sources.h"
 #include "src/dsl/compiler.h"
@@ -24,9 +23,9 @@ namespace {
 // ------------------------------------------------------- model derivation ---
 
 // Every bundled DSL driver derives the surface its source declares: a `read`
-// handler makes a readable "value" property plus a telemetry channel, a
-// `write` handler makes it writable, and custom handlers become commands in
-// declaration order from kEventCustomBase.
+// handler makes the value readable and streamable, a `write` handler makes
+// it writable, and custom handlers become commands in declaration order from
+// kEventCustomBase.
 TEST(ModelDerivation, EveryBundledDriverDerivesItsDeclaredSurface) {
   for (const BundledDriver& bundled : BundledDrivers()) {
     Result<DeviceModel> model = DeriveModelFromSource(bundled.source, bundled.name);
@@ -36,15 +35,11 @@ TEST(ModelDerivation, EveryBundledDriverDerivesItsDeclaredSurface) {
     EXPECT_EQ(model->source, ModelSource::kDslSource);
 
     // All five bundled drivers have a `read` handler.
-    ASSERT_EQ(model->properties.size(), 1u) << bundled.name;
-    EXPECT_EQ(model->properties[0].name, "value");
-    ASSERT_EQ(model->telemetry.size(), 1u) << bundled.name;
-    EXPECT_EQ(model->telemetry[0].name, "value");
-    EXPECT_TRUE(model->readable());
-    EXPECT_TRUE(model->streamable());
+    EXPECT_TRUE(model->readable) << bundled.name;
+    EXPECT_TRUE(model->streamable()) << bundled.name;
 
     // Only the relay declares `write`.
-    EXPECT_EQ(model->writable(), bundled.device_id == kRelayTypeId) << bundled.name;
+    EXPECT_EQ(model->writable, bundled.device_id == kRelayTypeId) << bundled.name;
 
     if (bundled.device_id == kBmp180TypeId) {
       // The BMP180 source declares measure, calword(w) and compensate(t) in
@@ -58,43 +53,6 @@ TEST(ModelDerivation, EveryBundledDriverDerivesItsDeclaredSurface) {
     } else {
       EXPECT_TRUE(model->commands.empty()) << bundled.name;
     }
-  }
-}
-
-// Deriving from the compiled image must agree with deriving from the AST on
-// everything except names (the image only has event ids).
-TEST(ModelDerivation, ImageDerivationMatchesSourceDerivation) {
-  const BundledDriver* bundled = FindBundledDriver(kBmp180TypeId);
-  ASSERT_NE(bundled, nullptr);
-  Result<DeviceModel> from_source = DeriveModelFromSource(bundled->source);
-  ASSERT_TRUE(from_source.ok());
-  Result<DriverImage> image = CompileDriver(bundled->source);
-  ASSERT_TRUE(image.ok());
-  const DeviceModel from_image = DeriveModelFromImage(*image);
-
-  EXPECT_EQ(from_image.device_id, from_source->device_id);
-  EXPECT_EQ(from_image.source, ModelSource::kDslImage);
-  EXPECT_EQ(from_image.properties, from_source->properties);
-  EXPECT_EQ(from_image.telemetry, from_source->telemetry);
-  ASSERT_EQ(from_image.commands.size(), from_source->commands.size());
-  for (size_t i = 0; i < from_image.commands.size(); ++i) {
-    EXPECT_EQ(from_image.commands[i].event, from_source->commands[i].event);
-  }
-  // Image-derived command names are synthesized from the event id.
-  EXPECT_EQ(from_image.commands[0].name, "cmd_0x40");
-  EXPECT_EQ(FacetsOf(from_image), FacetsOf(*from_source));
-}
-
-// All four Table 3 native rows expose a read entry point and no write.
-TEST(ModelDerivation, NativeManifestRowsAreReadOnly) {
-  ASSERT_EQ(NativeDrivers().size(), 4u);
-  for (const NativeDriverInfo& native : NativeDrivers()) {
-    const DeviceModel model = DeriveModelFromNative(native);
-    EXPECT_EQ(model.source, ModelSource::kNativeManifest) << native.name;
-    EXPECT_TRUE(model.readable()) << native.name;
-    EXPECT_FALSE(model.writable()) << native.name;
-    EXPECT_TRUE(model.streamable()) << native.name;
-    EXPECT_TRUE(model.commands.empty()) << native.name;
   }
 }
 
@@ -144,14 +102,14 @@ TEST(ModelFacets, HandledEventsOfDecodedImageMatchAstFacets) {
 TEST(ModelFacets, ModelFromFacetsExpandsCapabilities) {
   const DeviceModel rw = ModelFromFacets(0xdead0001, ModelFacets{true, true, 2});
   EXPECT_EQ(rw.source, ModelSource::kAdvertisement);
-  EXPECT_TRUE(rw.readable());
-  EXPECT_TRUE(rw.writable());
+  EXPECT_TRUE(rw.readable);
+  EXPECT_TRUE(rw.writable);
   EXPECT_TRUE(rw.streamable());
   EXPECT_EQ(rw.commands.size(), 2u);
 
   const DeviceModel none = ModelFromFacets(0xdead0002, ModelFacets{});
-  EXPECT_FALSE(none.readable());
-  EXPECT_FALSE(none.writable());
+  EXPECT_FALSE(none.readable);
+  EXPECT_FALSE(none.writable);
   EXPECT_FALSE(none.streamable());
 }
 
@@ -166,22 +124,43 @@ TEST(ModelFacets, FindFacetsTlvAbsentAndPresent) {
 
 // ------------------------------------------------------------ model catalog ---
 
-TEST(ModelCatalogBuiltIn, CoversTheFleetAndPrefersDslModels) {
+// The catalog holds one DSL-source model per bundled driver, named after the
+// driver, with the capabilities its source declares.
+TEST(ModelCatalogBuiltIn, CoversTheFleetWithDslModels) {
   const ModelCatalog catalog = ModelCatalog::BuiltIn();
-  // Five bundled DSL drivers; the four Table 3 native rows share their ids.
-  EXPECT_EQ(catalog.size(), 5u);
+  struct Expected {
+    DeviceTypeId id;
+    const char* name;
+    bool writable;
+  };
+  const Expected expected[] = {
+      {kTmp36TypeId, "TMP36", false},   {kHih4030TypeId, "HIH-4030", false},
+      {kId20LaTypeId, "ID-20LA", false}, {kBmp180TypeId, "BMP180", false},
+      {kRelayTypeId, "Relay", true},
+  };
+  EXPECT_EQ(catalog.size(), std::size(expected));
+  for (const Expected& row : expected) {
+    const DeviceModel* model = catalog.Find(row.id);
+    ASSERT_NE(model, nullptr) << row.name;
+    EXPECT_EQ(model->name, row.name);
+    EXPECT_EQ(model->source, ModelSource::kDslSource) << row.name;
+    EXPECT_TRUE(model->readable) << row.name;
+    EXPECT_EQ(model->writable, row.writable) << row.name;
+    EXPECT_TRUE(model->streamable()) << row.name;
+    if (row.id != kBmp180TypeId) {
+      EXPECT_TRUE(model->commands.empty()) << row.name;
+    }
+  }
 
-  const DeviceModel* tmp36 = catalog.Find(kTmp36TypeId);
-  ASSERT_NE(tmp36, nullptr);
-  EXPECT_EQ(tmp36->name, "TMP36");
-  EXPECT_EQ(tmp36->source, ModelSource::kDslSource);
-
-  // The BMP180 id exists in both the native manifest and the DSL bundle;
-  // the catalog must keep the richer DSL model (3 named commands).
+  // The BMP180 keeps its three named driver-private steps.
   const DeviceModel* bmp = catalog.Find(kBmp180TypeId);
   ASSERT_NE(bmp, nullptr);
-  EXPECT_EQ(bmp->source, ModelSource::kDslSource);
-  EXPECT_EQ(bmp->commands.size(), 3u);
+  const std::vector<ModelCommand> bmp_commands = {
+      {"measure", kEventCustomBase + 0, 0},
+      {"calword", kEventCustomBase + 1, 1},
+      {"compensate", kEventCustomBase + 2, 1},
+  };
+  EXPECT_EQ(bmp->commands, bmp_commands);
 
   EXPECT_EQ(catalog.Find(0x12345678), nullptr);
 }
@@ -233,12 +212,12 @@ TEST_F(ModelGateway, AdvertisementsBuildTypedFleet) {
   const DeviceModel* sensor = server_.ModelFor(sensor_address(), kTmp36TypeId);
   ASSERT_NE(sensor, nullptr);
   EXPECT_EQ(sensor->name, "TMP36");
-  EXPECT_TRUE(sensor->readable());
-  EXPECT_FALSE(sensor->writable());
+  EXPECT_TRUE(sensor->readable);
+  EXPECT_FALSE(sensor->writable);
 
   const DeviceModel* relay = server_.ModelFor(relay_address(), kRelayTypeId);
   ASSERT_NE(relay, nullptr);
-  EXPECT_TRUE(relay->writable());
+  EXPECT_TRUE(relay->writable);
 
   EXPECT_EQ(server_.ModelFor(sensor_address(), kRelayTypeId), nullptr);
 }
@@ -257,13 +236,13 @@ TEST_F(ModelGateway, FacetsTlvModelsUnknownDriver) {
   const DeviceModel* rich = server_.ModelFor(sensor_address(), 0xdead0001);
   ASSERT_NE(rich, nullptr);
   EXPECT_EQ(rich->source, ModelSource::kAdvertisement);
-  EXPECT_TRUE(rich->writable());
+  EXPECT_TRUE(rich->writable);
   EXPECT_EQ(rich->commands.size(), 1u);
 
   const DeviceModel* plain = server_.ModelFor(sensor_address(), 0xdead0002);
   ASSERT_NE(plain, nullptr);
-  EXPECT_TRUE(plain->readable());
-  EXPECT_FALSE(plain->writable());
+  EXPECT_TRUE(plain->readable);
+  EXPECT_FALSE(plain->writable);
 }
 
 TEST_F(ModelGateway, RefreshFleetDiscoversActively) {
@@ -567,6 +546,26 @@ TEST_F(ModelGateway, ModelClientTeardownUnsubscribesEverything) {
   }  // ~ModelClient
   EXPECT_TRUE(server_.FanoutStats().empty());
   deployment_.RunForMillis(1000);  // stream stops drain cleanly
+}
+
+// A client can drop only its own subscriptions: another client's id leaves
+// that subscription delivering and counted.
+TEST_F(ModelGateway, ModelClientUnsubscribeIgnoresForeignIds) {
+  BringUp();
+  ModelClient a(server_);
+  ModelClient b(server_);
+  uint64_t b_values = 0;
+  Result<SubscriptionId> b_id =
+      b.Subscribe(sensor_address(), kTmp36TypeId, [&](const WireValue&) { ++b_values; });
+  ASSERT_TRUE(b_id.ok());
+
+  a.Unsubscribe(sensor_address(), kTmp36TypeId, *b_id);
+  deployment_.RunForMillis(3000);
+  EXPECT_GT(b_values, 0u);
+  EXPECT_EQ(b.active_subscriptions(), 1u);
+  const std::vector<ModelServer::FanoutStat> stats = server_.FanoutStats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].subscribers, 1u);
 }
 
 }  // namespace

@@ -446,6 +446,31 @@ TEST(PlugFlowRecovery, UnplugWhileStreamingClosesTheStream) {
   EXPECT_TRUE(closed) << "client never learned the stream died";
 }
 
+TEST(PlugFlowRecovery, UnplugWhileDriverTimerIsArmedIsClean) {
+  // Regression: a fast BMP180 stream keeps the driver's timer.once armed
+  // between conversion steps, so the unplug deactivated the driver with that
+  // completion pending, and it later ran on the destroyed timer library.
+  Deployment deployment(SeededConfig(71012));
+  deployment.AddManager();
+  MicroPnpThing& thing = deployment.AddThing("thing");
+  MicroPnpClient& client = deployment.AddClient("client");
+
+  Bmp180& sensor = deployment.MakeBmp180();
+  ASSERT_TRUE(thing.Plug(0, &sensor).ok());
+  deployment.RunForMillis(5000);
+
+  int values = 0;
+  bool closed = false;
+  client.StartStream(thing.node().address(), kBmp180TypeId, /*period_ms=*/3,
+                     [&](const WireValue&) { ++values; }, [&] { closed = true; });
+  deployment.RunForMillis(1000);
+  ASSERT_GE(values, 2);
+
+  ASSERT_TRUE(thing.Unplug(0).ok());
+  deployment.RunForMillis(2000);
+  EXPECT_TRUE(closed);
+}
+
 TEST(PlugFlowRecovery, DuplicateStopStreamCompletesIdempotently) {
   // Regression: a StopStream for an already-closed stream used to go
   // unanswered, so the requester always ate the full deadline.

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "bench/paper/footprint.h"
 #include "src/core/driver_sources.h"
 #include "src/dsl/compiler.h"
 #include "src/periph/bmp180.h"
@@ -15,7 +16,6 @@
 #include "src/periph/tmp36.h"
 #include "src/rt/driver_manager.h"
 #include "src/rt/event_router.h"
-#include "src/rt/footprint.h"
 #include "src/rt/peripheral_controller.h"
 #include "src/rt/vm.h"
 #include "tests/oracles/reference_vm.h"
@@ -755,6 +755,57 @@ TEST(DriverManager, ActivateWithoutImageFails) {
   DriverManager manager(sched, router);
   ChannelBus bus(sched);
   EXPECT_EQ(manager.Activate(0, 0xdeadbeef, bus).code(), StatusCode::kNotFound);
+}
+
+// Deactivation destroys the driver's native libraries.  A completion one of
+// them scheduled and that is still pending must die with it: it must neither
+// run on the freed library nor reach the next driver activated on the channel.
+TEST(DriverManager, DeactivateDropsAdcConversionInFlight) {
+  RuntimeHarness h;
+  Tmp36 sensor(h.env_);
+  h.PlugAndSettle(0, &sensor);
+  h.router_.Post(0, Event::Of(kEventRead));
+  // The read handler starts a 104 us conversion; deactivate halfway through.
+  h.scheduler_.RunUntil(h.scheduler_.now() + SimTime::FromMicros(50));
+  ASSERT_TRUE(h.manager_.Deactivate(0).ok());
+
+  ASSERT_TRUE(h.manager_.Activate(0, kTmp36TypeId, h.controller_.bus(0)).ok());
+  int produced = 0;
+  h.manager_.HostForChannel(0)->set_result_handler([&](const ProducedValue&) { ++produced; });
+  h.scheduler_.RunUntil(h.scheduler_.now() + SimTime::FromMillis(10));
+  EXPECT_EQ(produced, 0);
+}
+
+TEST(DriverManager, DeactivateDropsArmedOnceTimer) {
+  Scheduler sched;
+  EventRouter router;
+  DriverManager manager(sched, router);
+  ChannelBus bus(sched);
+  Result<DriverImage> image = CompileDriver(R"(
+device 1;
+import timer;
+int32_t n;
+event init():
+    n = 0;
+event destroy():
+    signal timer.stop();
+event read():
+    signal timer.once(5);
+event tick():
+    return 1;
+)");
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  ASSERT_TRUE(manager.InstallImage(*image).ok());
+  ASSERT_TRUE(manager.Activate(0, image->device_id, bus).ok());
+  router.Post(0, Event::Of(kEventRead));
+  sched.RunUntil(sched.now() + SimTime::FromMillis(1));  // timer.once(5) armed
+  ASSERT_TRUE(manager.Deactivate(0).ok());
+
+  ASSERT_TRUE(manager.Activate(0, image->device_id, bus).ok());
+  int produced = 0;
+  manager.HostForChannel(0)->set_result_handler([&](const ProducedValue&) { ++produced; });
+  sched.RunUntil(sched.now() + SimTime::FromMillis(20));
+  EXPECT_EQ(produced, 0);
 }
 
 // -------------------------------------------------- peripheral controller --

@@ -67,7 +67,9 @@ TEST(SchedulerTest, CancelRemovesPendingEvent) {
   Scheduler s;
   int ran = 0;
   Scheduler::EventId id = s.ScheduleAt(SimTime::FromMillis(1.0), [&] { ++ran; });
+  EXPECT_TRUE(s.IsPending(id));
   EXPECT_TRUE(s.Cancel(id));
+  EXPECT_FALSE(s.IsPending(id));
   EXPECT_FALSE(s.Cancel(id));  // already cancelled
   EXPECT_EQ(s.Run(), 0u);
   EXPECT_EQ(ran, 0);
@@ -78,6 +80,7 @@ TEST(SchedulerTest, CancelAfterExecutionReturnsFalse) {
   Scheduler s;
   Scheduler::EventId id = s.ScheduleAt(SimTime::FromMillis(1.0), [] {});
   EXPECT_EQ(s.Run(), 1u);
+  EXPECT_FALSE(s.IsPending(id));
   EXPECT_FALSE(s.Cancel(id));
 }
 
