@@ -16,8 +16,9 @@
 //  * optional per-link loss for the unreliable-network experiments the
 //    paper defers to future work (Section 9).
 //
-// Per-frame transmissions are counted globally and per delivery, which is
-// what the SMRF-vs-flooding ablation measures.
+// Frame transmissions are counted fabric-wide (all frames, multicast
+// frames and lost frames), which is what the SMRF-vs-flooding ablation
+// measures.
 
 #ifndef SRC_NET_FABRIC_H_
 #define SRC_NET_FABRIC_H_

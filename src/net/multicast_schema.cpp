@@ -31,6 +31,18 @@ Ip6Address AllClientsGroup(NetworkPrefix48 prefix) {
   return PeripheralGroup(prefix, kDeviceTypeAllClients);
 }
 
+Ip6Address StreamGroup(const Ip6Address& thing, DeviceTypeId device) {
+  Ip6Address addr;
+  addr.set_group(0, kMulticastGroup0);
+  addr.set_group(1, kStreamGroup1);
+  for (int i = 2; i < 6; ++i) {
+    addr.set_group(i, thing.group(i + 2));  // the 64-bit interface identifier
+  }
+  addr.set_group(6, static_cast<uint16_t>(device >> 16));
+  addr.set_group(7, static_cast<uint16_t>(device & 0xffff));
+  return addr;
+}
+
 bool IsMicroPnpGroup(const Ip6Address& addr) {
   return addr.group(0) == kMulticastGroup0 && addr.group(1) == kMulticastGroup1 &&
          addr.group(5) == 0;

@@ -1,4 +1,7 @@
-// The μPnP multicast addressing schema (Section 5.1, Figure 9).
+// The μPnP multicast addressing schema.
+//
+// Discovery groups (Section 5.1, Figure 9), joined by every Thing carrying
+// the peripheral type:
 //
 //   | 32 bits    | 48 bits          | 16 bits | 32 bits        |
 //   | ff3e:0030  | network prefix   | 0       | peripheral id  |
@@ -6,6 +9,13 @@
 // "µPnP then creates and maintains an IPv6 multicast group for each device
 // type present in the network."  Reserved peripheral values: 0x00000000 =
 // all peripherals, 0xffffffff = all μPnP clients.
+//
+// Stream groups (Section 5.2), one per (Thing, device), named by the (13)
+// reply and joined only by the stream's subscribers.  The layout follows
+// RFC 4489's interface-ID-based groups, with Figure 9's scope e:
+//
+//   | 32 bits    | 64 bits                       | 32 bits        |
+//   | ff3e:00ff  | Thing's interface identifier  | peripheral id  |
 
 #ifndef SRC_NET_MULTICAST_SCHEMA_H_
 #define SRC_NET_MULTICAST_SCHEMA_H_
@@ -18,9 +28,11 @@
 
 namespace micropnp {
 
-// The fixed 32-bit prefix of all μPnP multicast addresses: ff3e:0030.
+// The fixed 32-bit prefix of every Figure 9 group: ff3e:0030.
 inline constexpr uint16_t kMulticastGroup0 = 0xff3e;
 inline constexpr uint16_t kMulticastGroup1 = 0x0030;
+// The second word of every stream group: ff3e:00ff.
+inline constexpr uint16_t kStreamGroup1 = 0x00ff;
 
 // A 48-bit network prefix, e.g. 0x20010db80000 for 2001:db8::/48.
 using NetworkPrefix48 = uint64_t;
@@ -36,11 +48,17 @@ Ip6Address PeripheralGroup(NetworkPrefix48 prefix, DeviceTypeId id);
 Ip6Address AllPeripheralsGroup(NetworkPrefix48 prefix);
 Ip6Address AllClientsGroup(NetworkPrefix48 prefix);
 
-// True iff `addr` matches the μPnP multicast schema.
+// Multicast group carrying the (14) values and (15) close of the stream of
+// peripheral `device` on the Thing with unicast address `thing`.  Its second
+// word is not Figure 9's, so it never equals a Figure 9 group, and the Thing's
+// interface identifier keeps two Things' groups apart.
+Ip6Address StreamGroup(const Ip6Address& thing, DeviceTypeId device);
+
+// True iff `addr` has Figure 9's layout; false for stream groups.
 bool IsMicroPnpGroup(const Ip6Address& addr);
 
 // Recovers the peripheral type id from a schema address; nullopt when the
-// address is not a μPnP group.
+// address does not have Figure 9's layout.
 std::optional<DeviceTypeId> GroupPeripheral(const Ip6Address& addr);
 
 // Recovers the embedded 48-bit network prefix from a schema address.

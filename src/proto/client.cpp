@@ -203,8 +203,8 @@ void MicroPnpClient::OnMessage(const Ip6Address& src, const Message& m) {
       return;
     }
     case MessageType::kStreamData: {
-      // (14)s reach the shared per-device-type group; the sending Thing's
-      // unicast source selects the subscription.
+      // (14)s reach the Thing's stream group; the sending Thing's unicast
+      // source selects the subscription.
       const auto* data = m.payload_as<ValuePayload>();
       auto it = streams_.find(StreamKey{src, data->device_id});
       if (it != streams_.end() && it->second.on_value) {

@@ -100,19 +100,20 @@ class MicroPnpClient {
     StreamCallback on_value;
     StreamClosedCallback on_closed;
   };
-  // Subscriptions are keyed per (Thing, device): the stream group
-  // PeripheralGroup(prefix, device) is shared by every Thing carrying that
-  // device type, so (14)/(15) are demultiplexed by their unicast source.
-  // This is what lets one client hold concurrent streams to many Things of
-  // the same type (the model layer's fan-out upstream).
+  // Subscriptions are keyed per (Thing, device), like the Thing's stream
+  // group StreamGroup(thing, device) that its (13) names; (14)/(15) are
+  // matched by their unicast source, not by the group, so one client can
+  // hold concurrent streams to many Things of the same type (the model
+  // layer's fan-out upstream) whatever group each (13) names.
   using StreamKey = std::pair<Ip6Address, DeviceTypeId>;
 
   // Removes the subscription (if any), releases its group reference, and
   // fires on_closed.
   void CloseStream(const Ip6Address& thing, DeviceTypeId device);
   // Group membership is reference-counted across subscriptions because
-  // NetNode::JoinGroup/LeaveGroup are set-based: two streams of the same
-  // device type share one membership, dropped only with the last stream.
+  // NetNode::JoinGroup/LeaveGroup are set-based: two subscriptions whose
+  // (13)s name the same group share one membership, dropped only with the
+  // last of them.
   void RefGroup(const Ip6Address& group);
   void UnrefGroup(const Ip6Address& group);
   // Messages the endpoint did not match to a pending transaction.

@@ -682,7 +682,7 @@ void MicroPnpThing::HandleStream(const Ip6Address& src, const Message& m) {
   StreamState& stream = streams_[ch];
   stream.active = true;
   stream.period_ms = request->period_ms;
-  stream.group = PeripheralGroup(node_->prefix(), request->device_id);
+  stream.group = StreamGroup(node_->address(), request->device_id);
   const uint64_t generation = ++stream.generation;
   // (13) established: tell the client which group carries the values.
   endpoint_.Send(src, MessageType::kStreamEstablished, m.sequence,

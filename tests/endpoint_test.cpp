@@ -515,7 +515,7 @@ TEST(ClientStreamExpiry, StopStreamUnderTotalLossStillClosesLocally) {
   client.StartStream(thing.node().address(), kHih4030TypeId, 500, [](const WireValue&) {},
                      [&] { ++closed; });
   deployment.RunForMillis(1500);
-  const Ip6Address group = PeripheralGroup(client.node().prefix(), kHih4030TypeId);
+  const Ip6Address group = StreamGroup(thing.node().address(), kHih4030TypeId);
   ASSERT_TRUE(client.node().InGroup(group));
 
   // Black out the network, then stop the stream: the (12) and any (15) are

@@ -38,7 +38,7 @@ constexpr const char* kSmokeCellGolden =
     "\"hotspot_device_reads\": 0, \"subscriptions\": 50, \"upstream_events\": 16, "
     "\"fanout_delivered\": 100, \"fanout_expected\": 100, \"fanout_exact\": 1, "
     "\"upstream_restarts\": 0, \"p50_ms\": 0.000000, \"p99_ms\": 52.430271, "
-    "\"sim_duration_ms\": 1000.000000, \"scheduler_events\": 430}]}";
+    "\"sim_duration_ms\": 1000.000000, \"scheduler_events\": 346}]}";
 
 TEST(ModelBenchDeterminism, SameSeedSameDeterministicJsonAndGoldenPin) {
   const ModelBenchOptions opt = SmokeCell();

@@ -80,6 +80,37 @@ TEST(MulticastSchema, RoundTripsPeripheralAndPrefix) {
   EXPECT_FALSE(IsMicroPnpGroup(*Ip6Address::Parse("ff02::1")));
 }
 
+TEST(MulticastSchema, StreamGroupIsPerThingAndNeverAFigure9Group) {
+  // ff3e:00ff, the Thing's interface identifier, then the device id.
+  EXPECT_EQ(StreamGroup(*Ip6Address::Parse("2001:db8::7"), 0xad1c0001).ToString(),
+            "ff3e:ff::7:ad1c:1");
+
+  const std::array<const char*, 4> things = {"2001:db8::7", "2001:db8::8", "2001:db8::1:7",
+                                             "2001:db8::1234:5678:9abc:def0"};
+  const std::array<DeviceTypeId, 4> devices = {0xad1c0001, 0xed3f0ac1, kDeviceTypeAllPeripherals,
+                                               kDeviceTypeAllClients};
+  std::set<Ip6Address> groups;
+  for (const char* text : things) {
+    const Ip6Address thing = *Ip6Address::Parse(text);
+    const NetworkPrefix48 prefix = PrefixOf(thing);
+    for (DeviceTypeId device : devices) {
+      const Ip6Address group = StreamGroup(thing, device);
+      SCOPED_TRACE(group.ToString());
+      EXPECT_TRUE(group.IsMulticast());
+      EXPECT_FALSE(IsMicroPnpGroup(group));
+      EXPECT_FALSE(GroupPeripheral(group).has_value());
+      EXPECT_NE(group, AllClientsGroup(prefix));
+      EXPECT_NE(group, AllPeripheralsGroup(prefix));
+      for (DeviceTypeId other : devices) {
+        EXPECT_NE(group, PeripheralGroup(prefix, other));
+      }
+      groups.insert(group);
+    }
+  }
+  // Distinct across Things and across devices.
+  EXPECT_EQ(groups.size(), things.size() * devices.size());
+}
+
 // --------------------------------------------------------------- fabric ----
 
 class FabricTest : public ::testing::Test {

@@ -3,6 +3,9 @@
 // complete Figures 10 and 11 flows, plus the core facade (Deployment,
 // AddressSpace).
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/core/address_space.h"
@@ -376,6 +379,85 @@ TEST_F(NetworkedSystem, TwoThingsServeTwoClients) {
   ASSERT_TRUE(pressure.has_value());
   EXPECT_GT(pressure->scalar, 95000);
   EXPECT_LT(pressure->scalar, 107000);
+}
+
+// -------------------------------------------------------- stream groups ----
+
+constexpr uint32_t kStreamPeriodMs = 1000;
+constexpr int kStreamPeriods = 5;
+
+// What one shared stream cost and delivered, measured from its start.
+struct SharedStream {
+  int values[2] = {0, 0};
+  int closed[2] = {0, 0};
+  bool joined = false;  // both clients in the stream group while it ran
+  bool left = false;    // neither client in it after the close
+  uint64_t bystander_datagrams = 0;
+  uint64_t frames = 0;
+};
+
+// `num_things` Things each carry a TMP36.  Two clients subscribe to Thing 0's
+// stream, then the first stops it.  Re-advertisement is off, so once the
+// plug flows settle only stream traffic moves the counters.
+SharedStream RunSharedStream(int num_things) {
+  ThingConfig quiet;
+  quiet.readvertise_min_ms = 0.0;
+  Deployment deployment;
+  deployment.AddManager();
+  std::vector<MicroPnpThing*> things;
+  for (int i = 0; i < num_things; ++i) {
+    things.push_back(&deployment.AddThing("thing-" + std::to_string(i), nullptr, quiet));
+    EXPECT_TRUE(things.back()->Plug(0, &deployment.MakeTmp36()).ok());
+  }
+  MicroPnpClient* clients[2] = {&deployment.AddClient("client-a"),
+                                &deployment.AddClient("client-b")};
+  deployment.RunForMillis(3000);
+
+  const Ip6Address thing = things[0]->node().address();
+  const Ip6Address group = StreamGroup(thing, kTmp36TypeId);
+  std::vector<uint64_t> received;
+  for (MicroPnpThing* t : things) {
+    received.push_back(t->node().datagrams_received());
+  }
+  const uint64_t frames = deployment.fabric().frames_transmitted();
+
+  SharedStream stream;
+  for (int c = 0; c < 2; ++c) {
+    clients[c]->StartStream(
+        thing, kTmp36TypeId, kStreamPeriodMs,
+        [&stream, c](const WireValue&) { ++stream.values[c]; },
+        [&stream, c] { ++stream.closed[c]; });
+  }
+  deployment.RunForMillis(kStreamPeriods * kStreamPeriodMs + kStreamPeriodMs / 2);
+  stream.joined = clients[0]->node().InGroup(group) && clients[1]->node().InGroup(group);
+  clients[0]->StopStream(thing, kTmp36TypeId);
+  deployment.RunForMillis(3 * kStreamPeriodMs);
+
+  stream.left = !clients[0]->node().InGroup(group) && !clients[1]->node().InGroup(group);
+  for (size_t i = 1; i < things.size(); ++i) {
+    stream.bystander_datagrams += things[i]->node().datagrams_received() - received[i];
+  }
+  stream.frames = deployment.fabric().frames_transmitted() - frames;
+  return stream;
+}
+
+// (14)s and the (15) travel on StreamGroup(thing, device), which only the
+// subscribers join: same-type bystanders hear none of it, both subscribers
+// get every value and the close, and the stream's frame cost does not grow
+// with the number of same-type Things.
+TEST(StreamGroups, OnlySubscribersReceiveStreamTraffic) {
+  const SharedStream small = RunSharedStream(2);
+  const SharedStream large = RunSharedStream(16);
+  for (const SharedStream* stream : {&small, &large}) {
+    EXPECT_EQ(stream->bystander_datagrams, 0u);
+    for (int c = 0; c < 2; ++c) {
+      EXPECT_EQ(stream->values[c], kStreamPeriods) << "client " << c;
+      EXPECT_EQ(stream->closed[c], 1) << "client " << c;
+    }
+    EXPECT_TRUE(stream->joined);
+    EXPECT_TRUE(stream->left);
+  }
+  EXPECT_EQ(small.frames, large.frames);
 }
 
 // -------------------------------------------------------- address space ----
