@@ -50,9 +50,9 @@ void ToleranceSweep() {
   std::printf("%12s %12s %14s %12s\n", "tolerance", "correct", "guard-rescan", "WRONG id");
   for (double tol : {0.001, 0.0025, 0.005, 0.0075, 0.010, 0.015, 0.020}) {
     Rng rng(42);
-    ControlBoardConfig config;
-    config.circuit.resistor_tolerance = tol;
-    ControlBoard board(config, rng);
+    IdentCircuitConfig circuit;
+    circuit.resistor_tolerance = tol;
+    ControlBoard board(circuit, rng);
     int correct = 0, rescan = 0, wrong = 0;
     const int kTrials = 2000;
     for (int i = 0; i < kTrials; ++i) {

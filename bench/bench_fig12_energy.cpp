@@ -13,7 +13,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "src/hw/energy_model.h"
+#include "bench/paper/energy_model.h"
 
 namespace micropnp {
 namespace {

@@ -8,8 +8,8 @@
 
 #include <cstdio>
 
+#include "bench/paper/energy_model.h"
 #include "src/hw/control_board.h"
-#include "src/hw/energy_model.h"
 
 namespace micropnp {
 namespace {
@@ -41,9 +41,7 @@ void Run() {
   circuit.vib.k_tolerance = 0.0;
   circuit.vib.c_tolerance = 0.0;
   circuit.vib.calibration_tolerance = 0.0;
-  ControlBoardConfig config;
-  config.circuit = circuit;
-  ControlBoard board(config, rng);
+  ControlBoard board(circuit, rng);
 
   std::printf("\nextreme identifiers (nominal components):\n");
   for (DeviceTypeId id : {DeviceTypeId{0x00000000}, DeviceTypeId{0xffffffff}}) {

@@ -1,4 +1,4 @@
-#include "src/hw/energy_model.h"
+#include "bench/paper/energy_model.h"
 
 #include <algorithm>
 
@@ -37,8 +37,7 @@ IdentStats SampleIdentification(int samples, uint64_t seed) {
   double sum_energy = 0.0;
 
   Rng rng(seed);
-  ControlBoardConfig config;
-  ControlBoard board(config, rng);
+  ControlBoard board(IdentCircuitConfig{}, rng);
 
   for (int i = 0; i < samples; ++i) {
     const DeviceTypeId id = rng.NextU32();

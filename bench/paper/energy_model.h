@@ -13,8 +13,8 @@
 // (UART > I2C > SPI > ADC) produces the Figure 12 divergence of the μPnP
 // curves at low change rates, where interconnect energy dominates.
 
-#ifndef SRC_HW_ENERGY_MODEL_H_
-#define SRC_HW_ENERGY_MODEL_H_
+#ifndef BENCH_PAPER_ENERGY_MODEL_H_
+#define BENCH_PAPER_ENERGY_MODEL_H_
 
 #include <cstdint>
 
@@ -77,4 +77,4 @@ YearlyEnergyPoint ComputeYearlyEnergy(double change_interval_minutes, double com
 
 }  // namespace micropnp
 
-#endif  // SRC_HW_ENERGY_MODEL_H_
+#endif  // BENCH_PAPER_ENERGY_MODEL_H_

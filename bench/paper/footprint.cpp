@@ -1,6 +1,7 @@
 #include "bench/paper/footprint.h"
 
 #include "src/dsl/bytecode.h"
+#include "src/hw/control_board.h"
 #include "src/hw/eseries.h"
 #include "src/rt/event.h"
 #include "src/rt/event_router.h"
@@ -26,7 +27,6 @@ constexpr size_t kFlashNetCore = 984;            // groups, seq tracking, dispat
 
 // Counts taken from the real implementation.
 constexpr size_t kOpcodeCount = 40;              // defined ops in src/dsl/bytecode.h
-constexpr size_t kChannels = 3;                  // control board channels
 constexpr size_t kMessageTypes = 8;              // advertisement..write ack codecs
 
 size_t LadderTableBytes() {
@@ -47,7 +47,8 @@ std::vector<FootprintEntry> EmbeddedFootprint() {
     // RAM: pulse capture ring (64 edges x 4 B), per-channel id + state,
     // multivibrator calibration references, scan FSM + stack reserve.
     const size_t capture_ring = 64 * 4;
-    const size_t per_channel = kChannels * (4 * 4 + 4 + 2);  // pulses + id + flags
+    // Pulses + id + flags per control-board channel.
+    const size_t per_channel = ControlBoard::kNumChannels * (4 * 4 + 4 + 2);
     const size_t calibration = 4 * 8;                        // 4 vibs x (ref + scale)
     const size_t fsm_and_stack = 47 + 64;
     e.ram_bytes = capture_ring + per_channel + calibration + fsm_and_stack;

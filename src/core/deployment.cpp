@@ -5,7 +5,6 @@ namespace micropnp {
 Deployment::Deployment(const DeploymentConfig& config)
     : config_(config),
       rng_(config.seed),
-      environment_(config.environment),
       fabric_(scheduler_, config.seed ^ 0x6e657477ull, config.link) {
   root_ = fabric_.CreateNode("border-router", NextUnicastAddress(), NodeProfile::Server(),
                              /*parent=*/nullptr);
@@ -20,15 +19,12 @@ Ip6Address Deployment::NextUnicastAddress() {
   return addr;
 }
 
-MicroPnpManager& Deployment::AddManager(const std::string& name, NetNode* parent,
-                                        bool preload_bundled_drivers) {
+MicroPnpManager& Deployment::AddManager(const std::string& name, NetNode* parent) {
   NetNode* node = fabric_.CreateNode(name, NextUnicastAddress(), NodeProfile::Server(),
                                      parent != nullptr ? parent : root_);
   managers_.push_back(std::make_unique<MicroPnpManager>(scheduler_, node));
-  if (preload_bundled_drivers) {
-    Status preloaded = managers_.back()->PreloadBundledDrivers();
-    (void)preloaded;
-  }
+  Status preloaded = managers_.back()->PreloadBundledDrivers();
+  (void)preloaded;
   return *managers_.back();
 }
 
@@ -37,7 +33,7 @@ MicroPnpThing& Deployment::AddThing(const std::string& name, NetNode* parent,
   NetNode* node = fabric_.CreateNode(name, NextUnicastAddress(), NodeProfile::Embedded(),
                                      parent != nullptr ? parent : root_);
   things_.push_back(std::make_unique<MicroPnpThing>(
-      scheduler_, node, ControlBoardConfig{}, rng_.NextU64(), thing_config, &decode_cache_));
+      scheduler_, node, rng_.NextU64(), thing_config, &decode_cache_));
   return *things_.back();
 }
 

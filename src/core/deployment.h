@@ -31,7 +31,6 @@ struct DeploymentConfig {
   // Network prefix hosting the deployment (2001:db8::/48 as in Figure 10).
   std::string prefix = "2001:db8";
   LinkModel link;
-  EnvironmentConfig environment;
 };
 
 class Deployment {
@@ -45,8 +44,8 @@ class Deployment {
 
   // --- node factories --------------------------------------------------------
   // `parent == nullptr` attaches directly to the border router (one hop).
-  MicroPnpManager& AddManager(const std::string& name = "manager", NetNode* parent = nullptr,
-                              bool preload_bundled_drivers = true);
+  // The manager's repository starts with the bundled drivers.
+  MicroPnpManager& AddManager(const std::string& name = "manager", NetNode* parent = nullptr);
   MicroPnpThing& AddThing(const std::string& name, NetNode* parent = nullptr,
                           const ThingConfig& thing_config = ThingConfig{});
   MicroPnpClient& AddClient(const std::string& name, NetNode* parent = nullptr,

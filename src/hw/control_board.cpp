@@ -1,6 +1,17 @@
 #include "src/hw/control_board.h"
 
 namespace micropnp {
+namespace {
+
+// Timing model.
+constexpr Seconds kWakeupTime = MilliSeconds(2.0);    // interrupt -> board powered
+constexpr Seconds kChannelSlot = MilliSeconds(74.0);  // t_ch, Figure 5
+constexpr Seconds kVerifySetup = MilliSeconds(2.0);   // per connected channel
+// Two-level power model (see the header comment).
+constexpr Watts kPowerQuiet = Watts(10.95e-3);  // board on, outputs low
+constexpr Watts kPowerActive = Watts(36.0e-3);  // multivibrator output high
+
+}  // namespace
 
 PeripheralPlug MakePlugForId(const IdentCodec& codec, DeviceTypeId id, BusKind bus, Rng& rng) {
   PeripheralPlug plug;
@@ -13,12 +24,12 @@ PeripheralPlug MakePlugForId(const IdentCodec& codec, DeviceTypeId id, BusKind b
   return plug;
 }
 
-ControlBoard::ControlBoard(const ControlBoardConfig& config, Rng& rng)
-    : config_(config), codec_(config.circuit), channels_(config.num_channels) {
+ControlBoard::ControlBoard(const IdentCircuitConfig& circuit, Rng& rng)
+    : codec_(circuit), channels_(kNumChannels) {
   vibs_.reserve(4);
   for (int i = 0; i < 4; ++i) {
-    vibs_.emplace_back(config.circuit.vib, rng);
-    calibrated_reference_[i] = vibs_[i].CalibratedReference(config.circuit.base_resistor);
+    vibs_.emplace_back(circuit.vib, rng);
+    calibrated_reference_[i] = vibs_[i].CalibratedReference(circuit.base_resistor);
   }
 }
 
@@ -75,13 +86,13 @@ ScanResult ControlBoard::Scan() {
   ScanResult result;
   result.channels.resize(channels_.size());
 
-  Seconds duration = config_.wakeup_time;
+  Seconds duration = kWakeupTime;
   Seconds pulse_high{0.0};
 
   // Scan pass: every channel gets a fixed t_ch slot (Figure 5) so that the
   // worst-case four-pulse sequence always fits.
   for (size_t ch = 0; ch < channels_.size(); ++ch) {
-    duration += config_.channel_slot;
+    duration += kChannelSlot;
     ChannelScan& scan = result.channels[ch];
     if (!channels_[ch].plug.has_value()) {
       continue;
@@ -109,7 +120,7 @@ ScanResult ControlBoard::Scan() {
     if (!channels_[ch].plug.has_value()) {
       continue;
     }
-    duration += config_.verify_setup;
+    duration += kVerifySetup;
     for (const Seconds& p : result.channels[ch].pulses) {
       duration += p;
       pulse_high += p;
@@ -121,8 +132,8 @@ ScanResult ControlBoard::Scan() {
   result.pulse_high_time = pulse_high;
 
   const double quiet_time = duration.value() - pulse_high.value();
-  result.energy = Joules(config_.power_quiet.value() * (quiet_time > 0.0 ? quiet_time : 0.0) +
-                         config_.power_active.value() * pulse_high.value());
+  result.energy = Joules(kPowerQuiet.value() * (quiet_time > 0.0 ? quiet_time : 0.0) +
+                         kPowerActive.value() * pulse_high.value());
 
   lifetime_energy_ += result.energy;
   ++scan_count_;

@@ -9,12 +9,12 @@
 // the moment a peripheral changes until the scan completes, which is why
 // average power scales linearly with the plug/unplug rate (Figure 12).
 //
-// Timing/energy calibration (docs/BENCHMARKS.md, "Substitutions"): with the
-// default codec (E96 ladder, 3.48 kOhm base, k=1.1, C=10 nF), a full
-// 3-channel scan plus the verification pass over the connected channel lands
-// in the paper's measured 220..300 ms identification window, and the
-// two-level power model (quiet vs pulse-high) lands in the 2.48..6.756 mJ
-// energy window.
+// Timing/energy calibration (constants in control_board.cpp; see
+// docs/BENCHMARKS.md, "Substitutions"): with the default codec (E96 ladder,
+// 3.48 kOhm base, k=1.1, C=10 nF), a full 3-channel scan plus the
+// verification pass over the connected channel lands in the paper's measured
+// 220..300 ms identification window, and the two-level power model (quiet vs
+// pulse-high) lands in the 2.48..6.756 mJ energy window.
 
 #ifndef SRC_HW_CONTROL_BOARD_H_
 #define SRC_HW_CONTROL_BOARD_H_
@@ -64,27 +64,15 @@ struct ScanResult {
   Joules energy;            // board energy for this identification process
 };
 
-struct ControlBoardConfig {
-  IdentCircuitConfig circuit;
-  int num_channels = 3;
-  // --- timing model ---
-  Seconds wakeup_time = MilliSeconds(2.0);        // interrupt -> board powered
-  Seconds channel_slot = MilliSeconds(74.0);      // t_ch, Figure 5
-  Seconds verify_setup = MilliSeconds(2.0);       // per connected channel
-  // --- two-level power model (see header comment) ---
-  Watts power_quiet = Watts(10.95e-3);   // board on, outputs low
-  Watts power_active = Watts(36.0e-3);   // multivibrator output high
-  Volts supply = Volts(3.3);
-};
-
 class ControlBoard {
  public:
-  // `rng` seeds the board's multivibrator manufacturing variation.
-  ControlBoard(const ControlBoardConfig& config, Rng& rng);
+  // Peripheral connectors on the board (the prototype's three).
+  static constexpr int kNumChannels = 3;
 
-  int num_channels() const { return config_.num_channels; }
+  // `rng` seeds the board's multivibrator manufacturing variation.
+  ControlBoard(const IdentCircuitConfig& circuit, Rng& rng);
+
   const IdentCodec& codec() const { return codec_; }
-  const ControlBoardConfig& config() const { return config_; }
 
   // Plugs a peripheral into `channel`; raises the interrupt.
   Status Connect(ChannelId channel, const PeripheralPlug& plug);
@@ -118,7 +106,6 @@ class ControlBoard {
   // Produces the four measured (quantized) pulses for a plug.
   std::array<Seconds, 4> MeasurePulses(const PeripheralPlug& plug) const;
 
-  ControlBoardConfig config_;
   IdentCodec codec_;
   std::vector<MonostableMultivibrator> vibs_;      // 4 shared multivibrators
   std::array<Seconds, 4> calibrated_reference_{};  // factory calibration

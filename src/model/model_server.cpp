@@ -5,6 +5,18 @@
 #include "src/common/logging.h"
 
 namespace micropnp {
+namespace {
+
+// Deadline for upstream device reads/writes.
+constexpr double kDeviceTimeoutMs = 2000.0;
+// Upstream retransmit budget: lossy links need retries for the
+// single-flight read not to fail a whole waiter cohort.
+constexpr int kDeviceRetransmits = 4;
+// Re-establish ladder for dropped upstream streams.
+constexpr double kRestreamBackoffMinMs = 250.0;
+constexpr double kRestreamBackoffMaxMs = 8000.0;
+
+}  // namespace
 
 ModelServer::ModelServer(Scheduler& scheduler, MicroPnpClient& client, ModelCatalog catalog,
                          const ModelServerConfig& config)
@@ -91,8 +103,8 @@ double ModelServer::TtlFor(DeviceTypeId device) const {
 
 RequestOptions ModelServer::DeviceOptions() const {
   RequestOptions options;
-  options.deadline_ms = config_.device_timeout_ms;
-  options.max_retransmits = config_.device_retransmits;
+  options.deadline_ms = kDeviceTimeoutMs;
+  options.max_retransmits = kDeviceRetransmits;
   return options;
 }
 
@@ -322,8 +334,8 @@ void ModelServer::OnUpstreamClosed(const Key& key, uint64_t generation) {
   // The upstream died while subscribers remain ((15) from an unplug, a lost
   // (13), another client's stop): re-establish on a capped doubling ladder.
   fanout.backoff_ms = fanout.backoff_ms <= 0.0
-                          ? config_.restream_backoff_min_ms
-                          : std::min(fanout.backoff_ms * 2.0, config_.restream_backoff_max_ms);
+                          ? kRestreamBackoffMinMs
+                          : std::min(fanout.backoff_ms * 2.0, kRestreamBackoffMaxMs);
   fanout.retry_pending = true;
   ++counters_.upstream_restarts;
   scheduler_.ScheduleAfter(SimTime::FromMillis(fanout.backoff_ms), [this, key, generation] {

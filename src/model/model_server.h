@@ -47,14 +47,6 @@ struct ModelServerConfig {
   double default_ttl_ms = 1000.0;
   // Period requested from upstream streams backing subscriptions.
   uint32_t stream_period_ms = 1000;
-  // Deadline for upstream device reads/writes.
-  double device_timeout_ms = 2000.0;
-  // Upstream retransmit budget: lossy links need retries for the
-  // single-flight read not to fail a whole waiter cohort.
-  int device_retransmits = 4;
-  // Re-establish ladder for dropped upstream streams.
-  double restream_backoff_min_ms = 250.0;
-  double restream_backoff_max_ms = 8000.0;
   // Install this server as the client's advertisement listener so live
   // (1)s keep the fleet current.  Off when the embedder multiplexes the
   // listener itself.

@@ -9,16 +9,27 @@ namespace micropnp {
 
 // ------------------------------------------------------------- LinkModel ---
 
-size_t LinkModel::FragmentsFor(size_t payload_bytes) const {
-  const size_t total = payload_bytes + compressed_header_bytes;
-  return (total + fragment_payload_bytes - 1) / fragment_payload_bytes;
+namespace {
+
+constexpr double kBitrateBps = 250e3;          // 802.15.4 in the 2.4 GHz band
+constexpr size_t kMacOverheadBytes = 23;       // frame header + FCS + PHY preamble
+constexpr size_t kCompressedHeaderBytes = 10;  // 6LoWPAN IPHC IPv6+UDP header
+constexpr size_t kFragmentPayloadBytes = 88;   // usable payload per fragment
+constexpr double kCsmaMinMs = 0.3;             // backoff jitter per frame
+constexpr double kCsmaMaxMs = 1.7;
+
+}  // namespace
+
+size_t LinkModel::FragmentsFor(size_t payload_bytes) {
+  const size_t total = payload_bytes + kCompressedHeaderBytes;
+  return (total + kFragmentPayloadBytes - 1) / kFragmentPayloadBytes;
 }
 
-double LinkModel::AirtimeMs(size_t payload_bytes) const {
+double LinkModel::AirtimeMs(size_t payload_bytes) {
   const size_t fragments = FragmentsFor(payload_bytes);
-  const size_t total = payload_bytes + compressed_header_bytes;
-  const size_t on_air_bytes = total + fragments * mac_overhead_bytes;
-  return static_cast<double>(on_air_bytes) * 8.0 / bitrate_bps * 1e3;
+  const size_t total = payload_bytes + kCompressedHeaderBytes;
+  const size_t on_air_bytes = total + fragments * kMacOverheadBytes;
+  return static_cast<double>(on_air_bytes) * 8.0 / kBitrateBps * 1e3;
 }
 
 // --------------------------------------------------------------- NetNode ---
@@ -157,7 +168,7 @@ std::optional<double> Fabric::SimulateHops(std::span<NetNode* const> path, size_
       if (multicast) {
         ++multicast_frames_;
       }
-      total_ms += rng_.Uniform(link_.csma_min_ms, link_.csma_max_ms);
+      total_ms += rng_.Uniform(kCsmaMinMs, kCsmaMaxMs);
       if (link_.loss_rate > 0.0 && rng_.Bernoulli(link_.loss_rate)) {
         ++frames_lost_;
         return std::nullopt;  // datagram lost (no link-layer retransmission)

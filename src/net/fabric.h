@@ -42,20 +42,14 @@
 
 namespace micropnp {
 
-// 802.15.4 / 6LoWPAN link model.
+// 802.15.4 / 6LoWPAN link model (the PHY constants are in fabric.cpp).
 struct LinkModel {
-  double bitrate_bps = 250e3;           // 802.15.4 in the 2.4 GHz band
-  size_t mac_overhead_bytes = 23;       // frame header + FCS + PHY preamble
-  size_t compressed_header_bytes = 10;  // 6LoWPAN IPHC IPv6+UDP header
-  size_t fragment_payload_bytes = 88;   // usable payload per fragment
-  double csma_min_ms = 0.3;             // backoff jitter per frame
-  double csma_max_ms = 1.7;
-  double loss_rate = 0.0;               // per-frame loss probability
+  double loss_rate = 0.0;  // per-frame loss probability
 
   // Number of 6LoWPAN fragments for a UDP payload.
-  size_t FragmentsFor(size_t payload_bytes) const;
+  static size_t FragmentsFor(size_t payload_bytes);
   // Airtime of all fragments of one datagram across one hop (no jitter).
-  double AirtimeMs(size_t payload_bytes) const;
+  static double AirtimeMs(size_t payload_bytes);
 };
 
 // Per-node stack costs.  The embedded profile models Contiki on an 8-bit

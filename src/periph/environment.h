@@ -12,35 +12,11 @@
 
 namespace micropnp {
 
-struct EnvironmentConfig {
-  double base_temperature_c = 15.0;
-  double diurnal_temperature_amplitude_c = 8.0;
-  double temperature_ripple_c = 0.3;
-
-  double base_humidity_pct = 55.0;
-  double diurnal_humidity_amplitude_pct = 12.0;
-  double humidity_ripple_pct = 1.0;
-
-  double base_pressure_pa = 101325.0;
-  double pressure_swing_pa = 600.0;  // synoptic-scale variation
-  double pressure_ripple_pa = 30.0;
-
-  // Phase offset so different deployments see different weather.
-  double phase = 0.0;
-};
-
 class Environment {
  public:
-  explicit Environment(const EnvironmentConfig& config = EnvironmentConfig{}) : config_(config) {}
-
   double TemperatureC(SimTime now) const;
   double HumidityPct(SimTime now) const;  // clamped to [1, 99]
   double PressurePa(SimTime now) const;
-
-  const EnvironmentConfig& config() const { return config_; }
-
- private:
-  EnvironmentConfig config_;
 };
 
 }  // namespace micropnp

@@ -29,10 +29,6 @@ bool IsPureReplyType(MessageType type) {
   }
 }
 
-bool Accepts(const std::vector<MessageType>& accepted, MessageType type) {
-  return std::find(accepted.begin(), accepted.end(), type) != accepted.end();
-}
-
 // All any-source transactions (anycast requests, multicast gathers) draw
 // sequences from one shared counter keyed by the unspecified address, so no
 // two of them are ever pending with the same sequence.
@@ -125,7 +121,6 @@ ProtoEndpoint::RequestId ProtoEndpoint::ClaimSlot() {
 void ProtoEndpoint::ReleaseSlot(RequestId id, PendingRequest& entry) {
   entry.active = false;
   ++entry.generation;
-  entry.accepted_replies.clear();
   entry.handler = nullptr;
   entry.wire.clear();  // capacity kept for the slot's next occupant
   entry.options = RequestOptions{};
@@ -140,27 +135,26 @@ void ProtoEndpoint::NoteInFlight() {
 
 ProtoEndpoint::RequestId ProtoEndpoint::SendRequest(const Ip6Address& peer, MessageType type,
                                                     MessagePayload payload,
-                                                    std::vector<MessageType> accepted_replies,
+                                                    MessageType reply_type,
                                                     ResponseHandler handler,
                                                     const RequestOptions& options) {
-  return Start(peer, type, std::move(payload), std::move(accepted_replies), std::move(handler),
-               nullptr, options);
+  return Start(peer, type, std::move(payload), reply_type, std::move(handler), nullptr, options);
 }
 
 ProtoEndpoint::RequestId ProtoEndpoint::SendGather(const Ip6Address& group, MessageType type,
                                                    MessagePayload payload,
-                                                   std::vector<MessageType> accepted_replies,
-                                                   double window_ms, GatherHandler handler) {
+                                                   MessageType reply_type, double window_ms,
+                                                   GatherHandler handler) {
   RequestOptions options;
   options.deadline_ms = window_ms;
   options.match_any_source = true;
-  return Start(group, type, std::move(payload), std::move(accepted_replies), nullptr,
+  return Start(group, type, std::move(payload), reply_type, nullptr,
                std::make_unique<Gather>(Gather{std::move(handler), {}}), options);
 }
 
 ProtoEndpoint::RequestId ProtoEndpoint::Start(const Ip6Address& peer, MessageType type,
                                               MessagePayload payload,
-                                              std::vector<MessageType> accepted_replies,
+                                              MessageType reply_type,
                                               ResponseHandler handler,
                                               std::unique_ptr<Gather> gather,
                                               const RequestOptions& options) {
@@ -176,7 +170,7 @@ ProtoEndpoint::RequestId ProtoEndpoint::Start(const Ip6Address& peer, MessageTyp
   PendingRequest& entry = *Resolve(id);
   entry.peer = peer;
   entry.sequence = seq;
-  entry.accepted_replies = std::move(accepted_replies);
+  entry.reply_type = reply_type;
   entry.handler = std::move(handler);
   entry.gather = std::move(gather);
   MakeMessage(type, seq, std::move(payload)).SerializeInto(entry.wire);
@@ -310,7 +304,7 @@ bool ProtoEndpoint::HandleReply(const Ip6Address& src, const Message& message) {
   for (const Ip6Address* key : {&src, &AnySourceKey()}) {
     const RequestId id = by_key_.Find(*key, message.sequence);
     PendingRequest* entry = Resolve(id);
-    if (entry == nullptr || !Accepts(entry->accepted_replies, message.type) ||
+    if (entry == nullptr || entry->reply_type != message.type ||
         (entry->options.accept && !entry->options.accept(message))) {
       continue;
     }

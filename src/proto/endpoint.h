@@ -111,15 +111,14 @@ class ProtoEndpoint {
 
   // Allocates a sequence toward `peer`, sends `type`+`payload`, and arms the
   // deadline/retransmit machinery.  `handler` is invoked exactly once: with
-  // the first reply whose type is in `accepted_replies` and whose
-  // (source, sequence) matches, or with an error Status.  When the pending
-  // table is full the handler fires immediately (same turn) with
-  // kResourceExhausted and kInvalidRequest is returned.  (If the pending
-  // index ever rejects a freshly allocated key — an invariant violation —
-  // the handler likewise fires immediately, with kInternal, rather than
-  // leaving a request no reply could match.)
+  // the first reply of `reply_type` whose (source, sequence) matches, or
+  // with an error Status.  When the pending table is full the handler fires
+  // immediately (same turn) with kResourceExhausted and kInvalidRequest is
+  // returned.  (If the pending index ever rejects a freshly allocated key —
+  // an invariant violation — the handler likewise fires immediately, with
+  // kInternal, rather than leaving a request no reply could match.)
   RequestId SendRequest(const Ip6Address& peer, MessageType type, MessagePayload payload,
-                        std::vector<MessageType> accepted_replies, ResponseHandler handler,
+                        MessageType reply_type, ResponseHandler handler,
                         const RequestOptions& options = RequestOptions{});
 
   // Sends a message with a freshly allocated per-peer sequence and no
@@ -135,12 +134,11 @@ class ProtoEndpoint {
 
   // Multicast request collecting every matching reply for `window_ms`, then
   // completing once, OK, with the collection (possibly empty).  Replies
-  // match on sequence + accepted type from any source.  A gather holds a
+  // match on sequence + `reply_type` from any source.  A gather holds a
   // pending-table slot like any request: kResourceExhausted when the table
   // is full, kCancelled through Cancel.
   RequestId SendGather(const Ip6Address& group, MessageType type, MessagePayload payload,
-                       std::vector<MessageType> accepted_replies, double window_ms,
-                       GatherHandler handler);
+                       MessageType reply_type, double window_ms, GatherHandler handler);
 
   // Completes a pending transaction with kCancelled.  Returns false if it
   // already completed.  Destruction, by contrast, drops pending
@@ -158,11 +156,10 @@ class ProtoEndpoint {
 
  private:
   // Transactions live in a slot arena: a slot is reused (freelist) once its
-  // transaction completes, its wire/reply-type buffers keeping their
-  // capacity, so a steady stream of requests recycles storage instead of
-  // allocating.  A RequestId encodes (generation << 32) | (slot + 1); the
-  // generation is bumped on release so a stale id can never resolve to a
-  // recycled slot.
+  // transaction completes, its wire buffer keeping its capacity, so a steady
+  // stream of requests recycles storage instead of allocating.  A RequestId
+  // encodes (generation << 32) | (slot + 1); the generation is bumped on
+  // release so a stale id can never resolve to a recycled slot.
 
   // A gather's handler and the replies it has collected.  Gathers are rare
   // (discovery windows), so this lives out of line to keep the slot small.
@@ -175,8 +172,9 @@ class ProtoEndpoint {
     uint32_t generation = 0;
     Ip6Address peer;
     SequenceNumber sequence = 0;
-    int retransmits_left = 0;  // here it fills the padding after `sequence`
-    std::vector<MessageType> accepted_replies;
+    // These two fill the padding after `sequence`.
+    MessageType reply_type = MessageType::kData;
+    int retransmits_left = 0;
     ResponseHandler handler;         // null for a gather
     std::unique_ptr<Gather> gather;  // set only for a gather
     std::vector<uint8_t> wire;  // serialized request, for retransmission
@@ -195,7 +193,7 @@ class ProtoEndpoint {
   // Claims a slot and sends the transaction's first copy; the common body of
   // SendRequest and SendGather (`gather` is null for a request).
   RequestId Start(const Ip6Address& peer, MessageType type, MessagePayload payload,
-                  std::vector<MessageType> accepted_replies, ResponseHandler handler,
+                  MessageType reply_type, ResponseHandler handler,
                   std::unique_ptr<Gather> gather, const RequestOptions& options);
   SequenceNumber AllocateSequence(const Ip6Address& peer);
   // Resolves an id to its live arena entry; nullptr when the transaction

@@ -7,16 +7,56 @@
 #include "src/model/device_model.h"
 
 namespace micropnp {
+namespace {
 
-MicroPnpThing::MicroPnpThing(Scheduler& scheduler, NetNode* node,
-                             const ControlBoardConfig& board_config, uint64_t seed,
+// CPU cost model of the embedded protocol operations (the Table 4
+// calibration; milliseconds on the 16 MHz AVR).
+constexpr double kGenerateAddressCpuMs = 2.58;  // Table 4 row 1
+constexpr double kJoinGroupCpuMs = 5.43;        // Table 4 row 2 (MLD + RPL DAO)
+constexpr double kRequestBuildCpuMs = 0.4;
+constexpr double kInstallParseCpuMs = 6.0;      // image parse + CRC check
+constexpr double kFlashWriteMsPerByte = 0.58;   // driver write to internal flash
+constexpr double kFlashJitterFraction = 0.35;   // page-boundary/erase variance
+constexpr double kInstallActivateCpuMs = 9.0;   // VM setup + init dispatch
+constexpr double kAdvertBuildCpuMs = 18.0;      // TLV serialization on the AVR
+constexpr double kReplyBuildCpuMs = 6.0;        // read/data response construction
+constexpr double kCpuJitterFraction = 0.012;
+// Driver request (4) transaction policy toward the Manager anycast
+// address: bounded retransmit-with-backoff per attempt.
+constexpr double kDriverRequestDeadlineMs = 15000.0;
+constexpr int kDriverRequestRetransmits = 7;
+constexpr double kDriverRequestBackoffMs = 400.0;
+// Sub-doubling growth packs more attempts into the deadline: at 20% frame
+// loss over multiple hops, attempt count dominates convergence.
+constexpr double kDriverRequestBackoffMultiplier = 1.7;
+// A failed (4) re-arms with capped exponential backoff — the link may
+// heal — instead of leaving the channel identified-but-driverless
+// forever.  Bounded so a manager-less deployment still drains.
+constexpr double kDriverRetryInitialMs = 2000.0;
+constexpr double kDriverRetryMaxMs = 30000.0;
+constexpr int kDriverRetryLimit = 100;
+// Chunked transfer gap repair: after the offer arrives, a NACK timer with
+// capped exponential backoff requests the missing chunks, up to a bounded
+// budget per attempt (then the (4)-level retry takes over, resuming from
+// the bitmap).
+constexpr double kChunkNackDelayMs = 250.0;
+constexpr double kChunkNackMaxDelayMs = 2000.0;
+constexpr int kChunkNackBudget = 8;
+// Trickle-style re-advertisement: the interval restarts at
+// ThingConfig::readvertise_min_ms after any peripheral change, doubles to
+// this, then goes dormant.
+constexpr double kReadvertiseMaxMs = 64000.0;
+
+}  // namespace
+
+MicroPnpThing::MicroPnpThing(Scheduler& scheduler, NetNode* node, uint64_t seed,
                              const ThingConfig& config, DecodeCache* decode_cache)
     : scheduler_(scheduler),
       node_(node),
       config_(config),
       rng_(seed),
       driver_manager_(scheduler, router_, decode_cache),
-      controller_(scheduler, board_config, rng_),
+      controller_(scheduler, rng_),
       endpoint_(scheduler, node,
                 [this](const Ip6Address& src, const Ip6Address& dst, const Message& m) {
                   OnMessage(src, dst, m);
@@ -27,7 +67,7 @@ MicroPnpThing::MicroPnpThing(Scheduler& scheduler, NetNode* node,
 }
 
 double MicroPnpThing::Jitter(double nominal_ms) {
-  return nominal_ms * (1.0 + config_.cpu_jitter_fraction * rng_.Uniform(-1.0, 1.0));
+  return nominal_ms * (1.0 + kCpuJitterFraction * rng_.Uniform(-1.0, 1.0));
 }
 
 PlugFlowMarks* MicroPnpThing::MarkFlow(ChannelId channel, SimTime PlugFlowMarks::*mark) {
@@ -118,7 +158,7 @@ void MicroPnpThing::OnPeripheralChange(ChannelId channel, DeviceTypeId id, bool 
     }
     // Unsolicited advertisement reflecting the new peripheral set
     // (Section 5.2.1: generated on connect *or* disconnect).
-    scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(config_.advert_build_cpu_ms)),
+    scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(kAdvertBuildCpuMs)),
                              [this] { SendUnsolicitedAdvertisement(); });
     return;
   }
@@ -127,7 +167,7 @@ void MicroPnpThing::OnPeripheralChange(ChannelId channel, DeviceTypeId id, bool 
     marks->device = id;
   }
   // Step 1: derive the peripheral's multicast address (Table 4 row 1).
-  scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(config_.generate_address_cpu_ms)),
+  scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(kGenerateAddressCpuMs)),
                            [this, channel, id] {
                              MarkFlow(channel, &PlugFlowMarks::address_generated);
                              ContinueFlowJoinGroup(channel, id);
@@ -136,7 +176,7 @@ void MicroPnpThing::OnPeripheralChange(ChannelId channel, DeviceTypeId id, bool 
 
 void MicroPnpThing::ContinueFlowJoinGroup(ChannelId channel, DeviceTypeId id) {
   // Step 2: join the peripheral group (Table 4 row 2).
-  scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(config_.join_group_cpu_ms)),
+  scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(kJoinGroupCpuMs)),
                            [this, channel, id] {
                              node_->JoinGroup(PeripheralGroup(node_->prefix(), id));
                              MarkFlow(channel, &PlugFlowMarks::group_joined);
@@ -161,16 +201,16 @@ void MicroPnpThing::ContinueFlowEnsureDriver(ChannelId channel, DeviceTypeId id)
   // unicast address, hence match_any_source, and lossy links are covered by
   // retransmit-with-backoff up to the deadline.
   scheduler_.ScheduleAfter(
-      SimTime::FromMillis(Jitter(config_.request_build_cpu_ms)), [this, channel, id] {
+      SimTime::FromMillis(Jitter(kRequestBuildCpuMs)), [this, channel, id] {
         if (controller_.identified(channel) != id) {
           return;  // unplugged while the request was being built
         }
         MarkFlow(channel, &PlugFlowMarks::driver_requested);
         RequestOptions options;
-        options.deadline_ms = config_.driver_request_deadline_ms;
-        options.max_retransmits = config_.driver_request_retransmits;
-        options.initial_backoff_ms = config_.driver_request_backoff_ms;
-        options.backoff_multiplier = config_.driver_request_backoff_multiplier;
+        options.deadline_ms = kDriverRequestDeadlineMs;
+        options.max_retransmits = kDriverRequestRetransmits;
+        options.initial_backoff_ms = kDriverRequestBackoffMs;
+        options.backoff_multiplier = kDriverRequestBackoffMultiplier;
         options.match_any_source = true;
         // A reply for a different device (e.g. a stale manager-side cache
         // entry) must not consume this transaction — drop it and keep
@@ -232,15 +272,15 @@ void MicroPnpThing::OnDriverRequestComplete(ChannelId channel, DeviceTypeId id,
 
 void MicroPnpThing::ScheduleDriverRetry(ChannelId channel, DeviceTypeId id) {
   FlowState& flow = flows_[channel];
-  if (flow.retries >= config_.driver_retry_limit) {
+  if (flow.retries >= kDriverRetryLimit) {
     MLOG(kWarning, "thing") << "driver retry budget exhausted for " << FormatDeviceTypeId(id);
     return;
   }
   ++flow.retries;
   ++driver_request_retries_;
   flow.retry_delay_ms = flow.retry_delay_ms <= 0.0
-                            ? config_.driver_retry_initial_ms
-                            : std::min(flow.retry_delay_ms * 2.0, config_.driver_retry_max_ms);
+                            ? kDriverRetryInitialMs
+                            : std::min(flow.retry_delay_ms * 2.0, kDriverRetryMaxMs);
   const uint64_t flow_generation = flow.generation;
   scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(flow.retry_delay_ms)),
                            [this, channel, id, flow_generation] {
@@ -299,7 +339,7 @@ void MicroPnpThing::ProcessOffer(ChannelId channel, DeviceTypeId id,
   // Chunks are streaming (or already lost): arm the gap-repair NACK timer
   // with a fresh budget for this attempt.
   t.nacks_sent = 0;
-  t.nack_delay_ms = config_.chunk_nack_delay_ms;
+  t.nack_delay_ms = kChunkNackDelayMs;
   ArmNackTimer(id);
 }
 
@@ -342,7 +382,7 @@ void MicroPnpThing::ResetTransfer(DriverTransfer& t, uint32_t crc, uint16_t chun
   t.install_started = false;
   t.nack_armed = false;
   t.nacks_sent = 0;
-  t.nack_delay_ms = config_.chunk_nack_delay_ms;
+  t.nack_delay_ms = kChunkNackDelayMs;
   ++t.generation;  // armed NACK timers for the old image die silently
 }
 
@@ -420,7 +460,7 @@ void MicroPnpThing::NackTick(DeviceTypeId id, uint64_t generation) {
   }
   DriverTransfer& t = it->second;
   t.nack_armed = false;
-  if (t.nacks_sent >= config_.chunk_nack_budget) {
+  if (t.nacks_sent >= kChunkNackBudget) {
     // Gap repair exhausted its budget; fall back to a fresh (4), which
     // resumes from the bitmap under the capped-backoff retry policy.
     if (t.channel == kInvalidChannel || controller_.identified(t.channel) != id) {
@@ -448,7 +488,7 @@ void MicroPnpThing::NackTick(DeviceTypeId id, uint64_t generation) {
   ++chunk_nacks_sent_;
   endpoint_.SendOneWay(ManagerAnycastAddress(), MessageType::kDriverChunkRequest,
                        std::move(nack));
-  t.nack_delay_ms = std::min(t.nack_delay_ms * 2.0, config_.chunk_nack_max_delay_ms);
+  t.nack_delay_ms = std::min(t.nack_delay_ms * 2.0, kChunkNackMaxDelayMs);
   ArmNackTimer(id);
 }
 
@@ -459,10 +499,10 @@ void MicroPnpThing::InstallReceivedDriver(ChannelId channel, DeviceTypeId id,
   // Step 4: parse, CRC-check and flash the image (Table 4 row 4).  Flash
   // writes carry high variance (page boundaries, erase cycles), which is
   // what drives Table 4's large install stddev.
-  const double flash_ms = config_.flash_write_ms_per_byte *
+  const double flash_ms = kFlashWriteMsPerByte *
                           static_cast<double>(image_bytes.size()) *
-                          (1.0 + config_.flash_jitter_fraction * rng_.Uniform(-1.0, 1.0));
-  const double install_ms = Jitter(config_.install_parse_cpu_ms) + flash_ms;
+                          (1.0 + kFlashJitterFraction * rng_.Uniform(-1.0, 1.0));
+  const double install_ms = Jitter(kInstallParseCpuMs) + flash_ms;
   scheduler_.ScheduleAfter(
       SimTime::FromMillis(install_ms), [this, channel, id, image_bytes = std::move(image_bytes)] {
         Result<DriverImage> image = DriverImage::Parse(ByteSpan(image_bytes.data(), image_bytes.size()));
@@ -492,7 +532,7 @@ void MicroPnpThing::InstallReceivedDriver(ChannelId channel, DeviceTypeId id,
 
 void MicroPnpThing::ActivateAndAdvertise(ChannelId channel, DeviceTypeId id) {
   scheduler_.ScheduleAfter(
-      SimTime::FromMillis(Jitter(config_.install_activate_cpu_ms)), [this, channel, id] {
+      SimTime::FromMillis(Jitter(kInstallActivateCpuMs)), [this, channel, id] {
         Status activated = driver_manager_.Activate(channel, id, controller_.bus(channel));
         if (!activated.ok()) {
           MLOG(kWarning, "thing") << "driver activation failed: " << activated.ToString();
@@ -504,7 +544,7 @@ void MicroPnpThing::ActivateAndAdvertise(ChannelId channel, DeviceTypeId id) {
         MarkFlow(channel, &PlugFlowMarks::driver_installed);
         // Step 5: unsolicited advertisement to all μPnP clients (Table 4
         // row 5, message (1) of Figure 10).
-        scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(config_.advert_build_cpu_ms)),
+        scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(kAdvertBuildCpuMs)),
                                  [this, channel] {
                                    SendUnsolicitedAdvertisement();
                                    MarkFlow(channel, &PlugFlowMarks::advertised);
@@ -552,10 +592,10 @@ void MicroPnpThing::TrickleTick(uint64_t generation) {
     SendUnsolicitedAdvertisement();
     ++readvertisements_sent_;
   }
-  if (advert_interval_ms_ >= config_.readvertise_max_ms) {
+  if (advert_interval_ms_ >= kReadvertiseMaxMs) {
     return;  // ladder complete: dormant until the next peripheral change
   }
-  advert_interval_ms_ = std::min(advert_interval_ms_ * 2.0, config_.readvertise_max_ms);
+  advert_interval_ms_ = std::min(advert_interval_ms_ * 2.0, kReadvertiseMaxMs);
   scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(advert_interval_ms_)),
                            [this, generation] { TrickleTick(generation); });
 }
@@ -601,7 +641,7 @@ void MicroPnpThing::HandleDiscovery(const Ip6Address& src, const Message& m,
     return;
   }
   // (3) solicited advertisement, unicast back to the discovering client.
-  scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(config_.advert_build_cpu_ms)),
+  scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(kAdvertBuildCpuMs)),
                            [this, src, seq = m.sequence] {
                              SendSolicitedAdvertisement(src, seq);
                            });
@@ -615,8 +655,12 @@ void MicroPnpThing::HandleRead(const Ip6Address& src, const Message& m) {
     // stay silent, as a real Thing would, and the client's deadline fires.
     return;
   }
-  pending_reads_[ch].push_back(PendingRead{src, m.sequence});
-  router_.Post(ch, Event::Of(kEventRead));
+  // A full router queue drops the event; queuing the read anyway would hand
+  // the next value the driver produces to this orphan.  Stay silent instead:
+  // the client's retransmit or deadline takes over.
+  if (router_.Post(ch, Event::Of(kEventRead))) {
+    pending_reads_[ch].push_back(PendingRead{src, m.sequence});
+  }
 }
 
 void MicroPnpThing::OnProduced(ChannelId channel, const ProducedValue& value) {
@@ -642,7 +686,7 @@ void MicroPnpThing::OnProduced(ChannelId channel, const ProducedValue& value) {
   StreamState& stream = streams_[channel];
   if (stream.active) {
     scheduler_.ScheduleAfter(
-        SimTime::FromMillis(Jitter(config_.reply_build_cpu_ms)),
+        SimTime::FromMillis(Jitter(kReplyBuildCpuMs)),
         [this, group = stream.group, id, wire] {
           endpoint_.SendOneWay(group, MessageType::kStreamData, ValuePayload{*id, wire});
         });
@@ -707,7 +751,9 @@ void MicroPnpThing::HandleWrite(const Ip6Address& src, const Message& m) {
   uint8_t status = 1;  // not found
   const ChannelId ch = ChannelFor(write->device_id, /*with_driver=*/true);
   if (ch != kInvalidChannel) {
-    router_.Post(ch, Event::Of(kEventWrite, write->value));
+    if (!router_.Post(ch, Event::Of(kEventWrite, write->value))) {
+      return;  // router queue full: the value was not applied, so no (17)
+    }
     ++writes_served_;
     status = 0;
   }
@@ -730,7 +776,7 @@ void MicroPnpThing::HandleDriverRemoval(const Ip6Address& src, const Message& m)
 
 void MicroPnpThing::ReplyAfterBuild(const Ip6Address& peer, MessageType type,
                                     SequenceNumber sequence, MessagePayload payload) {
-  scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(config_.reply_build_cpu_ms)),
+  scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(kReplyBuildCpuMs)),
                            [this, peer, type, sequence, payload = std::move(payload)]() mutable {
                              endpoint_.Send(peer, type, sequence, std::move(payload));
                            });

@@ -16,7 +16,7 @@
 // Lossy-network hardening on top of the paper's flow:
 //  - Advertisements repeat on a bounded trickle schedule: after any
 //    peripheral change the interval restarts at readvertise_min_ms and
-//    doubles up to readvertise_max_ms, whose tick is the last.  A solicited
+//    doubles up to 64 s, whose tick is the last.  A solicited
 //    advertisement (3) suppresses the next tick.  Clients that missed the
 //    one-shot (1) converge without flooding the fabric.
 //  - The driver request (4) is a ProtoEndpoint transaction toward the
@@ -42,45 +42,11 @@
 
 namespace micropnp {
 
-// CPU cost model of the embedded protocol operations (calibration knobs for
-// the Table 4 reproduction; milliseconds on the 16 MHz AVR).
+// The one per-Thing setting (the protocol's timers and the Table 4 CPU costs
+// are constants in thing.cpp): the first trickle re-advertisement interval.
+// <= 0 disables the schedule (benchmarks that only measure the read path).
 struct ThingConfig {
-  double generate_address_cpu_ms = 2.58;   // Table 4 row 1
-  double join_group_cpu_ms = 5.43;         // Table 4 row 2 (MLD + RPL DAO)
-  double request_build_cpu_ms = 0.4;
-  double install_parse_cpu_ms = 6.0;       // image parse + CRC check
-  double flash_write_ms_per_byte = 0.58;   // driver write to internal flash
-  double flash_jitter_fraction = 0.35;     // page-boundary/erase variance
-  double install_activate_cpu_ms = 9.0;    // VM setup + init dispatch
-  double advert_build_cpu_ms = 18.0;       // TLV serialization on the AVR
-  double reply_build_cpu_ms = 6.0;         // read/data response construction
-  double cpu_jitter_fraction = 0.012;
-  // Driver request (4) transaction policy toward the Manager anycast
-  // address: bounded retransmit-with-backoff per attempt.
-  double driver_request_deadline_ms = 15000.0;
-  int driver_request_retransmits = 7;
-  double driver_request_backoff_ms = 400.0;
-  // Sub-doubling growth packs more attempts into the deadline: at 20% frame
-  // loss over multiple hops, attempt count dominates convergence.
-  double driver_request_backoff_multiplier = 1.7;
-  // A failed (4) re-arms with capped exponential backoff — the link may
-  // heal — instead of leaving the channel identified-but-driverless
-  // forever.  Bounded so a manager-less deployment still drains.
-  double driver_retry_initial_ms = 2000.0;
-  double driver_retry_max_ms = 30000.0;
-  int driver_retry_limit = 100;
-  // Chunked transfer gap repair: after the offer arrives, a NACK timer with
-  // capped exponential backoff requests the missing chunks, up to a bounded
-  // budget per attempt (then the (4)-level retry takes over, resuming from
-  // the bitmap).
-  double chunk_nack_delay_ms = 250.0;
-  double chunk_nack_max_delay_ms = 2000.0;
-  int chunk_nack_budget = 8;
-  // Trickle-style re-advertisement: interval restarts at min after any
-  // peripheral change, doubles to max, then goes dormant.  min <= 0
-  // disables the schedule (benchmarks that only measure the read path).
   double readvertise_min_ms = 1000.0;
-  double readvertise_max_ms = 64000.0;
 };
 
 // Simulation-time marks of the most recent plug-in flow (consumed by the
@@ -103,9 +69,8 @@ class MicroPnpThing {
  public:
   // `decode_cache` (optional) shares verified decoded driver images with
   // other Things (see DecodeCache); it must outlive the Thing.
-  MicroPnpThing(Scheduler& scheduler, NetNode* node, const ControlBoardConfig& board_config,
-                uint64_t seed, const ThingConfig& config = ThingConfig{},
-                DecodeCache* decode_cache = nullptr);
+  MicroPnpThing(Scheduler& scheduler, NetNode* node, uint64_t seed,
+                const ThingConfig& config = ThingConfig{}, DecodeCache* decode_cache = nullptr);
 
   // --- local hardware access ------------------------------------------------
   Status Plug(ChannelId channel, Peripheral* peripheral);
@@ -207,7 +172,7 @@ class MicroPnpThing {
   void HandleWrite(const Ip6Address& src, const Message& m);
   void HandleDriverDiscovery(const Ip6Address& src, const Message& m);
   void HandleDriverRemoval(const Ip6Address& src, const Message& m);
-  // Sends a reply after the reply_build_cpu_ms cost of building it.
+  // Sends a reply after the CPU cost of building it.
   void ReplyAfterBuild(const Ip6Address& peer, MessageType type, SequenceNumber sequence,
                        MessagePayload payload);
 

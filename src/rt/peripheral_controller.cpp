@@ -4,15 +4,14 @@
 
 namespace micropnp {
 
-PeripheralController::PeripheralController(Scheduler& scheduler, const ControlBoardConfig& config,
-                                           Rng& rng)
-    : scheduler_(scheduler), rng_(rng.Fork()), board_(config, rng) {
-  buses_.reserve(board_.num_channels());
-  for (int i = 0; i < board_.num_channels(); ++i) {
+PeripheralController::PeripheralController(Scheduler& scheduler, Rng& rng)
+    : scheduler_(scheduler), rng_(rng.Fork()), board_(IdentCircuitConfig{}, rng) {
+  buses_.reserve(num_channels());
+  for (int i = 0; i < num_channels(); ++i) {
     buses_.push_back(std::make_unique<ChannelBus>(scheduler_));
   }
-  plugged_.assign(board_.num_channels(), nullptr);
-  identified_.assign(board_.num_channels(), std::nullopt);
+  plugged_.assign(num_channels(), nullptr);
+  identified_.assign(num_channels(), std::nullopt);
   board_.set_interrupt_handler([this] { OnInterrupt(); });
 }
 

@@ -30,9 +30,9 @@ namespace micropnp {
 
 class PeripheralController {
  public:
-  PeripheralController(Scheduler& scheduler, const ControlBoardConfig& config, Rng& rng);
+  PeripheralController(Scheduler& scheduler, Rng& rng);
 
-  int num_channels() const { return board_.num_channels(); }
+  int num_channels() const { return ControlBoard::kNumChannels; }
   ChannelBus& bus(ChannelId channel) { return *buses_[channel]; }
   const ControlBoard& board() const { return board_; }
   ControlBoard& board() { return board_; }

@@ -7,10 +7,10 @@
 #include <cmath>
 #include <set>
 
+#include "bench/paper/energy_model.h"
 #include "bench/paper/pinout.h"
 #include "src/common/rng.h"
 #include "src/hw/control_board.h"
-#include "src/hw/energy_model.h"
 #include "src/hw/eseries.h"
 #include "src/hw/id_codec.h"
 #include "src/hw/multivibrator.h"
@@ -173,7 +173,7 @@ TEST(IdentCodec, SinglePulseEncodingIsInfeasibleFor32Bits) {
 
 class ControlBoardTest : public ::testing::Test {
  protected:
-  ControlBoardTest() : rng_(12345), board_(ControlBoardConfig{}, rng_) {}
+  ControlBoardTest() : rng_(12345), board_(IdentCircuitConfig{}, rng_) {}
 
   PeripheralPlug PlugFor(DeviceTypeId id, BusKind bus = BusKind::kAdc) {
     return MakePlugForId(board_.codec(), id, bus, rng_);
@@ -241,8 +241,7 @@ TEST_F(ControlBoardTest, LifetimeEnergyAccumulates) {
 // manufacturing instances (tolerances on).
 TEST(ControlBoardProperty, IdentificationIsReliableAcrossRandomIds) {
   Rng rng(777);
-  ControlBoardConfig config;
-  ControlBoard board(config, rng);
+  ControlBoard board(IdentCircuitConfig{}, rng);
   int correct = 0, guard_rejects = 0, wrong = 0;
   const int kTrials = 2000;
   for (int i = 0; i < kTrials; ++i) {
@@ -284,9 +283,7 @@ TEST(ControlBoardPaper, ExtremeIdsBoundTheWindows) {
   circuit.vib.k_tolerance = 0.0;
   circuit.vib.c_tolerance = 0.0;
   circuit.vib.calibration_tolerance = 0.0;
-  ControlBoardConfig config;
-  config.circuit = circuit;
-  ControlBoard board(config, rng);
+  ControlBoard board(circuit, rng);
 
   ASSERT_TRUE(board.Connect(0, MakePlugForId(board.codec(), 0x00000000u, BusKind::kAdc, rng)).ok());
   ScanResult lo = board.Scan();

@@ -171,8 +171,6 @@ ModelServerConfig FastConfig() {
   ModelServerConfig config;
   config.default_ttl_ms = 500.0;
   config.stream_period_ms = 200;
-  config.restream_backoff_min_ms = 100.0;
-  config.restream_backoff_max_ms = 1000.0;
   return config;
 }
 

@@ -250,16 +250,8 @@ TEST(ChunkedTransfer, DuplicatedAndReorderedChunksAssembleOnce) {
 }
 
 TEST(ChunkedTransfer, ResumeBitmapRequestsOnlyTheGaps) {
-  // Shrink the repair timers so budget exhaustion and the (4)-level retry
-  // happen within a short simulated window.
-  ThingConfig tuning;
-  tuning.chunk_nack_delay_ms = 100.0;
-  tuning.chunk_nack_max_delay_ms = 200.0;
-  tuning.chunk_nack_budget = 2;
-  tuning.driver_retry_initial_ms = 500.0;
-
   Deployment deployment(SeededConfig(71005));
-  MicroPnpThing& thing = deployment.AddThing("thing", nullptr, tuning);
+  MicroPnpThing& thing = deployment.AddThing("thing");
   FakeManager fake(deployment, kBmp180TypeId);
   ASSERT_GE(fake.chunk_count(), 4) << "image too small to leave gaps";
 
@@ -288,7 +280,9 @@ TEST(ChunkedTransfer, ResumeBitmapRequestsOnlyTheGaps) {
   // leave gaps in.
   Bmp180& sensor = deployment.MakeBmp180();
   ASSERT_TRUE(thing.Plug(0, &sensor).ok());
-  deployment.RunForMillis(15'000);
+  // The NACK budget runs dry about 14 s after the offer, and the (4)-level
+  // retry follows 2 s later.
+  deployment.RunForMillis(30'000);
 
   ASSERT_GE(fake.requests_seen(), 2);
   EXPECT_GE(fake.nacks_seen(), 1);
@@ -302,12 +296,10 @@ TEST(ChunkedTransfer, ResumeBitmapRequestsOnlyTheGaps) {
 TEST(ChunkedTransfer, MonolithicUploadAnswerIsDroppedAsStale) {
   // No manager sends the legacy monolithic (5) any more, and the Thing no
   // longer accepts one: it does not complete the (4), installs nothing, and
-  // is counted as a stale reply.  The wide backoff keeps the (4) from being
-  // retransmitted inside the observed window.
-  ThingConfig tuning;
-  tuning.driver_request_backoff_ms = 2000.0;
+  // is counted as a stale reply.  The observed window ends before the (4)'s
+  // first retransmission, 400 ms after it was sent.
   Deployment deployment(SeededConfig(71011));
-  MicroPnpThing& thing = deployment.AddThing("thing", nullptr, tuning);
+  MicroPnpThing& thing = deployment.AddThing("thing");
   FakeManager fake(deployment, kTmp36TypeId);
   fake.monolithic_upload = true;
   const uint64_t stale_before = thing.endpoint().counters().stale_replies_dropped;
@@ -318,7 +310,7 @@ TEST(ChunkedTransfer, MonolithicUploadAnswerIsDroppedAsStale) {
     deployment.RunForMillis(1);
   }
   ASSERT_EQ(fake.requests_seen(), 1);
-  deployment.RunForMillis(1000);
+  deployment.RunForMillis(300);
 
   EXPECT_EQ(fake.requests_seen(), 1);
   EXPECT_FALSE(thing.drivers().HasDriverFor(kTmp36TypeId));
@@ -358,23 +350,17 @@ TEST(PlugFlowRecovery, DriverRequestRearmsAfterLinkHeals) {
   // Regression: a (4) that exhausted its deadline used to abandon the
   // channel forever.  Now it re-arms with capped backoff and completes once
   // the link heals.
-  ThingConfig tuning;
-  tuning.driver_request_deadline_ms = 1000.0;
-  tuning.driver_request_retransmits = 2;
-  tuning.driver_request_backoff_ms = 200.0;
-  tuning.driver_retry_initial_ms = 500.0;
-  tuning.driver_retry_max_ms = 2000.0;
-
   DeploymentConfig config;
   config.seed = 71007;
   config.link = LinkWithLoss(1.0);
   Deployment deployment(config);
   deployment.AddManager();
-  MicroPnpThing& thing = deployment.AddThing("thing", nullptr, tuning);
+  MicroPnpThing& thing = deployment.AddThing("thing");
 
   Tmp36& sensor = deployment.MakeTmp36();
   ASSERT_TRUE(thing.Plug(0, &sensor).ok());
-  deployment.RunForMillis(5000);
+  // Past the (4)'s 15 s deadline and the 2 s retry that follows it.
+  deployment.RunForMillis(20'000);
   EXPECT_GE(thing.driver_requests_failed(), 1u);
   EXPECT_FALSE(thing.drivers().HasDriverFor(kTmp36TypeId));
 

@@ -381,6 +381,82 @@ TEST_F(NetworkedSystem, TwoThingsServeTwoClients) {
   EXPECT_LT(pressure->scalar, 107000);
 }
 
+// -------------------------------------------------- router backpressure ----
+
+// A request whose router event is dropped (the Thing's bounded queue is
+// full) is neither queued nor acknowledged: the Thing stays silent.
+class RouterBackpressure : public NetworkedSystem {
+ protected:
+  // Detaches the router's wake-up pump and fills its queue with events for
+  // the empty channel 1, so the next Post is dropped.
+  void FillRouterQueue() {
+    EventRouter& router = thing_.drivers().router();
+    router.set_on_post(nullptr);
+    for (size_t i = 0; i < EventRouter::kQueueDepth; ++i) {
+      ASSERT_TRUE(router.Post(1, Event::Of(kEventRead)));
+    }
+  }
+
+  // Re-attaches a scheduled pump and drains the filler events.
+  void RestorePump() {
+    auto pump = [this] {
+      deployment_.scheduler().ScheduleAfter(SimTime::FromNanos(0),
+                                            [this] { thing_.drivers().DispatchPending(); });
+    };
+    thing_.drivers().router().set_on_post(pump);
+    pump();
+    deployment_.RunForMillis(10);
+    ASSERT_TRUE(thing_.drivers().router().idle());
+  }
+};
+
+TEST_F(RouterBackpressure, DroppedReadDoesNotStealTheNextReply) {
+  PlugAndSettle(0, deployment_.MakeTmp36());
+  FillRouterQueue();
+  std::optional<Status> first;
+  client_.Read(thing_.node().address(), kTmp36TypeId,
+               [&](Result<WireValue> result) { first = result.status(); },
+               /*timeout_ms=*/300);
+  deployment_.RunForMillis(500);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->code(), StatusCode::kDeadlineExceeded);
+
+  // The next client's read gets the next value the driver produces.
+  RestorePump();
+  MicroPnpClient& second_client = deployment_.AddClient("client-2");
+  std::optional<Result<WireValue>> second;
+  second_client.Read(thing_.node().address(), kTmp36TypeId,
+                     [&](Result<WireValue> result) { second = std::move(result); });
+  deployment_.RunForMillis(2500);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(second->ok()) << second->status().ToString();
+  EXPECT_EQ(thing_.reads_served(), 1u);
+}
+
+TEST_F(RouterBackpressure, DroppedWriteIsNotAcknowledged) {
+  Relay& relay = deployment_.MakeRelay();
+  PlugAndSettle(0, relay);
+  FillRouterQueue();
+  std::optional<Status> ack;
+  client_.Write(thing_.node().address(), kRelayTypeId, 1, [&](Status status) { ack = status; },
+                /*timeout_ms=*/300);
+  deployment_.RunForMillis(500);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(thing_.writes_served(), 0u);
+  EXPECT_FALSE(relay.closed());
+
+  // Once the queue drains, the client's next attempt is applied and confirmed.
+  RestorePump();
+  ack.reset();
+  client_.Write(thing_.node().address(), kRelayTypeId, 1, [&](Status status) { ack = status; });
+  deployment_.RunForMillis(500);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_TRUE(ack->ok()) << ack->ToString();
+  EXPECT_EQ(thing_.writes_served(), 1u);
+  EXPECT_TRUE(relay.closed());
+}
+
 // -------------------------------------------------------- stream groups ----
 
 constexpr uint32_t kStreamPeriodMs = 1000;

@@ -480,7 +480,7 @@ event sum(int32_t a, int32_t b, int32_t c, int32_t d):
 // installed; plugging a peripheral auto-activates its driver.
 class RuntimeHarness {
  public:
-  RuntimeHarness() : rng_(42), manager_(scheduler_, router_), controller_(scheduler_, {}, rng_) {
+  RuntimeHarness() : rng_(42), manager_(scheduler_, router_), controller_(scheduler_, rng_) {
     for (const BundledDriver& d : BundledDrivers()) {
       Result<DriverImage> image = CompileDriver(d.source);
       EXPECT_TRUE(image.ok()) << d.name << ": " << image.status().ToString();
@@ -813,7 +813,7 @@ event tick():
 TEST(PeripheralController, ScanTakesIdentificationTime) {
   Scheduler sched;
   Rng rng(7);
-  PeripheralController controller(sched, ControlBoardConfig{}, rng);
+  PeripheralController controller(sched, rng);
   Environment env;
   Tmp36 sensor(env);
 
@@ -835,7 +835,7 @@ TEST(PeripheralController, ScanTakesIdentificationTime) {
 TEST(PeripheralController, MuxesBusAfterIdentification) {
   Scheduler sched;
   Rng rng(8);
-  PeripheralController controller(sched, ControlBoardConfig{}, rng);
+  PeripheralController controller(sched, rng);
   Id20La reader;
   ASSERT_TRUE(controller.Plug(1, &reader).ok());
   EXPECT_EQ(controller.bus(1).selected(), std::nullopt);  // not yet identified
@@ -847,7 +847,7 @@ TEST(PeripheralController, MuxesBusAfterIdentification) {
 TEST(PeripheralController, UnplugNotifiesDisconnect) {
   Scheduler sched;
   Rng rng(9);
-  PeripheralController controller(sched, ControlBoardConfig{}, rng);
+  PeripheralController controller(sched, rng);
   Environment env;
   Tmp36 sensor(env);
   std::vector<bool> notifications;
