@@ -30,8 +30,9 @@ std::vector<NetNode*> BuildTree(Fabric& fabric, int fanout, int depth) {
     std::vector<NetNode*> next;
     for (NetNode* parent : frontier) {
       for (int c = 0; c < fanout; ++c) {
-        NetNode* child = fabric.CreateNode("n" + std::to_string(nodes.size()), address(),
-                                           NodeProfile::Embedded(), parent);
+        NetNode* child =
+            fabric.CreateNode(std::string("n") += std::to_string(nodes.size()), address(),
+                              NodeProfile::Embedded(), parent);
         nodes.push_back(child);
         next.push_back(child);
       }

@@ -4,7 +4,7 @@
 // router, driven closed-loop: the gateway keeps `window` reads in flight and
 // each completion immediately issues the next, so the pending table sits at
 // its high-water mark for the whole run — exactly the steady state the
-// scheduler's O(1) cancel and the hashed pending table exist for.
+// scheduler's O(1) cancel and the endpoint's slot arena exist for.
 //
 // The scenario is a library of its own (not part of the bench binary)
 // because three consumers share it: bench_gateway (the human-readable sweep +

@@ -33,7 +33,7 @@ MicroPnpThing& Deployment::AddThing(const std::string& name, NetNode* parent,
   NetNode* node = fabric_.CreateNode(name, NextUnicastAddress(), NodeProfile::Embedded(),
                                      parent != nullptr ? parent : root_);
   things_.push_back(std::make_unique<MicroPnpThing>(
-      scheduler_, node, rng_.NextU64(), thing_config, &decode_cache_));
+      scheduler_, node, rng_.NextU64(), decode_cache_, thing_config));
   return *things_.back();
 }
 

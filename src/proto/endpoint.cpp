@@ -1,7 +1,7 @@
 #include "src/proto/endpoint.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 
 #include "src/common/logging.h"
 
@@ -29,13 +29,12 @@ bool IsPureReplyType(MessageType type) {
   }
 }
 
-// All any-source transactions (anycast requests, multicast gathers) draw
-// sequences from one shared counter keyed by the unspecified address, so no
-// two of them are ever pending with the same sequence.
-const Ip6Address& AnySourceKey() {
-  static const Ip6Address kKey{};
-  return kKey;
-}
+// A sequence names its slot in its low bits and the slot's generation in
+// the bits above.  2^15 slots leave every slot at least one generation bit:
+// a slot at 2^16 or beyond would carry a truncated sequence no reply could
+// match, and a slot with no generation bit would repeat its sequence on
+// every use.
+constexpr size_t kMaxInFlight = size_t{1} << 15;
 
 }  // namespace
 
@@ -44,8 +43,8 @@ ProtoEndpoint::ProtoEndpoint(Scheduler& scheduler, NetNode* node, MessageHandler
     : scheduler_(scheduler),
       node_(node),
       handler_(std::move(handler)),
-      max_in_flight_(max_in_flight),
-      by_key_(max_in_flight) {
+      max_in_flight_(std::min(max_in_flight, kMaxInFlight)),
+      slot_bits_(std::bit_width(std::max<size_t>(max_in_flight_, 1) - 1)) {
   node_->BindUdp(kMicroPnpUdpPort,
                  [this](const Ip6Address& src, const Ip6Address& dst, uint16_t /*port*/,
                         const std::vector<uint8_t>& payload) { OnDatagram(src, dst, payload); });
@@ -74,17 +73,12 @@ void ProtoEndpoint::OnDatagram(const Ip6Address& src, const Ip6Address& dst,
   }
 }
 
-SequenceNumber ProtoEndpoint::AllocateSequence(const Ip6Address& peer) {
-  // The pending table is bounded far below 65536 entries, so a free
-  // sequence always exists; skipping pending ones guarantees a wrapped
-  // counter can never alias a transaction still in flight toward this peer.
-  for (int attempts = 0; attempts < 65536; ++attempts) {
-    const SequenceNumber seq = next_sequence_++;
-    if (!by_key_.Contains(peer, seq)) {
-      return seq;
-    }
+ProtoEndpoint::PendingRequest* ProtoEndpoint::Holder(SequenceNumber sequence) {
+  const size_t slot = SlotOf(sequence);
+  if (slot >= slots_.size() || !slots_[slot].active || slots_[slot].sequence != sequence) {
+    return nullptr;
   }
-  return next_sequence_++;
+  return &slots_[slot];
 }
 
 ProtoEndpoint::PendingRequest* ProtoEndpoint::Resolve(RequestId id) {
@@ -114,8 +108,9 @@ ProtoEndpoint::RequestId ProtoEndpoint::ClaimSlot() {
   }
   PendingRequest& entry = slots_[slot];
   entry.active = true;
+  entry.sequence = static_cast<SequenceNumber>((entry.generation << slot_bits_) | slot);
   ++active_requests_;
-  return (uint64_t{entry.generation} << 32) | (slot + 1);
+  return IdOf(slot);
 }
 
 void ProtoEndpoint::ReleaseSlot(RequestId id, PendingRequest& entry) {
@@ -163,38 +158,17 @@ ProtoEndpoint::RequestId ProtoEndpoint::Start(const Ip6Address& peer, MessageTyp
     Finish(handler, gather.get(), ResourceExhausted("endpoint pending table full"), nullptr);
     return kInvalidRequest;
   }
-  const Ip6Address& key_peer = options.match_any_source ? AnySourceKey() : peer;
-  const SequenceNumber seq = AllocateSequence(key_peer);
   const RequestId id = ClaimSlot();
-
   PendingRequest& entry = *Resolve(id);
   entry.peer = peer;
-  entry.sequence = seq;
   entry.reply_type = reply_type;
   entry.handler = std::move(handler);
   entry.gather = std::move(gather);
-  MakeMessage(type, seq, std::move(payload)).SerializeInto(entry.wire);
+  MakeMessage(type, entry.sequence, std::move(payload)).SerializeInto(entry.wire);
   entry.options = options;
   entry.deadline = scheduler_.now() + SimTime::FromMillis(options.deadline_ms);
   entry.next_backoff_ms = options.initial_backoff_ms;
   entry.retransmits_left = options.max_retransmits;
-
-  if (!by_key_.Insert(key_peer, seq, id)) {
-    // AllocateSequence just verified (key_peer, seq) is free and the index
-    // is sized for max_in_flight_, so this should be unreachable — but an
-    // unindexed request can never match a reply, so fail it loudly now
-    // rather than let it silently burn its whole retransmit/deadline budget.
-    assert(false && "pending index rejected a freshly allocated key");
-    MLOG(kError, "endpoint") << "pending index rejected seq " << seq
-                             << "; failing request instead of leaving it unmatchable";
-    ResponseHandler failed_handler = std::move(entry.handler);
-    std::unique_ptr<Gather> failed_gather = std::move(entry.gather);
-    ReleaseSlot(id, entry);
-    ++counters_.rejected_capacity;
-    Finish(failed_handler, failed_gather.get(), InternalError("pending index insert failed"),
-           nullptr);
-    return kInvalidRequest;
-  }
 
   node_->SendUdp(peer, kMicroPnpUdpPort, entry.wire);
   ++counters_.requests_started;
@@ -205,7 +179,11 @@ ProtoEndpoint::RequestId ProtoEndpoint::Start(const Ip6Address& peer, MessageTyp
 
 SequenceNumber ProtoEndpoint::SendOneWay(const Ip6Address& peer, MessageType type,
                                          MessagePayload payload) {
-  const SequenceNumber seq = AllocateSequence(peer);
+  // At most 2^15 of the 2^16 sequences are pending, so the skip ends.
+  SequenceNumber seq = next_sequence_++;
+  while (Holder(seq) != nullptr) {
+    seq = next_sequence_++;
+  }
   Send(peer, type, seq, std::move(payload));
   return seq;
 }
@@ -259,8 +237,6 @@ void ProtoEndpoint::Complete(RequestId id, const Status& status, const Message* 
     return;
   }
   scheduler_.Cancel(entry->timer);
-  const Ip6Address& key_peer = entry->options.match_any_source ? AnySourceKey() : entry->peer;
-  by_key_.Erase(key_peer, entry->sequence);
 
   if (status.ok()) {
     ++counters_.completed_ok;
@@ -299,20 +275,17 @@ bool ProtoEndpoint::Cancel(RequestId id) {
 }
 
 bool ProtoEndpoint::HandleReply(const Ip6Address& src, const Message& message) {
-  // Unicast transactions match their exact (peer, sequence); any-source ones
-  // (anycast requests, multicast gathers) are indexed under the sentinel.
-  for (const Ip6Address* key : {&src, &AnySourceKey()}) {
-    const RequestId id = by_key_.Find(*key, message.sequence);
-    PendingRequest* entry = Resolve(id);
-    if (entry == nullptr || entry->reply_type != message.type ||
-        (entry->options.accept && !entry->options.accept(message))) {
-      continue;
-    }
+  // The sequence names the one transaction it can answer.  Any-source
+  // transactions (anycast requests, multicast gathers) skip the peer check.
+  PendingRequest* entry = Holder(message.sequence);
+  if (entry != nullptr && (entry->options.match_any_source || entry->peer == src) &&
+      entry->reply_type == message.type &&
+      (!entry->options.accept || entry->options.accept(message))) {
     ++counters_.replies_matched;
     if (entry->gather != nullptr) {
       entry->gather->replies.emplace_back(src, message);  // collected until the window closes
     } else {
-      Complete(id, OkStatus(), &message);
+      Complete(IdOf(SlotOf(message.sequence)), OkStatus(), &message);
     }
     return true;
   }

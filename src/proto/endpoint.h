@@ -9,11 +9,14 @@
 // owner sends goes out through it.  Every remote operation completes exactly
 // once with a Result, built on:
 //
-//  * per-peer sequence allocation (16-bit, wrapping; an allocation never
-//    collides with a transaction still pending toward the same peer);
-//  * a bounded pending table keyed by (peer, sequence), so stale replies —
-//    late, duplicated, or from a previous wrapped transaction — can never
-//    complete the wrong request;
+//  * sequences that name their slot: a transaction's sequence is its slot
+//    in the bounded pending table plus that slot's generation, so no two
+//    pending transactions share one and a reply finds its transaction with
+//    one array index;
+//  * exact matching: a reply completes a transaction only if its sequence,
+//    source (skipped for any-source transactions), type and `accept` check
+//    all match, so stale replies — late, duplicated, or answering a slot's
+//    previous transaction — can never complete the wrong request;
 //  * a deadline per request (completion with kDeadlineExceeded);
 //  * bounded retransmit-with-backoff over the lossy fabric (the paper's
 //    Section 9 "unreliable network environments" future work);
@@ -35,7 +38,6 @@
 
 #include "src/net/fabric.h"
 #include "src/proto/messages.h"
-#include "src/proto/pending_index.h"
 
 namespace micropnp {
 
@@ -77,7 +79,7 @@ struct EndpointCounters {
   uint64_t deadline_exceeded = 0;
   uint64_t cancelled = 0;
   uint64_t retransmits = 0;
-  uint64_t rejected_capacity = 0;      // pending table full or index insert failed
+  uint64_t rejected_capacity = 0;      // pending table full
   uint64_t stale_replies_dropped = 0;  // no pending transaction matched
   uint64_t replies_matched = 0;
   uint64_t peak_in_flight = 0;         // high-water mark of the pending table
@@ -101,7 +103,8 @@ class ProtoEndpoint {
       std::function<void(const Ip6Address& src, const Ip6Address& dst, const Message& message)>;
 
   // Binds `node`'s μPnP port for `handler`; the destructor unbinds it, so
-  // `node` must outlive the endpoint.
+  // `node` must outlive the endpoint.  At most `max_in_flight` transactions
+  // are pending at once; values above 32,768 are capped (see endpoint.cpp).
   ProtoEndpoint(Scheduler& scheduler, NetNode* node, MessageHandler handler,
                 size_t max_in_flight = 64);
   ~ProtoEndpoint();
@@ -109,22 +112,20 @@ class ProtoEndpoint {
   ProtoEndpoint(const ProtoEndpoint&) = delete;
   ProtoEndpoint& operator=(const ProtoEndpoint&) = delete;
 
-  // Allocates a sequence toward `peer`, sends `type`+`payload`, and arms the
-  // deadline/retransmit machinery.  `handler` is invoked exactly once: with
-  // the first reply of `reply_type` whose (source, sequence) matches, or
-  // with an error Status.  When the pending table is full the handler fires
-  // immediately (same turn) with kResourceExhausted and kInvalidRequest is
-  // returned.  (If the pending index ever rejects a freshly allocated key —
-  // an invariant violation — the handler likewise fires immediately, with
-  // kInternal, rather than leaving a request no reply could match.)
+  // Claims a slot (and with it a sequence), sends `type`+`payload` to
+  // `peer`, and arms the deadline/retransmit machinery.  `handler` is
+  // invoked exactly once: with the first reply of `reply_type` whose
+  // (source, sequence) matches, or with an error Status.  When the pending
+  // table is full the handler fires immediately (same turn) with
+  // kResourceExhausted and kInvalidRequest is returned.
   RequestId SendRequest(const Ip6Address& peer, MessageType type, MessagePayload payload,
                         MessageType reply_type, ResponseHandler handler,
                         const RequestOptions& options = RequestOptions{});
 
-  // Sends a message with a freshly allocated per-peer sequence and no
-  // transaction state: fire-and-forget notifications (advertisements,
-  // stream data) and requests whose effect is observed out-of-band (stream
-  // shutdown).  Returns the sequence used.
+  // Sends a message with a fresh sequence, one no pending transaction holds,
+  // and no transaction state: fire-and-forget notifications
+  // (advertisements, stream data) and requests whose effect is observed
+  // out-of-band (stream shutdown).  Returns the sequence used.
   SequenceNumber SendOneWay(const Ip6Address& peer, MessageType type, MessagePayload payload);
 
   // Sends a message under a sequence the caller chose, with no transaction
@@ -147,19 +148,17 @@ class ProtoEndpoint {
   bool Cancel(RequestId id);
 
   size_t in_flight() const { return active_requests_; }
-  size_t max_in_flight() const { return max_in_flight_; }
   const EndpointCounters& counters() const { return counters_; }
-
-  // Test hook: forces the next sequence the shared counter hands out,
-  // making 16-bit wrap-around scenarios cheap to construct.
-  void SetNextSequenceForTest(SequenceNumber next) { next_sequence_ = next; }
 
  private:
   // Transactions live in a slot arena: a slot is reused (freelist) once its
   // transaction completes, its wire buffer keeping its capacity, so a steady
   // stream of requests recycles storage instead of allocating.  A RequestId
   // encodes (generation << 32) | (slot + 1); the generation is bumped on
-  // release so a stale id can never resolve to a recycled slot.
+  // release so a stale id can never resolve to a recycled slot.  The
+  // transaction's sequence is (generation << slot_bits_) | slot, truncated
+  // to 16 bits: a slot repeats a sequence only after 2^(16 - slot_bits_)
+  // uses, each begun after the previous one completed.
 
   // A gather's handler and the replies it has collected.  Gathers are rare
   // (discovery windows), so this lives out of line to keep the slot small.
@@ -190,17 +189,25 @@ class ProtoEndpoint {
   // one consumed it.  Unmatched messages of pure reply types are counted as
   // stale; requests and notifications are not.
   bool HandleReply(const Ip6Address& src, const Message& message);
+  // The slot a sequence names: its low slot_bits_ bits.
+  size_t SlotOf(SequenceNumber sequence) const {
+    return sequence & ((size_t{1} << slot_bits_) - 1);
+  }
+  // The pending transaction holding `sequence`, or nullptr.
+  PendingRequest* Holder(SequenceNumber sequence);
   // Claims a slot and sends the transaction's first copy; the common body of
   // SendRequest and SendGather (`gather` is null for a request).
   RequestId Start(const Ip6Address& peer, MessageType type, MessagePayload payload,
                   MessageType reply_type, ResponseHandler handler,
                   std::unique_ptr<Gather> gather, const RequestOptions& options);
-  SequenceNumber AllocateSequence(const Ip6Address& peer);
   // Resolves an id to its live arena entry; nullptr when the transaction
   // already completed (stale id, or generation mismatch on a reused slot).
   PendingRequest* Resolve(RequestId id);
-  // Claims a free slot (growing the arena only when all slots are busy) and
-  // returns its id.
+  RequestId IdOf(size_t slot) const {
+    return (uint64_t{slots_[slot].generation} << 32) | (slot + 1);
+  }
+  // Claims a free slot (growing the arena only when all slots are busy),
+  // stamps its sequence, and returns its id.
   RequestId ClaimSlot();
   // Returns the slot behind `id` to the freelist, dropping per-transaction
   // state but keeping buffer capacity for the next occupant.
@@ -220,16 +227,14 @@ class ProtoEndpoint {
   NetNode* node_;
   MessageHandler handler_;
   size_t max_in_flight_;
-  // One wrapping counter for all peers: per-(peer, sequence) uniqueness is
-  // enforced at allocation time against the pending table, so no per-peer
-  // state accumulates for peers ever contacted.
+  // Bit width of max_in_flight_ - 1: the low bits of a sequence that name
+  // its slot.
+  int slot_bits_;
+  // One-way sends' wrapping counter, shared by all peers.
   SequenceNumber next_sequence_ = 1;
   std::vector<PendingRequest> slots_;
   std::vector<uint32_t> free_slots_;
   size_t active_requests_ = 0;
-  // (peer, sequence) -> transaction id, the O(1) matching index for incoming
-  // replies.  Any-source transactions index under the unspecified address.
-  PendingIndex by_key_;
   EndpointCounters counters_;
 };
 

@@ -8,6 +8,18 @@
 #include "src/dsl/compiler.h"
 
 namespace micropnp {
+namespace {
+
+// Repository lookup time on the server (milliseconds).
+constexpr double kLookupCpuMs = 0.6;
+// Pacing between consecutive chunk datagrams: keeps a multi-chunk stream
+// from bursting into one radio queue and lets forwarding nodes drain.
+constexpr double kChunkIntervalMs = 2.0;
+// Chunk payload sized so header + chunk framing + data fit one 88-byte
+// 6LoWPAN fragment (17 bytes of framing leaves <= 61; 56 keeps margin).
+constexpr uint16_t kChunkPayloadBytes = 56;
+
+}  // namespace
 
 MicroPnpManager::MicroPnpManager(Scheduler& scheduler, NetNode* node)
     : scheduler_(scheduler),
@@ -113,7 +125,7 @@ void MicroPnpManager::HandleInstallRequest(const Ip6Address& src, const Message&
     if (served.thing == src && served.sequence == m.sequence &&
         served.offer.device_id == request->device_id) {
       ++upload_retransmissions_;
-      SendAfter(lookup_cpu_ms_, src, MessageType::kDriverUploadOffer, m.sequence, served.offer);
+      SendAfter(kLookupCpuMs, src, MessageType::kDriverUploadOffer, m.sequence, served.offer);
       return;
     }
   }
@@ -163,10 +175,10 @@ void MicroPnpManager::HandleInstallRequest(const Ip6Address& src, const Message&
     recent_offers_.pop_front();
   }
   ++uploads_;
-  SendAfter(lookup_cpu_ms_, src, MessageType::kDriverUploadOffer, m.sequence, offer);
-  double at_ms = lookup_cpu_ms_;
+  SendAfter(kLookupCpuMs, src, MessageType::kDriverUploadOffer, m.sequence, offer);
+  double at_ms = kLookupCpuMs;
   for (uint16_t index : missing) {
-    at_ms += chunk_interval_ms_;
+    at_ms += kChunkIntervalMs;
     ++chunks_sent_;
     SendChunkAfter(at_ms, src, request->device_id, *img, index);
   }
@@ -187,7 +199,7 @@ void MicroPnpManager::HandleChunkRequest(const Ip6Address& src, const Message& m
     if (index >= img->chunk_count) {
       continue;
     }
-    at_ms += chunk_interval_ms_;
+    at_ms += kChunkIntervalMs;
     ++chunks_sent_;
     ++chunk_retransmissions_;
     SendChunkAfter(at_ms, src, request->device_id, *img, index);
@@ -206,7 +218,7 @@ const MicroPnpManager::PreparedImage* MicroPnpManager::Prepare(DeviceTypeId id) 
   PreparedImage img;
   img.bytes = repo->second.Serialize();
   img.crc = Crc32(ByteSpan(img.bytes.data(), img.bytes.size()));
-  img.chunk_size = chunk_payload_bytes_;
+  img.chunk_size = kChunkPayloadBytes;
   img.chunk_count =
       static_cast<uint16_t>((img.bytes.size() + img.chunk_size - 1) / img.chunk_size);
   return &(prepared_[id] = std::move(img));

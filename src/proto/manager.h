@@ -117,14 +117,6 @@ class MicroPnpManager {
   uint64_t chunk_retransmissions_ = 0;
   uint64_t resumed_uploads_ = 0;
   uint64_t upload_short_circuits_ = 0;
-  // Repository lookup time on the server (milliseconds).
-  double lookup_cpu_ms_ = 0.6;
-  // Pacing between consecutive chunk datagrams: keeps a multi-chunk stream
-  // from bursting into one radio queue and lets forwarding nodes drain.
-  double chunk_interval_ms_ = 2.0;
-  // Chunk payload sized so header + chunk framing + data fit one 88-byte
-  // 6LoWPAN fragment (17 bytes of framing leaves <= 61; 56 keeps margin).
-  uint16_t chunk_payload_bytes_ = 56;
 };
 
 }  // namespace micropnp

@@ -50,7 +50,7 @@ constexpr double kReadvertiseMaxMs = 64000.0;
 }  // namespace
 
 MicroPnpThing::MicroPnpThing(Scheduler& scheduler, NetNode* node, uint64_t seed,
-                             const ThingConfig& config, DecodeCache* decode_cache)
+                             DecodeCache& decode_cache, const ThingConfig& config)
     : scheduler_(scheduler),
       node_(node),
       config_(config),

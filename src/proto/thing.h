@@ -67,10 +67,10 @@ struct PlugFlowMarks {
 
 class MicroPnpThing {
  public:
-  // `decode_cache` (optional) shares verified decoded driver images with
-  // other Things (see DecodeCache); it must outlive the Thing.
-  MicroPnpThing(Scheduler& scheduler, NetNode* node, uint64_t seed,
-                const ThingConfig& config = ThingConfig{}, DecodeCache* decode_cache = nullptr);
+  // `decode_cache` shares verified decoded driver images with other Things
+  // (see DecodeCache); it must outlive the Thing.
+  MicroPnpThing(Scheduler& scheduler, NetNode* node, uint64_t seed, DecodeCache& decode_cache,
+                const ThingConfig& config = ThingConfig{});
 
   // --- local hardware access ------------------------------------------------
   Status Plug(ChannelId channel, Peripheral* peripheral);

@@ -39,11 +39,8 @@ Result<std::shared_ptr<const DecodedImage>> DecodeCache::GetOrDecode(const Drive
   return decoded;
 }
 
-DriverManager::DriverManager(Scheduler& scheduler, EventRouter& router, DecodeCache* decode_cache)
-    : scheduler_(scheduler),
-      router_(router),
-      own_cache_(decode_cache == nullptr ? std::make_unique<DecodeCache>() : nullptr),
-      decode_cache_(decode_cache != nullptr ? *decode_cache : *own_cache_) {
+DriverManager::DriverManager(Scheduler& scheduler, EventRouter& router, DecodeCache& decode_cache)
+    : scheduler_(scheduler), router_(router), decode_cache_(decode_cache) {
   router_.set_on_post([this] { SchedulePump(); });
 }
 

@@ -57,9 +57,9 @@ class DecodeCache {
 
 class DriverManager {
  public:
-  // `decode_cache` (optional) replaces the manager's own cache; it must
-  // outlive the manager.
-  DriverManager(Scheduler& scheduler, EventRouter& router, DecodeCache* decode_cache = nullptr);
+  // `decode_cache` may be shared with other managers; it must outlive this
+  // one.
+  DriverManager(Scheduler& scheduler, EventRouter& router, DecodeCache& decode_cache);
 
   // ---- driver image store (remote DEPLOY/REMOVE/DISCOVER) -----------------
   // Verifies + decodes the image; statically invalid images are rejected
@@ -102,8 +102,7 @@ class DriverManager {
   Scheduler& scheduler_;
   EventRouter& router_;
   // Survives RemoveImage, so a remove/re-deploy cycle of the same bytes is
-  // free.  `own_cache_` exists only when no shared cache was passed in.
-  std::unique_ptr<DecodeCache> own_cache_;
+  // free.
   DecodeCache& decode_cache_;
   std::map<DeviceTypeId, std::shared_ptr<const DecodedImage>> images_;
   std::map<ChannelId, std::unique_ptr<DriverHost>> hosts_;

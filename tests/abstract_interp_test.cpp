@@ -102,7 +102,8 @@ TEST(AbstractInterp, InstallImageRejectsUnsafeAtDeployTime) {
   // The same gate fires on the DriverManager install path (local or OTA).
   Scheduler sched;
   EventRouter router;
-  DriverManager manager(sched, router);
+  DecodeCache cache;
+  DriverManager manager(sched, router, cache);
   const Status status = manager.InstallImage(
       MakeImage({B(Op::kPush1), B(Op::kPush0), B(Op::kDiv), B(Op::kPop), B(Op::kRet)}));
   ASSERT_FALSE(status.ok());

@@ -2,10 +2,11 @@
 // protocol.  Covers the transaction lifecycle (exactly-once completion,
 // deadlines, cancellation, retransmit-with-backoff), discovery gathers as
 // ordinary transactions, the (peer, sequence) matching rules (stale,
-// duplicate and wrapped-sequence replies), the regression tests for the
-// seed's pending-table leaks (manager driver operations, client stream
-// requests), and wire robustness: truncated and garbage datagrams must
-// parse-fail cleanly and never crash or corrupt endpoint state.
+// duplicate and wrapped-sequence replies, and the in-flight cap that keeps
+// every slot's sequence matchable), the regression tests for the seed's
+// pending-table leaks (manager driver operations, client stream requests),
+// and wire robustness: truncated and garbage datagrams must parse-fail
+// cleanly and never crash or corrupt endpoint state.
 
 #include <gtest/gtest.h>
 
@@ -271,36 +272,109 @@ TEST_F(EndpointHarness, CapacityBoundRejectsExcessRequests) {
   EXPECT_EQ(*fires, static_cast<int>(kCapacity));
 }
 
-TEST_F(EndpointHarness, WrappedSequenceNeverAliasesPendingTransaction) {
-  // Force the allocator to the top of the 16-bit space, with a silent
-  // responder keeping every transaction pending.
-  endpoint_->SetNextSequenceForTest(65534);
-  auto fires = std::make_shared<int>(0);
+TEST_F(EndpointHarness, CycledSlotNeverAliasesPendingTransactions) {
+  // A sequence is its slot plus the slot's generation: the harness's 4-slot
+  // table uses 2 slot bits, so one slot carries 2^14 sequences.  Three silent
+  // transactions hold slots 0-2 while slot 3 carries more answered
+  // transactions than that, wrapping its sequence.
+  auto pending_fires = std::make_shared<int>(0);
   auto status = std::make_shared<Status>();
-  RequestOptions options;
-  options.deadline_ms = 4000.0;
-  SendRead(fires, status, options);  // 65534
-  SendRead(fires, status, options);  // 65535
-  SendRead(fires, status, options);  // wraps to 0
+  RequestOptions silent;
+  silent.deadline_ms = 1e9;
+  for (int i = 0; i < 3; ++i) {
+    SendRead(pending_fires, status, silent);
+  }
   deployment_.RunForMillis(200);
   ASSERT_EQ(requests_seen_.size(), 3u);
-  // CSMA jitter may reorder same-instant datagrams; compare as a set.
-  std::multiset<SequenceNumber> seen{requests_seen_[0].sequence, requests_seen_[1].sequence,
-                                     requests_seen_[2].sequence};
-  EXPECT_EQ(seen, (std::multiset<SequenceNumber>{65534, 65535, 0}));
-  // Wind the allocator back onto the still-pending sequences: allocation
-  // must skip all three and hand out 1.
-  endpoint_->SetNextSequenceForTest(65534);
-  SendRead(fires, status, options);
+  const std::set<SequenceNumber> pending{requests_seen_[0].sequence, requests_seen_[1].sequence,
+                                         requests_seen_[2].sequence};
+  ASSERT_EQ(pending.size(), 3u);
+  // One-way sends draw from a wrapping counter that skips pending sequences.
+  for (int i = 0; i < 8; ++i) {
+    const SequenceNumber seq = endpoint_->SendOneWay(
+        responder_node_->address(), MessageType::kRead, DeviceTargetPayload{kTmp36TypeId});
+    EXPECT_EQ(pending.count(seq), 0u) << "one-way sequence " << seq << " aliases a pending one";
+  }
   deployment_.RunForMillis(200);
-  ASSERT_EQ(requests_seen_.size(), 4u);
-  EXPECT_EQ(requests_seen_[3].sequence, 1);
-  EXPECT_EQ(endpoint_->in_flight(), 4u);
-  // A stale reply for a sequence that was never allocated is rejected.
+
+  // Each answered read starts the next one from its handler.
+  constexpr int kCycles = 20000;
+  responder_ = [this](const Ip6Address& src, const Message& m) {
+    responder_node_->SendUdp(src, kMicroPnpUdpPort, DataReply(m.sequence));
+  };
+  std::vector<SequenceNumber> cycled;
+  std::function<void()> send_next = [&] {
+    endpoint_->SendRequest(responder_node_->address(), MessageType::kRead,
+                           DeviceTargetPayload{kTmp36TypeId}, {MessageType::kData},
+                           [&](Result<Message> reply) {
+                             ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+                             cycled.push_back(reply->sequence);
+                             if (cycled.size() < static_cast<size_t>(kCycles)) {
+                               send_next();
+                             }
+                           });
+  };
+  send_next();
+  deployment_.RunForMillis(kCycles * 200.0);  // a round trip takes ~80 ms
+  ASSERT_EQ(cycled.size(), static_cast<size_t>(kCycles));
+  EXPECT_EQ(std::set<SequenceNumber>(cycled.begin(), cycled.end()).size(), size_t{1} << 14);
+  for (SequenceNumber seq : cycled) {
+    ASSERT_EQ(pending.count(seq), 0u) << "cycled sequence " << seq << " aliases a pending one";
+  }
+  EXPECT_EQ(*pending_fires, 0);
+  EXPECT_EQ(endpoint_->in_flight(), 3u);
+  EXPECT_EQ(endpoint_->counters().completed_ok, static_cast<uint64_t>(kCycles));
+  EXPECT_EQ(endpoint_->counters().stale_replies_dropped, 0u);
+
+  // With a silent transaction back on slot 3, a reply carrying the slot's
+  // previous sequence is stale, and so is one for a sequence never handed out.
+  responder_ = nullptr;
+  SendRead(pending_fires, status, silent);
+  deployment_.RunForMillis(200);
+  ASSERT_NE(requests_seen_.back().sequence, cycled.back());
+  responder_node_->SendUdp(requester_node_->address(), kMicroPnpUdpPort,
+                           DataReply(cycled.back()));
+  deployment_.RunForMillis(200);
+  EXPECT_EQ(endpoint_->counters().stale_replies_dropped, 1u);
   responder_node_->SendUdp(requester_node_->address(), kMicroPnpUdpPort, DataReply(777));
   deployment_.RunForMillis(200);
-  EXPECT_EQ(*fires, 0);
-  EXPECT_EQ(endpoint_->counters().stale_replies_dropped, 1u);
+  EXPECT_EQ(endpoint_->counters().stale_replies_dropped, 2u);
+  // A pending sequence from a node other than the transaction's peer is
+  // stale as well.
+  NetNode* bystander = deployment_.AddRelayNode("bystander");
+  bystander->SendUdp(requester_node_->address(), kMicroPnpUdpPort, DataReply(*pending.begin()));
+  deployment_.RunForMillis(200);
+  EXPECT_EQ(endpoint_->counters().stale_replies_dropped, 3u);
+  EXPECT_EQ(*pending_fires, 0);
+  EXPECT_EQ(endpoint_->in_flight(), 4u);
+}
+
+TEST(EndpointCapacity, MaxInFlightIsCappedAtTwoToTheFifteen) {
+  // A larger bound would give slots whose sequence has no room for a
+  // generation bit, or for the slot index itself.
+  Deployment deployment;
+  NetNode* requester = deployment.AddRelayNode("requester");
+  NetNode* silent = deployment.AddRelayNode("silent");
+  ProtoEndpoint endpoint(deployment.scheduler(), requester, nullptr, /*max_in_flight=*/100000);
+  constexpr int kCap = 32768;
+  int fires = 0;
+  auto send = [&](ProtoEndpoint::ResponseHandler handler) {
+    return endpoint.SendRequest(silent->address(), MessageType::kRead,
+                                DeviceTargetPayload{kTmp36TypeId}, {MessageType::kData},
+                                std::move(handler));
+  };
+  for (int i = 0; i < kCap; ++i) {
+    ASSERT_NE(send([&fires](Result<Message>) { ++fires; }), ProtoEndpoint::kInvalidRequest)
+        << "request " << i;
+  }
+  EXPECT_EQ(endpoint.in_flight(), static_cast<size_t>(kCap));
+  std::optional<Status> rejected;
+  EXPECT_EQ(send([&rejected](Result<Message> reply) { rejected = reply.status(); }),
+            ProtoEndpoint::kInvalidRequest);
+  ASSERT_TRUE(rejected.has_value());
+  EXPECT_EQ(rejected->code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(endpoint.counters().rejected_capacity, 1u);
+  EXPECT_EQ(fires, 0);
 }
 
 // --------------------------------------------------------------- gathers ----

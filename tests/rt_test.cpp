@@ -113,7 +113,8 @@ TEST(EventRouter, SelfRepostingDriverDrainTerminates) {
   // over instead of spinning forever inside one call.
   Scheduler sched;
   EventRouter router;
-  DriverManager manager(sched, router);
+  DecodeCache cache;
+  DriverManager manager(sched, router, cache);
   ChannelBus bus(sched);
   Result<DriverImage> image = CompileDriver(R"(
 device 1;
@@ -480,7 +481,8 @@ event sum(int32_t a, int32_t b, int32_t c, int32_t d):
 // installed; plugging a peripheral auto-activates its driver.
 class RuntimeHarness {
  public:
-  RuntimeHarness() : rng_(42), manager_(scheduler_, router_), controller_(scheduler_, rng_) {
+  RuntimeHarness()
+      : rng_(42), manager_(scheduler_, router_, cache_), controller_(scheduler_, rng_) {
     for (const BundledDriver& d : BundledDrivers()) {
       Result<DriverImage> image = CompileDriver(d.source);
       EXPECT_TRUE(image.ok()) << d.name << ": " << image.status().ToString();
@@ -525,6 +527,7 @@ class RuntimeHarness {
   EventRouter router_;
   Rng rng_;
   Environment env_;
+  DecodeCache cache_;
   DriverManager manager_;
   PeripheralController controller_;
 };
@@ -669,7 +672,8 @@ TEST(EndToEnd, UartInUseErrorReachesSecondDriver) {
 TEST(DriverManager, InstallRemoveDiscover) {
   Scheduler sched;
   EventRouter router;
-  DriverManager manager(sched, router);
+  DecodeCache cache;
+  DriverManager manager(sched, router, cache);
   Result<DriverImage> image = CompileDriver(BundledDrivers()[0].source);
   ASSERT_TRUE(image.ok());
 
@@ -684,7 +688,8 @@ TEST(DriverManager, InstallRemoveDiscover) {
 TEST(DriverManager, RejectsReservedDeviceIds) {
   Scheduler sched;
   EventRouter router;
-  DriverManager manager(sched, router);
+  DecodeCache cache;
+  DriverManager manager(sched, router, cache);
   DriverImage image;
   image.device_id = kDeviceTypeAllPeripherals;
   EXPECT_FALSE(manager.InstallImage(image).ok());
@@ -695,7 +700,8 @@ TEST(DriverManager, RejectsReservedDeviceIds) {
 TEST(DriverManager, CannotRemoveImageInUse) {
   Scheduler sched;
   EventRouter router;
-  DriverManager manager(sched, router);
+  DecodeCache cache;
+  DriverManager manager(sched, router, cache);
   ChannelBus bus(sched);
   Result<DriverImage> image = CompileDriver(BundledDrivers()[0].source);
   ASSERT_TRUE(image.ok());
@@ -709,7 +715,8 @@ TEST(DriverManager, CannotRemoveImageInUse) {
 TEST(DriverManager, DecodeCacheSkipsVerifyOnReinstall) {
   Scheduler sched;
   EventRouter router;
-  DriverManager manager(sched, router);
+  DecodeCache cache;
+  DriverManager manager(sched, router, cache);
   Result<DriverImage> image = CompileDriver(BundledDrivers()[0].source);
   ASSERT_TRUE(image.ok());
 
@@ -738,7 +745,8 @@ TEST(DriverManager, InstallRejectsStaticallyInvalidImage) {
   // Status, never discovered mid-handler.
   Scheduler sched;
   EventRouter router;
-  DriverManager manager(sched, router);
+  DecodeCache cache;
+  DriverManager manager(sched, router, cache);
   Result<DriverImage> image = CompileDriver(BundledDrivers()[0].source);
   ASSERT_TRUE(image.ok());
   DriverImage corrupt = *image;
@@ -752,7 +760,8 @@ TEST(DriverManager, InstallRejectsStaticallyInvalidImage) {
 TEST(DriverManager, ActivateWithoutImageFails) {
   Scheduler sched;
   EventRouter router;
-  DriverManager manager(sched, router);
+  DecodeCache cache;
+  DriverManager manager(sched, router, cache);
   ChannelBus bus(sched);
   EXPECT_EQ(manager.Activate(0, 0xdeadbeef, bus).code(), StatusCode::kNotFound);
 }
@@ -779,7 +788,8 @@ TEST(DriverManager, DeactivateDropsAdcConversionInFlight) {
 TEST(DriverManager, DeactivateDropsArmedOnceTimer) {
   Scheduler sched;
   EventRouter router;
-  DriverManager manager(sched, router);
+  DecodeCache cache;
+  DriverManager manager(sched, router, cache);
   ChannelBus bus(sched);
   Result<DriverImage> image = CompileDriver(R"(
 device 1;
