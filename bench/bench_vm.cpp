@@ -10,7 +10,8 @@
 // the interpreter's native throughput.  The wall-clock section times the
 // pre-decoded execution pipeline (Vm::Dispatch) and its one-off decode cost,
 // and adds an event-storm throughput benchmark (N drivers x M events through
-// EventRouter -> DriverHost).
+// EventRouter -> DriverHost) and a scheduler churn benchmark (the timer
+// pattern every request puts on the discrete-event Scheduler).
 
 #include <benchmark/benchmark.h>
 
@@ -220,6 +221,41 @@ void BM_EventStorm(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_EventStorm)->Arg(1)->Arg(4)->Arg(16);
+
+// Scheduler churn with about N events pending: one iteration arms a timer
+// (a 16-byte closure), cancels the timer armed N iterations earlier, and
+// runs what is due, advancing the clock 1 us: the endpoint's
+// arm-then-cancel timer pattern.  One timer in 8 is short (due N/2
+// iterations after arming), so it fires and its later Cancel meets a stale
+// id; the rest are cancelled before they are due.  BM_EventStorm never
+// touches the scheduler; this isolates it.
+void BM_SchedulerChurn(benchmark::State& state) {
+  const uint64_t n = static_cast<uint64_t>(state.range(0));
+  Scheduler scheduler;
+  std::vector<Scheduler::EventId> armed(n, 0);
+  uint64_t fired = 0;
+  uint64_t i = 0;
+  auto iterate = [&] {
+    Scheduler::EventId& ring = armed[i % n];
+    const Scheduler::EventId earlier = ring;
+    const uint64_t delay_us = i % 8 == 0 ? n / 2 : 2 * n;
+    ring = scheduler.ScheduleAfter(SimTime::FromNanos(delay_us * 1000),
+                                   [&fired, i] { fired += i & 1; });
+    scheduler.Cancel(earlier);
+    scheduler.RunUntil(scheduler.now() + SimTime::FromNanos(1000));
+    ++i;
+  };
+  for (uint64_t warm = 0; warm < 2 * n; ++warm) {
+    iterate();
+  }
+  for (auto _ : state) {
+    iterate();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["pending"] = static_cast<double>(scheduler.pending());
+}
+BENCHMARK(BM_SchedulerChurn)->Arg(1000)->Arg(100000);
 
 void BM_EventRouterPostDispatch(benchmark::State& state) {
   EventRouter router;

@@ -224,10 +224,7 @@ void Fabric::Route(NetNode& src, const Ip6Address& dst, uint16_t port,
 void Fabric::RouteUnicast(NetNode& src, NetNode& dst, const Ip6Address& dst_addr, uint16_t port,
                           const std::vector<uint8_t>& payload) {
   if (&src == &dst) {
-    scheduler_.ScheduleAfter(SimTime::FromMillis(0.05),
-                             [&dst, src_addr = src.address(), dst_addr, port, payload] {
-                               dst.Deliver(src_addr, dst_addr, port, payload);
-                             });
+    ScheduleDelivery(SimTime::FromMillis(0.05), dst, src.address(), dst_addr, port, payload);
     return;
   }
   const std::vector<NetNode*>& path = TreePath(src, dst);
@@ -242,10 +239,36 @@ void Fabric::RouteUnicast(NetNode& src, NetNode& dst, const Ip6Address& dst_addr
   }
   latency += *wire;
   latency += Jittered(dst.profile().rx_processing_ms, dst.profile());
-  scheduler_.ScheduleAfter(SimTime::FromMillis(latency),
-                           [&dst, src_addr = src.address(), dst_addr, port, payload] {
-                             dst.Deliver(src_addr, dst_addr, port, payload);
-                           });
+  ScheduleDelivery(SimTime::FromMillis(latency), dst, src.address(), dst_addr, port, payload);
+}
+
+void Fabric::ScheduleDelivery(SimDuration delay, NetNode& dst, const Ip6Address& src,
+                              const Ip6Address& dst_addr, uint16_t port,
+                              const std::vector<uint8_t>& payload) {
+  uint32_t slot;
+  if (!free_deliveries_.empty()) {
+    slot = free_deliveries_.back();
+    free_deliveries_.pop_back();
+  } else {
+    slot = static_cast<uint32_t>(deliveries_.size());
+    deliveries_.emplace_back();
+  }
+  Delivery& delivery = deliveries_[slot];
+  delivery.dst = &dst;
+  delivery.src = src;
+  delivery.dst_addr = dst_addr;
+  delivery.port = port;
+  delivery.payload.assign(payload.begin(), payload.end());
+  scheduler_.ScheduleAfter(delay, [this, slot] { RunDelivery(slot); });
+}
+
+void Fabric::RunDelivery(uint32_t slot) {
+  // The handler may send, which can grow (and so move) the pool: it gets a
+  // local record, whose buffer returns to the slot once it is done.
+  Delivery delivery = std::move(deliveries_[slot]);
+  delivery.dst->Deliver(delivery.src, delivery.dst_addr, delivery.port, delivery.payload);
+  deliveries_[slot] = std::move(delivery);
+  free_deliveries_.push_back(slot);
 }
 
 void Fabric::UpdateMemberBranches(NetNode& node, const Ip6Address& group, bool gained) {
@@ -301,12 +324,10 @@ void Fabric::RouteMulticast(NetNode& src, const Ip6Address& group, uint16_t port
     // Deliver locally if this node is a member (the source also receives its
     // own group traffic if subscribed, except we suppress the loopback).
     if (current.node != &src && current.node->InGroup(group)) {
-      NetNode* dst = current.node;
-      const double rx = Jittered(dst->profile().rx_processing_ms, dst->profile());
-      scheduler_.ScheduleAfter(SimTime::FromMillis(current.latency + rx),
-                               [dst, src_addr = src.address(), group, port, payload] {
-                                 dst->Deliver(src_addr, group, port, payload);
-                               });
+      NetNode& dst = *current.node;
+      const double rx = Jittered(dst.profile().rx_processing_ms, dst.profile());
+      ScheduleDelivery(SimTime::FromMillis(current.latency + rx), dst, src.address(), group, port,
+                       payload);
     }
 
     // Forward into child subtrees: every child when flooding, only the

@@ -19,6 +19,15 @@
 // Frame transmissions are counted fabric-wide (all frames, multicast
 // frames and lost frames), which is what the SMRF-vs-flooding ablation
 // measures.
+//
+// Routing never delivers inline: each datagram's arrival at each receiver
+// is a scheduler event.  Its state (receiver, addresses, port, payload
+// bytes) sits in a pooled delivery record whose payload buffer keeps its
+// capacity, and the event is a closure naming the record's slot, small
+// enough for std::function's inline buffer, so a delivery allocates nothing
+// once the pool has grown to its high-water mark.  The payload a handler
+// receives stays valid for the whole handler, even when the handler sends
+// (and so grows the pool).
 
 #ifndef SRC_NET_FABRIC_H_
 #define SRC_NET_FABRIC_H_
@@ -203,6 +212,23 @@ class Fabric {
   // +/- uniform jitter applied (one RNG draw).
   double Jittered(double ms, const NodeProfile& profile);
 
+  // One datagram on its way to one receiver, pooled (see the file comment).
+  struct Delivery {
+    NetNode* dst = nullptr;
+    Ip6Address src;
+    Ip6Address dst_addr;
+    uint16_t port = 0;
+    std::vector<uint8_t> payload;
+  };
+  // Copies the datagram into a free record and schedules its arrival at
+  // `dst` after `delay`: the one delivery path for self-sends, unicast and
+  // multicast members.
+  void ScheduleDelivery(SimDuration delay, NetNode& dst, const Ip6Address& src,
+                        const Ip6Address& dst_addr, uint16_t port,
+                        const std::vector<uint8_t>& payload);
+  // Hands the record in `slot` to its receiver, then frees the slot.
+  void RunDelivery(uint32_t slot);
+
   Scheduler& scheduler_;
   Rng rng_;
   LinkModel link_;
@@ -221,6 +247,8 @@ class Fabric {
   };
   std::vector<Descent> mcast_queue_;
   bool in_route_ = false;
+  std::vector<Delivery> deliveries_;
+  std::vector<uint32_t> free_deliveries_;
   uint64_t frames_transmitted_ = 0;
   uint64_t frames_lost_ = 0;
   uint64_t multicast_frames_ = 0;

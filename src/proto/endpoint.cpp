@@ -190,8 +190,11 @@ SequenceNumber ProtoEndpoint::SendOneWay(const Ip6Address& peer, MessageType typ
 
 void ProtoEndpoint::Send(const Ip6Address& peer, MessageType type, SequenceNumber sequence,
                          MessagePayload payload) {
-  node_->SendUdp(peer, kMicroPnpUdpPort,
-                 MakeMessage(type, sequence, std::move(payload)).Serialize());
+  // One buffer serves every endpoint: the fabric copies the bytes before
+  // SendUdp returns, so its capacity is all that outlives the call.
+  thread_local std::vector<uint8_t> wire;
+  MakeMessage(type, sequence, std::move(payload)).SerializeInto(wire);
+  node_->SendUdp(peer, kMicroPnpUdpPort, wire);
 }
 
 void ProtoEndpoint::ArmTimer(RequestId id) {

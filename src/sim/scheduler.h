@@ -1,21 +1,30 @@
 // Discrete-event scheduler on a binary heap.
 //
-// Events are closures ordered by (time, id).  Ids are issued in schedule
-// order, so equal-time events run in FIFO order, which keeps the simulation
-// deterministic.  The heap holds {when, id} keys and a hash map holds the
-// actions of live events.  Cancel() erases the action; the key it leaves (a
-// tombstone) is discarded when it reaches the top.  When the heap holds more
-// than 64 entries and over twice as many as there are live events, Cancel()
-// drops every tombstone and re-heapifies, so memory stays O(peak pending).
-// Differentially tested in tests/scheduler_test.cpp against the seed
-// scheduler in tests/oracles/.
+// Events are closures ordered by (time, seq).  seq counts schedules, so
+// equal-time events run in FIFO order, which keeps the simulation
+// deterministic.  The heap holds {when, seq, slot, generation} keys and the
+// actions live in a slot vector with a free list: an event reaches its
+// action by index, and a warm scheduler allocates nothing for a closure
+// that fits std::function's inline buffer.
+//
+// An EventId is a handle, (generation << 32) | (slot + 1), never 0.  Running
+// or cancelling an event bumps its slot's generation and frees the slot, so
+// a heap key is live exactly while its generation equals its slot's, and a
+// stale id never reaches the slot's next occupant.  The generation is 32
+// bits, so a slot repeats a handle only after 2^32 reuses.  An id means
+// something only to the scheduler that issued it.
+//
+// Cancel() leaves the event's heap key behind as a tombstone, discarded when
+// it reaches the top.  When the heap holds more than 64 entries and over
+// twice as many as there are live events, Cancel() drops every tombstone
+// and re-heapifies, so memory stays O(peak pending).  Differentially tested
+// in tests/scheduler_test.cpp against the seed scheduler in tests/oracles/.
 
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/clock.h"
@@ -43,7 +52,7 @@ class Scheduler {
   SimTime now() const { return now_; }
 
   // Schedules `action` to run at absolute time `when` (clamped to now).
-  // Returns an id usable with Cancel().
+  // Returns a non-zero id usable with Cancel().
   EventId ScheduleAt(SimTime when, Action action);
 
   // Schedules `action` to run `delay` after the current time.
@@ -54,7 +63,10 @@ class Scheduler {
   // Cancels a pending event.  Returns false if it already ran or is unknown.
   bool Cancel(EventId id);
   // True until the event runs or is cancelled.
-  bool IsPending(EventId id) const { return actions_.contains(id); }
+  bool IsPending(EventId id) const {
+    const uint64_t slot = (id & 0xffffffffull) - 1;  // id 0 wraps out of range
+    return slot < slots_.size() && slots_[slot].generation == (id >> 32);
+  }
 
   // Runs events until the queue drains.  Returns the number of events run.
   size_t Run();
@@ -66,8 +78,8 @@ class Scheduler {
   // Runs a single event if one is pending.  Returns true if an event ran.
   bool Step();
 
-  bool empty() const { return actions_.empty(); }
-  size_t pending() const { return actions_.size(); }
+  bool empty() const { return live_ == 0; }
+  size_t pending() const { return live_; }
 
   // Total events executed since construction (for sanity checks in tests).
   uint64_t executed() const { return executed_; }
@@ -77,9 +89,21 @@ class Scheduler {
  private:
   struct Entry {
     uint64_t when_ns;
-    EventId id;
+    uint64_t seq;  // schedule order: the tie-break at equal times
+    uint32_t slot;
+    uint32_t generation;
+  };
+  struct Slot {
+    Action action;  // empty while the slot is free
+    uint32_t generation = 0;
   };
 
+  bool IsLive(const Entry& entry) const {
+    return slots_[entry.slot].generation == entry.generation;
+  }
+  // Ends the occupancy of `slot` (its event ran or was cancelled): drops
+  // the action, retires its handle and returns the slot to the free list.
+  void Release(uint32_t slot);
   // Discards tombstones from the top of the heap; true when the earliest
   // live event is due at or before `limit_ns`.  Runs nothing.
   bool NextDue(uint64_t limit_ns);
@@ -89,10 +113,12 @@ class Scheduler {
   void Compact();
 
   SimTime now_;
-  EventId next_id_ = 1;
+  uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
-  std::vector<Entry> heap_;  // earliest (when, id) at the front
-  std::unordered_map<EventId, Action> actions_;  // live events only
+  size_t live_ = 0;
+  std::vector<Entry> heap_;  // earliest (when, seq) at the front
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
   SchedulerStats stats_;
 };
 

@@ -1,8 +1,13 @@
-// Host heap cost of one simulated Thing at Deployment::AddThing, before
-// anything is plugged.  A fleet of 10k Things pays this 10k times, so it
-// bounds peak RSS for every fleet-scale bench.  The counter is the global
-// allocation functions, replaced below; this file is its own executable, so
-// the replacement counts this test's allocations only.
+// Host heap counters, one per test:
+//  * the heap cost of one simulated Thing at Deployment::AddThing, before
+//    anything is plugged.  A fleet of 10k Things pays this 10k times, so it
+//    bounds peak RSS for every fleet-scale bench;
+//  * allocations per read on a warm, lossless gateway read loop: the steady
+//    request path through client, endpoint, fabric, scheduler, Thing and VM;
+//  * allocations on a warm schedule/cancel/run churn of small closures.
+// The counter is the global allocation functions, replaced below; this file
+// is its own executable, so the replacement counts this test's allocations
+// only.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +17,11 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "src/core/deployment.h"
+#include "src/core/driver_sources.h"
+#include "src/dsl/compiler.h"
 
 namespace {
 
@@ -75,6 +83,120 @@ TEST(Footprint, HeapPerAddThing) {
   std::printf("\n");
 
   EXPECT_LE(bytes, 7168.0);
+}
+
+// A closed loop of gateway reads over a preinstalled TMP36 fleet: each
+// completion issues the next read, keeping kWindow in flight.  The callback
+// captures one pointer, so std::function stores it inline and the loop
+// itself allocates nothing per read.
+struct ReadLoop {
+  static constexpr int kWarmupReads = 5000;
+  static constexpr int kMeasuredReads = 20000;
+  static constexpr int kWindow = 256;
+
+  MicroPnpClient* gateway = nullptr;
+  std::vector<MicroPnpThing*> things;
+  int issued = 0;
+  int completed = 0;
+  int failed = 0;
+  size_t allocations_at_start = 0;
+  size_t allocations_at_end = 0;
+
+  void IssueNext() {
+    // The window stays full until the last measured read completes.
+    if (issued >= kWarmupReads + kMeasuredReads + kWindow) {
+      return;
+    }
+    MicroPnpThing* thing = things[static_cast<size_t>(issued) % things.size()];
+    ++issued;
+    gateway->Read(thing->node().address(), kTmp36TypeId,
+                  [this](Result<WireValue> value) { OnRead(value.ok()); });
+  }
+
+  void OnRead(bool ok) {
+    failed += ok ? 0 : 1;
+    ++completed;
+    if (completed == kWarmupReads) {
+      allocations_at_start = g_allocations;
+    } else if (completed == kWarmupReads + kMeasuredReads) {
+      allocations_at_end = g_allocations;
+    }
+    IssueNext();
+  }
+};
+
+TEST(Footprint, AllocationsPerSteadyRead) {
+  constexpr int kThings = 1000;
+  Deployment deployment;
+  (void)deployment.AddManager();
+  ReadLoop loop;
+  loop.gateway = &deployment.AddClient("gateway", nullptr, ReadLoop::kWindow + 64);
+  // Lossless fleet bring-up with re-advertisement off, as in bench_gateway:
+  // only reads run once the fleet is up.
+  ThingConfig thing_config;
+  thing_config.readvertise_min_ms = 0.0;
+  Result<DriverImage> image = CompileDriver(FindBundledDriver(kTmp36TypeId)->source);
+  ASSERT_TRUE(image.ok());
+  for (int i = 0; i < kThings; ++i) {
+    MicroPnpThing& thing =
+        deployment.AddThing(std::string("t") += std::to_string(i), nullptr, thing_config);
+    ASSERT_TRUE(thing.PreinstallDriver(*image).ok());
+    ASSERT_TRUE(thing.Plug(0, &deployment.MakeTmp36()).ok());
+    loop.things.push_back(&thing);
+  }
+  deployment.RunForMillis(1000);
+
+  const uint64_t events_before = deployment.scheduler().executed();
+  for (int i = 0; i < ReadLoop::kWindow; ++i) {
+    loop.IssueNext();
+  }
+  deployment.scheduler().Run();
+  ASSERT_EQ(loop.completed, loop.issued);
+  ASSERT_GE(loop.completed, ReadLoop::kWarmupReads + ReadLoop::kMeasuredReads);
+  EXPECT_EQ(loop.failed, 0);
+
+  const double per_read = static_cast<double>(loop.allocations_at_end - loop.allocations_at_start) /
+                          ReadLoop::kMeasuredReads;
+  const double events_per_read =
+      static_cast<double>(deployment.scheduler().executed() - events_before) / loop.completed;
+  std::printf("steady read: %.2f allocations per read, %.2f scheduler events per read\n",
+              per_read, events_per_read);
+  EXPECT_LE(per_read, 2.5);
+}
+
+TEST(Footprint, NoAllocationsOnWarmSchedulerChurn) {
+  // Rounds of 1k schedules with 16-byte closures, half of them cancelled,
+  // then a drain: the endpoint's arm-then-cancel timer pattern.  The first
+  // round grows the scheduler's storage to its peak; later rounds reuse it.
+  constexpr int kPerRound = 1000;
+  constexpr int kRounds = 100;
+  Scheduler sched;
+  std::vector<Scheduler::EventId> ids;
+  ids.reserve(kPerRound);
+  uint64_t ran = 0;
+  auto round = [&] {
+    ids.clear();
+    for (int i = 0; i < kPerRound; ++i) {
+      auto action = [&ran, i] { ran += static_cast<uint64_t>(i % 2); };
+      static_assert(sizeof(action) == 16);
+      ids.push_back(sched.ScheduleAfter(SimTime::FromMicros(1 + i % 97), action));
+    }
+    for (size_t i = 0; i < ids.size(); i += 2) {
+      EXPECT_TRUE(sched.Cancel(ids[i]));
+    }
+    sched.Run();
+  };
+  round();
+
+  const size_t before = g_allocations;
+  for (int r = 0; r < kRounds; ++r) {
+    round();
+  }
+  const size_t allocations = g_allocations - before;
+  std::printf("warm scheduler churn: %zu allocations over %d schedules\n", allocations,
+              kPerRound * kRounds);
+  EXPECT_EQ(ran, uint64_t{kPerRound / 2} * (kRounds + 1));  // each surviving (odd) i adds 1
+  EXPECT_EQ(allocations, 0u);
 }
 
 }  // namespace

@@ -294,6 +294,32 @@ TEST_F(FabricTest, ScratchReuseAcrossBackToBackRoutes) {
   EXPECT_EQ(replies, 1);
 }
 
+TEST_F(FabricTest, PayloadOutlivesAHandlerThatSends) {
+  // A delivery's payload must stay valid for the whole handler, even when
+  // the handler sends: its 100 sends grow the fabric's delivery pool far
+  // past its high-water mark (one pending delivery), moving every record.
+  constexpr int kBurst = 100;
+  const std::vector<uint8_t> sent = {0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x80, 0x90};
+  std::vector<uint8_t> seen;
+  int burst_received = 0;
+  b_->BindUdp(6030, [&](const Ip6Address&, const Ip6Address&, uint16_t,
+                        const std::vector<uint8_t>& payload) {
+    for (int i = 0; i < kBurst; ++i) {
+      b_->SendUdp(c_->address(), 7000, {static_cast<uint8_t>(i), 0xee, 0xff});
+    }
+    seen = payload;  // read only after the sends
+  });
+  c_->BindUdp(7000, [&](const Ip6Address&, const Ip6Address&, uint16_t,
+                        const std::vector<uint8_t>& payload) {
+    EXPECT_EQ(payload.size(), 3u);
+    ++burst_received;
+  });
+  a_->SendUdp(b_->address(), 6030, sent);
+  sched_.Run();
+  EXPECT_EQ(seen, sent);
+  EXPECT_EQ(burst_received, kBurst);
+}
+
 TEST_F(FabricTest, SelfSendLoopsBack) {
   int received = 0;
   a_->BindUdp(6030, [&](const Ip6Address&, const Ip6Address&, uint16_t,

@@ -13,6 +13,7 @@
 // tombstone vector was quadratic here, which is the regression this guards
 // against.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <vector>
@@ -160,9 +161,10 @@ TEST(SchedulerTest, ActionsCanScheduleAndCancelReentrantly) {
 // ----------------------------------------------------------- differential ---
 
 // Applies an identical random trace to both schedulers, comparing every
-// observable after every operation.  Both allocate EventIds sequentially from
-// 1, so ids correspond across the pair and Cancel() can target "the same"
-// event in each.
+// observable after every operation.  The two issue different ids (the
+// oracle counts from 1, the scheduler hands out slot handles), so each
+// replica records its own, and index i names "the same" event in both for
+// Cancel().  The scheduler's ids must be non-zero and never repeat.
 template <typename S>
 struct Replica {
   S sched;
@@ -234,7 +236,7 @@ void RunTrace(uint64_t seed) {
       const uint64_t burst = rng.UniformInt(80, 160);
       for (uint64_t i = 0; i < burst; ++i) {
         schedule_random();
-        ASSERT_EQ(impl.ids.back(), ref.ids.back()) << "seed " << seed;
+        ASSERT_NE(impl.ids.back(), 0u) << "seed " << seed;
       }
       for (size_t i = first; i < impl.ids.size(); ++i) {
         if (rng.Bernoulli(0.8)) {
@@ -244,7 +246,7 @@ void RunTrace(uint64_t seed) {
       }
     } else if (kind < 45) {  // schedule
       schedule_random();
-      ASSERT_EQ(impl.ids.back(), ref.ids.back()) << "seed " << seed;
+      ASSERT_NE(impl.ids.back(), 0u) << "seed " << seed;
     } else if (kind < 60) {  // cancel a previously issued id (maybe stale)
       if (!impl.ids.empty()) {
         const size_t pick = rng.UniformInt(0, impl.ids.size() - 1);
@@ -272,6 +274,11 @@ void RunTrace(uint64_t seed) {
   ASSERT_EQ(impl.log, ref.log) << "seed " << seed;
   ASSERT_TRUE(impl.sched.empty());
   ASSERT_EQ(impl.sched.now().nanos(), ref.sched.now().nanos()) << "seed " << seed;
+  // Slots are reused, handles are not.
+  std::vector<uint64_t> issued(impl.ids.begin(), impl.ids.end());
+  std::sort(issued.begin(), issued.end());
+  ASSERT_EQ(std::adjacent_find(issued.begin(), issued.end()), issued.end())
+      << "seed " << seed << ": an id was issued twice";
 }
 
 TEST(SchedulerDifferentialTest, MatchesReferenceSchedulerOnRandomTraces) {

@@ -70,6 +70,42 @@ TEST(Scheduler, CancelPreventsExecution) {
   EXPECT_FALSE(ran);
 }
 
+TEST(Scheduler, StaleIdsNeverReachTheSlotsNextOccupant) {
+  // An id's low half names the event's slot; running or cancelling the event
+  // frees the slot for the next schedule and retires the id.
+  constexpr uint64_t kSlotMask = 0xffffffff;
+  Scheduler sched;
+  EXPECT_FALSE(sched.Cancel(0));
+  EXPECT_FALSE(sched.IsPending(0));
+  int ran = 0;
+
+  const Scheduler::EventId done = sched.ScheduleAfter(SimTime::FromMillis(1), [] {});
+  sched.Run();
+  const Scheduler::EventId after_run = sched.ScheduleAfter(SimTime::FromMillis(1), [&] { ++ran; });
+  EXPECT_EQ(after_run & kSlotMask, done & kSlotMask);  // the slot is reused
+  EXPECT_NE(after_run, done);
+  EXPECT_FALSE(sched.IsPending(done));
+  EXPECT_FALSE(sched.Cancel(done));
+  EXPECT_TRUE(sched.IsPending(after_run));
+
+  const Scheduler::EventId cancelled =
+      sched.ScheduleAfter(SimTime::FromMillis(1), [&] { ran += 10; });
+  EXPECT_TRUE(sched.Cancel(cancelled));
+  const Scheduler::EventId after_cancel =
+      sched.ScheduleAfter(SimTime::FromMillis(1), [&] { ++ran; });
+  EXPECT_EQ(after_cancel & kSlotMask, cancelled & kSlotMask);
+  EXPECT_NE(after_cancel, cancelled);
+  EXPECT_FALSE(sched.IsPending(cancelled));
+  EXPECT_FALSE(sched.Cancel(cancelled));
+  EXPECT_TRUE(sched.IsPending(after_cancel));
+
+  EXPECT_EQ(sched.pending(), 2u);
+  EXPECT_EQ(sched.Run(), 2u);
+  EXPECT_EQ(ran, 2);  // both new occupants ran; the cancelled event did not
+  EXPECT_FALSE(sched.Cancel(0));
+  EXPECT_FALSE(sched.IsPending(0));
+}
+
 TEST(Scheduler, RunUntilLeavesLaterEventsPending) {
   Scheduler sched;
   int count = 0;
