@@ -4,7 +4,9 @@
 // communication pins onto the bus the peripheral speaks (Section 3.1).  A
 // ChannelBus owns one port of each kind for a physical channel; `Select`
 // models the mux: exactly one port kind is live at a time, and the runtime's
-// native libraries refuse to touch a deselected port.
+// native libraries refuse to touch a deselected port.  Peripherals and native
+// libraries keep pointers to the ports, so a ChannelBus never copies or
+// moves: its owner holds it in place.
 
 #ifndef SRC_BUS_CHANNEL_BUS_H_
 #define SRC_BUS_CHANNEL_BUS_H_
@@ -23,6 +25,8 @@ class ChannelBus {
  public:
   explicit ChannelBus(Scheduler& scheduler)
       : adc_(scheduler), i2c_(scheduler), spi_(scheduler), uart_(scheduler) {}
+  ChannelBus(const ChannelBus&) = delete;
+  ChannelBus& operator=(const ChannelBus&) = delete;
 
   // Switches the mux.  Deselecting (nullopt) disconnects all ports.
   void Select(std::optional<BusKind> kind) { selected_ = kind; }

@@ -81,7 +81,7 @@ void UartPort::DeliverToHost(uint8_t byte) {
     rx_handler_(byte);
     return;
   }
-  if (rx_fifo_.size() >= kRxFifoDepth) {
+  if (rx_fifo_.full()) {
     ++overruns_;
     return;
   }

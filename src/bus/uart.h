@@ -10,15 +10,19 @@
 // The port enforces exclusive host-side ownership: a second driver calling
 // Init() while the port is claimed gets kBusy, mirroring the `uartInUse`
 // error event of Listing 1.
+//
+// The RX FIFO is the hardware's: a fixed ring of kRxFifoDepth bytes held
+// inline in the port, so every channel's port costs no heap whether or not
+// a UART peripheral is ever plugged.
 
 #ifndef SRC_BUS_UART_H_
 #define SRC_BUS_UART_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "src/common/bytes.h"
+#include "src/common/fixed_ring.h"
 #include "src/common/status.h"
 #include "src/sim/clock.h"
 #include "src/sim/scheduler.h"
@@ -95,7 +99,7 @@ class UartPort {
   bool initialized_ = false;
   RxHandler rx_handler_;
   UartEndpoint* device_ = nullptr;
-  std::deque<uint8_t> rx_fifo_;
+  FixedRing<uint8_t, kRxFifoDepth> rx_fifo_;
   uint64_t overruns_ = 0;
   // Wire becomes free at this time; queued sends serialize after it.
   SimTime device_tx_free_at_;

@@ -25,10 +25,12 @@ PeripheralPlug MakePlugForId(const IdentCodec& codec, DeviceTypeId id, BusKind b
 }
 
 ControlBoard::ControlBoard(const IdentCircuitConfig& circuit, Rng& rng)
-    : codec_(circuit), channels_(kNumChannels) {
-  vibs_.reserve(4);
+    // A braced list initializes in order, so the four parts are manufactured
+    // (draw from `rng`) first to last.
+    : codec_(circuit),
+      vibs_{MonostableMultivibrator(circuit.vib, rng), MonostableMultivibrator(circuit.vib, rng),
+            MonostableMultivibrator(circuit.vib, rng), MonostableMultivibrator(circuit.vib, rng)} {
   for (int i = 0; i < 4; ++i) {
-    vibs_.emplace_back(circuit.vib, rng);
     calibrated_reference_[i] = vibs_[i].CalibratedReference(circuit.base_resistor);
   }
 }

@@ -107,9 +107,9 @@ class ControlBoard {
   std::array<Seconds, 4> MeasurePulses(const PeripheralPlug& plug) const;
 
   IdentCodec codec_;
-  std::vector<MonostableMultivibrator> vibs_;      // 4 shared multivibrators
+  std::array<MonostableMultivibrator, 4> vibs_;    // the shared chain
   std::array<Seconds, 4> calibrated_reference_{};  // factory calibration
-  std::vector<Channel> channels_;
+  std::array<Channel, kNumChannels> channels_;
   InterruptHandler interrupt_handler_;
   bool interrupt_pending_ = false;
   Joules lifetime_energy_{0.0};

@@ -269,6 +269,13 @@ void Fabric::RunDelivery(uint32_t slot) {
   delivery.dst->Deliver(delivery.src, delivery.dst_addr, delivery.port, delivery.payload);
   deliveries_[slot] = std::move(delivery);
   free_deliveries_.push_back(slot);
+  if (free_deliveries_.size() == deliveries_.size() &&
+      deliveries_.size() > kDeliveryPoolFloor) {
+    deliveries_.resize(kDeliveryPoolFloor);
+    deliveries_.shrink_to_fit();
+    std::erase_if(free_deliveries_, [](uint32_t index) { return index >= kDeliveryPoolFloor; });
+    free_deliveries_.shrink_to_fit();
+  }
 }
 
 void Fabric::UpdateMemberBranches(NetNode& node, const Ip6Address& group, bool gained) {

@@ -27,7 +27,9 @@
 // enough for std::function's inline buffer, so a delivery allocates nothing
 // once the pool has grown to its high-water mark.  The payload a handler
 // receives stays valid for the whole handler, even when the handler sends
-// (and so grows the pool).
+// (and so grows the pool).  A burst (a fleet's bring-up) can grow the pool
+// far past what steady traffic needs; when the last pending delivery runs,
+// the pool gives back every record beyond kDeliveryPoolFloor.
 
 #ifndef SRC_NET_FABRIC_H_
 #define SRC_NET_FABRIC_H_
@@ -165,6 +167,11 @@ class Fabric {
   // Child links the multicast descent examined: every child under flooding,
   // only member branches under SMRF.
   uint64_t descent_visits() const { return descent_visits_; }
+  // Delivery records held, pending or free (see the file comment).
+  size_t delivery_pool_size() const { return deliveries_.size(); }
+  // Records the pool keeps once nothing is pending: well above what a
+  // gateway's 256-read window keeps in flight.
+  static constexpr size_t kDeliveryPoolFloor = 1024;
   void ResetStats();
 
   // Hop distance along the tree between two nodes.
@@ -226,7 +233,8 @@ class Fabric {
   void ScheduleDelivery(SimDuration delay, NetNode& dst, const Ip6Address& src,
                         const Ip6Address& dst_addr, uint16_t port,
                         const std::vector<uint8_t>& payload);
-  // Hands the record in `slot` to its receiver, then frees the slot.
+  // Hands the record in `slot` to its receiver, then frees the slot; the
+  // last pending delivery also shrinks the pool to kDeliveryPoolFloor.
   void RunDelivery(uint32_t slot);
 
   Scheduler& scheduler_;

@@ -673,10 +673,10 @@ void MicroPnpThing::OnProduced(ChannelId channel, const ProducedValue& value) {
     return;
   }
 
-  auto& queue = pending_reads_[channel];
+  std::vector<PendingRead>& queue = pending_reads_[channel];
   if (!queue.empty()) {
-    PendingRead pending = queue.front();
-    queue.pop_front();
+    const PendingRead pending = queue.front();
+    queue.erase(queue.begin());
     ++reads_served_;
     // (11) echoes the read's sequence.
     ReplyAfterBuild(pending.client, MessageType::kData, pending.sequence,

@@ -26,13 +26,18 @@
 //    selective-repeat requests, and assembles + CRC-verifies the image.  A
 //    failed request re-arms with capped exponential backoff instead of
 //    giving up, and a re-plug resumes from the held chunk bitmap.
+//
+// Per-channel protocol state (pending reads, stream, plug flow) sits in
+// arrays indexed by channel, one entry per connector of the control board,
+// so a Thing allocates nothing for a channel until a read waits on it.
 
 #ifndef SRC_PROTO_THING_H_
 #define SRC_PROTO_THING_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <vector>
 
 #include "src/net/fabric.h"
 #include "src/proto/endpoint.h"
@@ -195,9 +200,13 @@ class MicroPnpThing {
   PeripheralController controller_;
   ProtoEndpoint endpoint_;
 
-  std::map<ChannelId, std::deque<PendingRead>> pending_reads_;
-  std::map<ChannelId, StreamState> streams_;
-  std::map<ChannelId, FlowState> flows_;
+  // Reads awaiting their channel's next value, oldest first.  Nothing bounds
+  // them, so each is a vector that pops from the front and keeps its
+  // capacity: only a channel's first read allocates.
+  std::array<std::vector<PendingRead>, ControlBoard::kNumChannels> pending_reads_;
+  std::array<StreamState, ControlBoard::kNumChannels> streams_;
+  std::array<FlowState, ControlBoard::kNumChannels> flows_;
+  // Keyed by device type: one transfer serves every channel of that type.
   std::map<DeviceTypeId, DriverTransfer> transfers_;
   std::optional<PlugFlowMarks> last_flow_;
   // Trickle state: 0 interval = dormant; the generation invalidates

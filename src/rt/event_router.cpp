@@ -6,25 +6,20 @@ bool EventRouter::Post(int driver_slot, const Event& event) {
   if (event.is_error()) {
     return PostError(driver_slot, event);
   }
-  cycles_ += kRouterEnqueueCycles;
-  if (regular_.size() >= kQueueDepth) {
-    ++events_dropped_;
-    return false;
-  }
-  regular_.push_back(Entry{driver_slot, event});
-  if (on_post_) {
-    on_post_();
-  }
-  return true;
+  return Enqueue(regular_, driver_slot, event);
 }
 
 bool EventRouter::PostError(int driver_slot, const Event& event) {
+  return Enqueue(errors_, driver_slot, event);
+}
+
+bool EventRouter::Enqueue(Queue& queue, int driver_slot, const Event& event) {
   cycles_ += kRouterEnqueueCycles;
-  if (errors_.size() >= kQueueDepth) {
+  if (queue.full()) {
     ++events_dropped_;
     return false;
   }
-  errors_.push_back(Entry{driver_slot, event});
+  queue.push_back(Entry{driver_slot, event});
   if (on_post_) {
     on_post_();
   }
@@ -32,7 +27,7 @@ bool EventRouter::PostError(int driver_slot, const Event& event) {
 }
 
 bool EventRouter::DispatchOne(const Sink& sink) {
-  std::deque<Entry>* queue = nullptr;
+  Queue* queue = nullptr;
   if (!errors_.empty()) {
     queue = &errors_;
   } else if (!regular_.empty()) {

@@ -7,6 +7,9 @@
 //
 // Events are addressed to driver slots (one slot per active driver
 // instance).  DispatchOne drains the error queue before the regular queue.
+// Both queues are kQueueDepth-entry rings held inline in the router, as the
+// MCU's statically dimensioned queues are: a router costs no heap, and a
+// full queue drops the new event.
 // The router charges an AVR cycle cost per enqueue and per dispatch,
 // calibrated so that routing one event costs ~77.79 us at 16 MHz — the
 // Section 6.2 measurement.
@@ -15,9 +18,9 @@
 #define SRC_RT_EVENT_ROUTER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
+#include "src/common/fixed_ring.h"
 #include "src/rt/event.h"
 
 namespace micropnp {
@@ -70,9 +73,13 @@ class EventRouter {
     int slot;
     Event event;
   };
+  using Queue = FixedRing<Entry, kQueueDepth>;
 
-  std::deque<Entry> regular_;
-  std::deque<Entry> errors_;
+  // Enqueues into `queue`, or drops and counts when it is full.
+  bool Enqueue(Queue& queue, int driver_slot, const Event& event);
+
+  Queue regular_;
+  Queue errors_;
   WakeupHook on_post_;
   uint64_t events_dropped_ = 0;
   uint64_t cycles_ = 0;

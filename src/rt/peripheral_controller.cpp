@@ -4,14 +4,13 @@
 
 namespace micropnp {
 
+static_assert(ControlBoard::kNumChannels == 3, "one ChannelBus initializer per connector");
+
 PeripheralController::PeripheralController(Scheduler& scheduler, Rng& rng)
-    : scheduler_(scheduler), rng_(rng.Fork()), board_(IdentCircuitConfig{}, rng) {
-  buses_.reserve(num_channels());
-  for (int i = 0; i < num_channels(); ++i) {
-    buses_.push_back(std::make_unique<ChannelBus>(scheduler_));
-  }
-  plugged_.assign(num_channels(), nullptr);
-  identified_.assign(num_channels(), std::nullopt);
+    : scheduler_(scheduler),
+      rng_(rng.Fork()),
+      board_(IdentCircuitConfig{}, rng),
+      buses_{ChannelBus(scheduler), ChannelBus(scheduler), ChannelBus(scheduler)} {
   board_.set_interrupt_handler([this] { OnInterrupt(); });
 }
 
@@ -29,7 +28,7 @@ Status PeripheralController::Plug(ChannelId channel, Peripheral* peripheral) {
       MakePlugForId(board_.codec(), peripheral->type_id(), peripheral->bus(), rng_);
   MICROPNP_RETURN_IF_ERROR(board_.Connect(channel, plug));
   plugged_[channel] = peripheral;
-  peripheral->AttachTo(*buses_[channel]);
+  peripheral->AttachTo(buses_[channel]);
   return OkStatus();
 }
 
@@ -41,7 +40,7 @@ Status PeripheralController::Unplug(ChannelId channel) {
     return NotFound("channel empty");
   }
   MICROPNP_RETURN_IF_ERROR(board_.Disconnect(channel));
-  plugged_[channel]->DetachFrom(*buses_[channel]);
+  plugged_[channel]->DetachFrom(buses_[channel]);
   plugged_[channel] = nullptr;
   return OkStatus();
 }
@@ -83,7 +82,7 @@ void PeripheralController::ApplyScan(const ScanResult& scan) {
     const std::optional<DeviceTypeId> before = identified_[ch];
 
     if (!result.occupied) {
-      buses_[ch]->Select(std::nullopt);
+      buses_[ch].Select(std::nullopt);
       identified_[ch] = std::nullopt;
       if (before.has_value() && listener_) {
         listener_(ch, *before, /*connected=*/false);
@@ -105,7 +104,7 @@ void PeripheralController::ApplyScan(const ScanResult& scan) {
     }
     // Mux the connector pins onto the identified peripheral's bus (Table 1).
     const std::optional<BusKind> bus = board_.bus_for_channel(ch);
-    buses_[ch]->Select(bus);
+    buses_[ch].Select(bus);
     identified_[ch] = *result.id;
     if (listener_) {
       listener_(ch, *result.id, /*connected=*/true);

@@ -11,15 +11,18 @@
 // duration it muxes each channel onto the identified peripheral's bus and
 // notifies the listener (the Thing) of connects/disconnects — which drives
 // driver activation and the network advertisement flow.
+//
+// The board has a fixed number of connectors, so the buses and the
+// per-channel presence and identification state are arrays held inline:
+// a controller allocates nothing of its own.
 
 #ifndef SRC_RT_PERIPHERAL_CONTROLLER_H_
 #define SRC_RT_PERIPHERAL_CONTROLLER_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <vector>
 
 #include "src/hw/control_board.h"
 #include "src/periph/peripheral.h"
@@ -33,7 +36,7 @@ class PeripheralController {
   PeripheralController(Scheduler& scheduler, Rng& rng);
 
   int num_channels() const { return ControlBoard::kNumChannels; }
-  ChannelBus& bus(ChannelId channel) { return *buses_[channel]; }
+  ChannelBus& bus(ChannelId channel) { return buses_[channel]; }
   const ControlBoard& board() const { return board_; }
   ControlBoard& board() { return board_; }
 
@@ -62,9 +65,10 @@ class PeripheralController {
   Scheduler& scheduler_;
   Rng rng_;  // per-plug resistor manufacturing variation
   ControlBoard board_;
-  std::vector<std::unique_ptr<ChannelBus>> buses_;
-  std::vector<Peripheral*> plugged_;                    // physical presence
-  std::vector<std::optional<DeviceTypeId>> identified_; // post-scan state
+  std::array<ChannelBus, ControlBoard::kNumChannels> buses_;
+  // Physical presence, and the post-scan state.
+  std::array<Peripheral*, ControlBoard::kNumChannels> plugged_{};
+  std::array<std::optional<DeviceTypeId>, ControlBoard::kNumChannels> identified_{};
   ChangeListener listener_;
   bool scan_scheduled_ = false;
 };

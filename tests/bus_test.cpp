@@ -280,6 +280,40 @@ TEST(Uart, FifoOverrunDropsAndCounts) {
   EXPECT_EQ(uart.overruns(), 5u);
 }
 
+TEST(Uart, FifoKeepsOrderAcrossTheRingEnd) {
+  Scheduler sched;
+  UartPort uart(sched);
+  ASSERT_TRUE(uart.Init(UartConfig{}).ok());
+  int next_sent = 0;
+  auto send = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      uart.DeviceSend(static_cast<uint8_t>(next_sent++));
+    }
+    sched.Run();
+  };
+  int next_read = 0;
+  auto read = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      Result<uint8_t> byte = uart.ReadByte();
+      ASSERT_TRUE(byte.ok());
+      EXPECT_EQ(*byte, static_cast<uint8_t>(next_read++));
+    }
+  };
+  send(40);
+  read(30);
+  // 10 held from offset 30; 50 more run past the end of the 64-byte FIFO.
+  send(50);
+  EXPECT_EQ(uart.rx_available(), 60u);
+  EXPECT_EQ(uart.overruns(), 0u);
+  // The FIFO fills at 64: of 10 more, the newest 6 are dropped and counted.
+  send(10);
+  EXPECT_EQ(uart.rx_available(), UartPort::kRxFifoDepth);
+  EXPECT_EQ(uart.overruns(), 6u);
+  read(static_cast<int>(UartPort::kRxFifoDepth));
+  EXPECT_EQ(next_read, 94);
+  EXPECT_EQ(uart.ReadByte().status().code(), StatusCode::kUnavailable);
+}
+
 TEST(Uart, BytesLostWhenUninitialized) {
   Scheduler sched;
   UartPort uart(sched);

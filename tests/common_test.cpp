@@ -1,16 +1,18 @@
 // Unit tests for src/common: types, status/result, bytes, TLV, CRC, RNG,
-// units, SLoC counting.
+// units, the fixed ring, SLoC counting.
 
 #include <gtest/gtest.h>
 
 #include "bench/paper/sloc.h"
 #include "src/common/bytes.h"
 #include "src/common/crc.h"
+#include "src/common/fixed_ring.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/tlv.h"
 #include "src/common/types.h"
 #include "src/common/units.h"
+#include "tests/oracles/reference_crc.h"
 
 namespace micropnp {
 namespace {
@@ -207,6 +209,91 @@ TEST(Crc, DetectsSingleBitFlip) {
   const uint16_t original = Crc16Ccitt(ByteSpan(data.data(), data.size()));
   data[2] ^= 0x01;
   EXPECT_NE(Crc16Ccitt(ByteSpan(data.data(), data.size())), original);
+}
+
+TEST(Crc, Crc16TableMatchesBitwiseReference) {
+  Rng rng(16);
+  std::vector<uint8_t> data;
+  for (int trial = 0; trial < 500; ++trial) {
+    data.resize(rng.UniformInt(0, 300));
+    for (uint8_t& byte : data) {
+      byte = static_cast<uint8_t>(rng.NextU32());
+    }
+    const ByteSpan span(data.data(), data.size());
+    ASSERT_EQ(Crc16Ccitt(span), ReferenceCrc16Ccitt(span)) << "length " << data.size();
+  }
+}
+
+// ----------------------------------------------------------- fixed ring ----
+
+TEST(FixedRing, KeepsFifoOrderAcrossWraps) {
+  FixedRing<int, 4> ring;
+  int next_in = 0;
+  int next_out = 0;
+  // Three in, two out per round: the head walks round the array several
+  // times while the ring fills up.
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 3 && !ring.full(); ++i) {
+      ring.push_back(next_in++);
+    }
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_FALSE(ring.empty());
+      EXPECT_EQ(ring.front(), next_out++);
+      ring.pop_front();
+    }
+  }
+  // One in, one out: 20 more wraps at a constant fill.
+  for (int i = 0; i < 80; ++i) {
+    ring.push_back(next_in++);
+    EXPECT_EQ(ring.front(), next_out++);
+    ring.pop_front();
+  }
+  while (!ring.empty()) {
+    EXPECT_EQ(ring.front(), next_out++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(FixedRing, FullAtCapacity) {
+  FixedRing<int, 3> ring;
+  EXPECT_TRUE(ring.empty());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(ring.full());
+    ring.push_back(i);
+    EXPECT_EQ(ring.size(), static_cast<size_t>(i + 1));
+  }
+  EXPECT_TRUE(ring.full());
+  ring.pop_front();
+  EXPECT_FALSE(ring.full());
+  ring.push_back(3);  // lands in the slot the pop freed, at the array's start
+  EXPECT_TRUE(ring.full());
+  for (int expected = 1; expected <= 3; ++expected) {
+    EXPECT_EQ(ring.front(), expected);
+    ring.pop_front();
+  }
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(FixedRing, ClearEmptiesAWrappedRing) {
+  FixedRing<int, 4> ring;
+  for (int i = 0; i < 6; ++i) {
+    ring.push_back(i);
+    if (ring.size() > 2) {
+      ring.pop_front();
+    }
+  }
+  ring.clear();
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.size(), 0u);
+  for (int i = 10; i < 14; ++i) {
+    ring.push_back(i);
+  }
+  EXPECT_TRUE(ring.full());
+  for (int expected = 10; expected < 14; ++expected) {
+    EXPECT_EQ(ring.front(), expected);
+    ring.pop_front();
+  }
 }
 
 // ------------------------------------------------------------------ rng ----

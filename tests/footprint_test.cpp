@@ -4,6 +4,8 @@
 //    bounds peak RSS for every fleet-scale bench;
 //  * allocations per read on a warm, lossless gateway read loop: the steady
 //    request path through client, endpoint, fabric, scheduler, Thing and VM;
+//  * the extra heap a Thing's first read on a channel costs over a steady
+//    read: the per-channel state the Thing sets up on demand;
 //  * allocations on a warm schedule/cancel/run churn of small closures.
 // The counter is the global allocation functions, replaced below; this file
 // is its own executable, so the replacement counts this test's allocations
@@ -82,7 +84,8 @@ TEST(Footprint, HeapPerAddThing) {
   }
   std::printf("\n");
 
-  EXPECT_LE(bytes, 7168.0);
+  EXPECT_LE(bytes, 4096.0);
+  EXPECT_LE(allocations, 8.0);
 }
 
 // A closed loop of gateway reads over a preinstalled TMP36 fleet: each
@@ -161,7 +164,50 @@ TEST(Footprint, AllocationsPerSteadyRead) {
       static_cast<double>(deployment.scheduler().executed() - events_before) / loop.completed;
   std::printf("steady read: %.2f allocations per read, %.2f scheduler events per read\n",
               per_read, events_per_read);
-  EXPECT_LE(per_read, 2.5);
+  EXPECT_LE(per_read, 2.05);
+}
+
+TEST(Footprint, FirstReadOnAChannelCostsLittleMoreThanASteadyRead) {
+  Deployment deployment;
+  MicroPnpClient& gateway = deployment.AddClient("gateway");
+  ThingConfig thing_config;
+  thing_config.readvertise_min_ms = 0.0;
+  Result<DriverImage> image = CompileDriver(FindBundledDriver(kTmp36TypeId)->source);
+  ASSERT_TRUE(image.ok());
+  std::vector<MicroPnpThing*> things;
+  for (int i = 0; i < 2; ++i) {
+    MicroPnpThing& thing =
+        deployment.AddThing(std::string("t") += std::to_string(i), nullptr, thing_config);
+    ASSERT_TRUE(thing.PreinstallDriver(*image).ok());
+    ASSERT_TRUE(thing.Plug(0, &deployment.MakeTmp36()).ok());
+    things.push_back(&thing);
+  }
+  deployment.RunForMillis(1000);
+
+  // One read, run to completion; returns the bytes it allocated.
+  int ok_reads = 0;
+  auto read_bytes = [&](MicroPnpThing& thing) {
+    const size_t before = g_bytes;
+    gateway.Read(thing.node().address(), kTmp36TypeId,
+                 [&ok_reads](Result<WireValue> value) { ok_reads += value.ok() ? 1 : 0; });
+    deployment.scheduler().Run();
+    return g_bytes - before;
+  };
+  // Reads of the first Thing warm the client, endpoint, fabric and
+  // scheduler, so what the second Thing's first read adds is its own.
+  for (int i = 0; i < 10; ++i) {
+    (void)read_bytes(*things[0]);
+  }
+  const size_t first = read_bytes(*things[1]);
+  constexpr int kSteadyReads = 10;
+  size_t steady_total = 0;
+  for (int i = 0; i < kSteadyReads; ++i) {
+    steady_total += read_bytes(*things[1]);
+  }
+  ASSERT_EQ(ok_reads, 10 + 1 + kSteadyReads);
+  const double steady = static_cast<double>(steady_total) / kSteadyReads;
+  std::printf("first read on a channel: %zu B; steady read: %.1f B\n", first, steady);
+  EXPECT_LE(static_cast<double>(first), steady + 64.0);
 }
 
 TEST(Footprint, NoAllocationsOnWarmSchedulerChurn) {

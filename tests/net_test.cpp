@@ -320,6 +320,31 @@ TEST_F(FabricTest, PayloadOutlivesAHandlerThatSends) {
   EXPECT_EQ(burst_received, kBurst);
 }
 
+TEST_F(FabricTest, DrainedBurstShrinksDeliveryPoolToItsFloor) {
+  // 10k datagrams pending at once grow the pool to 10k records; once the
+  // last one runs, the pool keeps only its floor.
+  constexpr int kBurst = 10000;
+  static_assert(kBurst > Fabric::kDeliveryPoolFloor);
+  int received = 0;
+  b_->BindUdp(6030, [&](const Ip6Address&, const Ip6Address&, uint16_t,
+                        const std::vector<uint8_t>&) { ++received; });
+  for (int i = 0; i < kBurst; ++i) {
+    a_->SendUdp(b_->address(), 6030, {1, 2});
+  }
+  EXPECT_EQ(fabric_.delivery_pool_size(), static_cast<size_t>(kBurst));
+  sched_.Run();
+  EXPECT_EQ(received, kBurst);
+  EXPECT_LE(fabric_.delivery_pool_size(), Fabric::kDeliveryPoolFloor);
+
+  // The floor's records serve the next burst.
+  for (int i = 0; i < 10; ++i) {
+    a_->SendUdp(b_->address(), 6030, {1});
+  }
+  sched_.Run();
+  EXPECT_EQ(received, kBurst + 10);
+  EXPECT_LE(fabric_.delivery_pool_size(), Fabric::kDeliveryPoolFloor);
+}
+
 TEST_F(FabricTest, SelfSendLoopsBack) {
   int received = 0;
   a_->BindUdp(6030, [&](const Ip6Address&, const Ip6Address&, uint16_t,

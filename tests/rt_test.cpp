@@ -55,6 +55,50 @@ TEST(EventRouter, QueueOverflowDropsAndCounts) {
   EXPECT_EQ(router.events_dropped(), 3u);
 }
 
+TEST(EventRouter, BothQueuesKeepOrderAndDepthAcrossWraps) {
+  EventRouter router;
+  std::vector<std::pair<EventId, int32_t>> order;
+  auto sink = [&](int, const Event& e) { order.emplace_back(e.id, e.args[0]); };
+  // Move both queues' heads to the middle of their rings.
+  for (int32_t i = 0; i < 10; ++i) {
+    router.Post(0, Event::Of(kEventRead, i));
+    router.PostError(0, Event::Of(kErrorTimeout, i));
+  }
+  EXPECT_EQ(router.ProcessAll(sink), 20u);
+  order.clear();
+
+  // 12 more in each queue run past the end of both rings.  Errors still go
+  // first, and each queue keeps its FIFO order.
+  for (int32_t i = 0; i < 12; ++i) {
+    router.Post(0, Event::Of(kEventRead, 100 + i));
+    router.PostError(0, Event::Of(kErrorTimeout, 200 + i));
+  }
+  EXPECT_EQ(router.ProcessAll(sink), 24u);
+  ASSERT_EQ(order.size(), 24u);
+  for (int32_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(order[i], std::make_pair(kErrorTimeout, 200 + i));
+    EXPECT_EQ(order[12 + i], std::make_pair(kEventRead, 100 + i));
+  }
+  order.clear();
+
+  // From a wrapped head, each queue still holds exactly kQueueDepth: the
+  // 17th post of each is dropped and counted.
+  constexpr int32_t kDepth = static_cast<int32_t>(EventRouter::kQueueDepth);
+  for (int32_t i = 0; i <= kDepth; ++i) {
+    EXPECT_EQ(router.Post(0, Event::Of(kEventRead, 300 + i)), i < kDepth);
+    EXPECT_EQ(router.PostError(0, Event::Of(kErrorTimeout, 400 + i)), i < kDepth);
+  }
+  EXPECT_EQ(router.pending(), 2 * EventRouter::kQueueDepth);
+  EXPECT_EQ(router.events_dropped(), 2u);
+  EXPECT_EQ(router.ProcessAll(sink), 2 * EventRouter::kQueueDepth);
+  ASSERT_EQ(order.size(), 2 * EventRouter::kQueueDepth);
+  for (int32_t i = 0; i < kDepth; ++i) {
+    EXPECT_EQ(order[i], std::make_pair(kErrorTimeout, 400 + i));
+    EXPECT_EQ(order[kDepth + i], std::make_pair(kEventRead, 300 + i));
+  }
+  EXPECT_TRUE(router.idle());
+}
+
 TEST(EventRouter, PerEventCostMatchesSection62) {
   // 77.79 us per routed event at 16 MHz.
   EventRouter router;
