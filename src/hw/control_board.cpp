@@ -14,11 +14,11 @@ constexpr Watts kPowerActive = Watts(36.0e-3);  // multivibrator output high
 }  // namespace
 
 PeripheralPlug MakePlugForId(const IdentCodec& codec, DeviceTypeId id, BusKind bus, Rng& rng) {
+  const std::array<Ohms, 4> nominal = codec.ResistorsForId(id);
   PeripheralPlug plug;
-  plug.nominal_resistors = codec.ResistorsForId(id);
   for (int i = 0; i < 4; ++i) {
-    plug.actual_resistors[i] = Ohms(SampleToleranced(
-        plug.nominal_resistors[i].value(), codec.config().resistor_tolerance, rng));
+    plug.actual_resistors[i] =
+        Ohms(SampleToleranced(nominal[i].value(), codec.config().resistor_tolerance, rng));
   }
   plug.bus = bus;
   return plug;
@@ -86,7 +86,6 @@ std::array<Seconds, 4> ControlBoard::MeasurePulses(const PeripheralPlug& plug) c
 
 ScanResult ControlBoard::Scan() {
   ScanResult result;
-  result.channels.resize(channels_.size());
 
   Seconds duration = kWakeupTime;
   Seconds pulse_high{0.0};

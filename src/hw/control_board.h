@@ -15,6 +15,10 @@
 // verification pass over the connected channel lands in the paper's measured
 // 220..300 ms identification window, and the two-level power model (quiet vs
 // pulse-high) lands in the 2.48..6.756 mJ energy window.
+//
+// Every Thing holds a board, so it is sized for a fleet: the connectors, the
+// plugs on them and a scan's per-channel results are inline arrays, and a
+// plug keeps only the manufactured resistors the scan measures.
 
 #ifndef SRC_HW_CONTROL_BOARD_H_
 #define SRC_HW_CONTROL_BOARD_H_
@@ -23,7 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <vector>
 
 #include "src/common/bus_kind.h"
 #include "src/common/rng.h"
@@ -39,7 +42,6 @@ namespace micropnp {
 // (already manufactured, i.e. with sampled actual values) plus the bus the
 // peripheral speaks.  Higher layers attach the behavioural device model.
 struct PeripheralPlug {
-  std::array<Ohms, 4> nominal_resistors{};
   std::array<Ohms, 4> actual_resistors{};
   BusKind bus = BusKind::kAdc;
 };
@@ -57,12 +59,7 @@ struct ChannelScan {
   std::array<Seconds, 4> pulses{};
 };
 
-struct ScanResult {
-  std::vector<ChannelScan> channels;
-  Seconds duration;         // wall time of the identification process
-  Seconds pulse_high_time;  // total time the multivibrator outputs were high
-  Joules energy;            // board energy for this identification process
-};
+struct ScanResult;  // below: its channel array is sized by the board
 
 class ControlBoard {
  public:
@@ -114,6 +111,14 @@ class ControlBoard {
   bool interrupt_pending_ = false;
   Joules lifetime_energy_{0.0};
   uint64_t scan_count_ = 0;
+};
+
+// One identification process over every connector.
+struct ScanResult {
+  std::array<ChannelScan, ControlBoard::kNumChannels> channels{};
+  Seconds duration;         // wall time of the identification process
+  Seconds pulse_high_time;  // total time the multivibrator outputs were high
+  Joules energy;            // board energy for this identification process
 };
 
 }  // namespace micropnp

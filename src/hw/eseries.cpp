@@ -30,56 +30,29 @@ constexpr std::array<double, 96> kE96 = {
     5.62, 5.76, 5.90, 6.04, 6.19, 6.34, 6.49, 6.65, 6.81, 6.98, 7.15, 7.32,
     7.50, 7.68, 7.87, 8.06, 8.25, 8.45, 8.66, 8.87, 9.09, 9.31, 9.53, 9.76};
 
-// Decomposes a positive resistance into (decade exponent, index of nearest
-// base value within the decade), measured in log space.
-struct Decomposed {
-  int decade;
-  int index;
+// The natural logarithms of a series' base values and of 10.0 (index 0 of
+// the next decade).  Filled at run time by the same std::log calls a
+// per-candidate search would make, so comparing against the table picks the
+// same index bit for bit.
+struct LogTable {
+  std::array<double, kE96.size()> base{};  // the first ESeriesSize entries
+  double ten = 0.0;
 };
 
-Decomposed Decompose(ESeries series, double ohms) {
-  std::span<const double> base = ESeriesBaseValues(series);
-  const int n = static_cast<int>(base.size());
-  if (ohms < 1.0) {
-    ohms = 1.0;
-  }
-  if (ohms > 1e8) {
-    ohms = 1e8;
-  }
-  double lg = std::log10(ohms);
-  int decade = static_cast<int>(std::floor(lg));
-  double mantissa = ohms / std::pow(10.0, decade);  // [1, 10)
-  // Nearest base value in log space; check neighbours across decade edges.
-  int best_index = 0;
-  double best_err = 1e9;
-  for (int i = 0; i < n; ++i) {
-    double err = std::fabs(std::log(mantissa) - std::log(base[i]));
-    if (err < best_err) {
-      best_err = err;
-      best_index = i;
+const LogTable& LogsOf(ESeries series) {
+  static const std::array<LogTable, 4> tables = [] {
+    std::array<LogTable, 4> out;
+    for (ESeries s : {ESeries::kE12, ESeries::kE24, ESeries::kE48, ESeries::kE96}) {
+      LogTable& table = out[static_cast<size_t>(s)];
+      std::span<const double> base = ESeriesBaseValues(s);
+      for (size_t i = 0; i < base.size(); ++i) {
+        table.base[i] = std::log(base[i]);
+      }
+      table.ten = std::log(10.0);
     }
-  }
-  // The value 10.0 (index 0 of the next decade) may be closer than base[n-1].
-  double err_up = std::fabs(std::log(mantissa) - std::log(10.0));
-  if (err_up < best_err) {
-    return {decade + 1, 0};
-  }
-  return {decade, best_index};
-}
-
-double ValueAt(ESeries series, Decomposed d) {
-  std::span<const double> base = ESeriesBaseValues(series);
-  const int n = static_cast<int>(base.size());
-  // Normalize index into [0, n).
-  while (d.index < 0) {
-    d.index += n;
-    d.decade -= 1;
-  }
-  while (d.index >= n) {
-    d.index -= n;
-    d.decade += 1;
-  }
-  return base[d.index] * std::pow(10.0, d.decade);
+    return out;
+  }();
+  return tables[static_cast<size_t>(series)];
 }
 
 }  // namespace
@@ -114,21 +87,64 @@ double ESeriesTolerance(ESeries series) {
   return 0.01;
 }
 
+ESeriesPosition NearestPosition(ESeries series, Ohms ohms) {
+  double value = ohms.value();
+  if (value < 1.0) {
+    value = 1.0;
+  }
+  if (value > 1e8) {
+    value = 1e8;
+  }
+  const int decade = static_cast<int>(std::floor(std::log10(value)));
+  const double log_mantissa = std::log(value / std::pow(10.0, decade));  // [1, 10)
+  const LogTable& logs = LogsOf(series);
+  // Nearest base value in log space; the first of equally near ones wins.
+  const int n = ESeriesSize(series);
+  int best_index = 0;
+  double best_err = 1e9;
+  for (int i = 0; i < n; ++i) {
+    const double err = std::fabs(log_mantissa - logs.base[i]);
+    if (err < best_err) {
+      best_err = err;
+      best_index = i;
+    }
+  }
+  // The value 10.0 (index 0 of the next decade) may be closer than base[n-1].
+  if (std::fabs(log_mantissa - logs.ten) < best_err) {
+    return {decade + 1, 0};
+  }
+  return {decade, best_index};
+}
+
+Ohms ValueAt(ESeries series, ESeriesPosition from, int steps) {
+  std::span<const double> base = ESeriesBaseValues(series);
+  const int n = static_cast<int>(base.size());
+  int decade = from.decade;
+  int index = from.index + steps;
+  // Normalize index into [0, n).
+  while (index < 0) {
+    index += n;
+    decade -= 1;
+  }
+  while (index >= n) {
+    index -= n;
+    decade += 1;
+  }
+  return Ohms(base[index] * std::pow(10.0, decade));
+}
+
 Ohms NearestStandardValue(ESeries series, Ohms target) {
-  return Ohms(ValueAt(series, Decompose(series, target.value())));
+  return ValueAt(series, NearestPosition(series, target), 0);
 }
 
 Ohms LadderValue(ESeries series, Ohms first, int index) {
-  Decomposed d = Decompose(series, first.value());
-  d.index += index;
-  return Ohms(ValueAt(series, d));
+  return ValueAt(series, NearestPosition(series, first), index);
 }
 
 int LadderIndex(ESeries series, Ohms first, Ohms r) {
-  const int n = ESeriesSize(series);
-  Decomposed base = Decompose(series, first.value());
-  Decomposed target = Decompose(series, r.value());
-  return (target.decade - base.decade) * n + (target.index - base.index);
+  const ESeriesPosition base = NearestPosition(series, first);
+  const ESeriesPosition target = NearestPosition(series, r);
+  return (target.decade - base.decade) * ESeriesSize(series) + (target.index - base.index);
 }
 
 }  // namespace micropnp

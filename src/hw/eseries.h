@@ -4,6 +4,13 @@
 // (Section 3.1: "resistors are more precise and cost much less than
 // capacitors").  The resistor-set designer picks the nearest standard E96
 // (1 %) value for each identification byte.
+//
+// A lookup takes the target's logarithm once and compares it with a table of
+// the series' base-value logarithms (filled by the same std::log calls on
+// first use), so a decomposition costs one log10, one log and one pow.  A
+// caller that needs several rungs above one base decomposes it once with
+// NearestPosition and steps with ValueAt: IdentCodec designs a plug's four
+// resistors that way.
 
 #ifndef SRC_HW_ESERIES_H_
 #define SRC_HW_ESERIES_H_
@@ -33,6 +40,22 @@ int ESeriesSize(ESeries series);
 // Nominal manufacturing tolerance associated with the series (e.g. 0.01 for
 // E96).
 double ESeriesTolerance(ESeries series);
+
+// A standard value's place in its series: base value `index` of decade
+// `decade`, i.e. ESeriesBaseValues(series)[index] * 10^decade.
+struct ESeriesPosition {
+  int decade = 0;
+  int index = 0;
+};
+
+// The position of the standard value nearest (in log space) to `ohms`,
+// clamped like NearestStandardValue.
+ESeriesPosition NearestPosition(ESeries series, Ohms ohms);
+
+// The value `steps` series values above `from` (below when negative), across
+// decades: LadderValue(series, first, i) is
+// ValueAt(series, NearestPosition(series, first), i).
+Ohms ValueAt(ESeries series, ESeriesPosition from, int steps);
 
 // Returns the standard value closest (in log space, as is conventional) to
 // `target`.  Supports targets in [1 Ω, 100 MΩ); values outside are clamped.

@@ -14,9 +14,10 @@ Ohms IdentCodec::ResistorForByte(uint8_t b) const {
 }
 
 std::array<Ohms, 4> IdentCodec::ResistorsForId(DeviceTypeId id) const {
+  const ESeriesPosition base = NearestPosition(config_.series, config_.base_resistor);
   std::array<Ohms, 4> out;
   for (int i = 0; i < 4; ++i) {
-    out[i] = ResistorForByte(DeviceTypeByte(id, i));
+    out[i] = ValueAt(config_.series, base, DeviceTypeByte(id, i));
   }
   return out;
 }

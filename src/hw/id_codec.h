@@ -56,6 +56,9 @@ class IdentCodec {
   Ohms ResistorForByte(uint8_t b) const;
 
   // The four nominal resistors (R1..R4, Figure 4) for a device type id.
+  // Every Plug() designs a set, so the base resistor's place on the ladder
+  // is looked up once per call and each byte costs one step up from it.
+  // The codec caches nothing: building one (once per Thing) stays free.
   std::array<Ohms, 4> ResistorsForId(DeviceTypeId id) const;
 
   // Inverse of ResistorForByte (nearest ladder value); nullopt if `r` is

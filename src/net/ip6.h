@@ -38,13 +38,32 @@ class Ip6Address {
     bytes_[2 * i + 1] = static_cast<uint8_t>(v & 0xff);
   }
 
+  // Bytes 8*half .. 8*half+7 as one big-endian word (half 0 is the prefix).
+  constexpr uint64_t word(int half) const {
+    uint64_t v = 0;
+    for (int k = 0; k < 8; ++k) {
+      v = (v << 8) | bytes_[static_cast<size_t>(8 * half + k)];
+    }
+    return v;
+  }
+
   bool IsUnspecified() const { return *this == Ip6Address(); }
   bool IsMulticast() const { return bytes_[0] == 0xff; }
 
   // RFC 5952 canonical text: lowercase hex, longest zero run compressed.
   std::string ToString() const;
 
-  auto operator<=>(const Ip6Address&) const = default;
+  // Lexicographic byte order, compared as two big-endian words: the same
+  // order a defaulted comparison of the bytes gives, without calling memcmp
+  // on every route, group lookup and map search.
+  friend constexpr bool operator==(const Ip6Address& a, const Ip6Address& b) {
+    return a.word(0) == b.word(0) && a.word(1) == b.word(1);
+  }
+  friend constexpr std::strong_ordering operator<=>(const Ip6Address& a, const Ip6Address& b) {
+    const uint64_t a0 = a.word(0);
+    const uint64_t b0 = b.word(0);
+    return a0 != b0 ? a0 <=> b0 : a.word(1) <=> b.word(1);
+  }
 
  private:
   std::array<uint8_t, 16> bytes_;
@@ -62,20 +81,12 @@ struct Ip6Prefix {
 // (SplitMix64 finalizer over the two halves).  The hot-path routing and
 // pending tables key unordered containers on addresses with this.
 inline uint64_t HashIp6(const Ip6Address& addr) {
-  const auto& b = addr.bytes();
-  auto load64 = [&](int i) {
-    uint64_t v = 0;
-    for (int k = 0; k < 8; ++k) {
-      v = (v << 8) | b[static_cast<size_t>(i + k)];
-    }
-    return v;
-  };
   auto mix = [](uint64_t z) {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
   };
-  return mix(load64(0) + 0x9e3779b97f4a7c15ull * mix(load64(8)));
+  return mix(addr.word(0) + 0x9e3779b97f4a7c15ull * mix(addr.word(1)));
 }
 
 }  // namespace micropnp

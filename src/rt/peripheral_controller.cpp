@@ -62,26 +62,29 @@ void PeripheralController::OnInterrupt() {
   // the controller applies it after that duration elapses on the simulation
   // clock — modelling the MCU blocked in the identification routine.
   scheduler_.ScheduleAfter(SimTime::FromNanos(0), [this] {
-    ScanResult scan = board_.Scan();
-    scheduler_.ScheduleAfter(SimTime::FromSeconds(scan.duration.value()),
-                             [this, scan] {
-                               scan_scheduled_ = false;
-                               ApplyScan(scan);
-                               // Plug changes racing with the scan re-raise
-                               // the interrupt for another pass.
-                               if (board_.interrupt_pending()) {
-                                 OnInterrupt();
-                               }
-                             });
+    const ScanResult scan = board_.Scan();
+    for (size_t ch = 0; ch < scan.channels.size(); ++ch) {
+      scanned_occupied_[ch] = scan.channels[ch].occupied;
+      scanned_id_[ch] = scan.channels[ch].id;
+    }
+    scheduler_.ScheduleAfter(SimTime::FromSeconds(scan.duration.value()), [this] {
+      scan_scheduled_ = false;
+      ApplyScan();
+      // Plug changes racing with the scan re-raise the interrupt for
+      // another pass.
+      if (board_.interrupt_pending()) {
+        OnInterrupt();
+      }
+    });
   });
 }
 
-void PeripheralController::ApplyScan(const ScanResult& scan) {
-  for (ChannelId ch = 0; ch < scan.channels.size(); ++ch) {
-    const ChannelScan& result = scan.channels[ch];
+void PeripheralController::ApplyScan() {
+  for (ChannelId ch = 0; ch < scanned_id_.size(); ++ch) {
+    const std::optional<DeviceTypeId> scanned = scanned_id_[ch];
     const std::optional<DeviceTypeId> before = identified_[ch];
 
-    if (!result.occupied) {
+    if (!scanned_occupied_[ch]) {
       buses_[ch].Select(std::nullopt);
       identified_[ch] = std::nullopt;
       if (before.has_value() && listener_) {
@@ -89,14 +92,14 @@ void PeripheralController::ApplyScan(const ScanResult& scan) {
       }
       continue;
     }
-    if (!result.id.has_value()) {
+    if (!scanned.has_value()) {
       // Guard-band rejection: rescan rather than act on a dubious id.
       MLOG(kDebug, "rt") << "channel " << static_cast<int>(ch) << " pulse decode rejected; rescan";
       board_.set_interrupt_handler([this] { OnInterrupt(); });
       OnInterrupt();
       continue;
     }
-    if (before == *result.id) {
+    if (before == *scanned) {
       continue;  // unchanged
     }
     if (before.has_value() && listener_) {
@@ -105,9 +108,9 @@ void PeripheralController::ApplyScan(const ScanResult& scan) {
     // Mux the connector pins onto the identified peripheral's bus (Table 1).
     const std::optional<BusKind> bus = board_.bus_for_channel(ch);
     buses_[ch].Select(bus);
-    identified_[ch] = *result.id;
+    identified_[ch] = *scanned;
     if (listener_) {
-      listener_(ch, *result.id, /*connected=*/true);
+      listener_(ch, *scanned, /*connected=*/true);
     }
   }
 }

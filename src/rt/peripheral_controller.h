@@ -14,7 +14,11 @@
 //
 // The board has a fixed number of connectors, so the buses and the
 // per-channel presence and identification state are arrays held inline:
-// a controller allocates nothing of its own.
+// a controller allocates nothing of its own.  That includes the scan in
+// flight: between the scan and the end of its duration the controller holds
+// what ApplyScan reads of it (each channel's occupied flag and decoded id),
+// so both scheduled steps capture only `this` and fit std::function's
+// inline buffer.
 
 #ifndef SRC_RT_PERIPHERAL_CONTROLLER_H_
 #define SRC_RT_PERIPHERAL_CONTROLLER_H_
@@ -57,10 +61,9 @@ class PeripheralController {
   using ChangeListener = std::function<void(ChannelId, DeviceTypeId id, bool connected)>;
   void set_change_listener(ChangeListener listener) { listener_ = std::move(listener); }
 
-
  private:
   void OnInterrupt();
-  void ApplyScan(const ScanResult& scan);
+  void ApplyScan();
 
   Scheduler& scheduler_;
   Rng rng_;  // per-plug resistor manufacturing variation
@@ -70,6 +73,10 @@ class PeripheralController {
   std::array<Peripheral*, ControlBoard::kNumChannels> plugged_{};
   std::array<std::optional<DeviceTypeId>, ControlBoard::kNumChannels> identified_{};
   ChangeListener listener_;
+  // The scan in flight, from the scan until its duration has elapsed (one
+  // at a time: while scan_scheduled_).
+  std::array<std::optional<DeviceTypeId>, ControlBoard::kNumChannels> scanned_id_{};
+  std::array<bool, ControlBoard::kNumChannels> scanned_occupied_{};
   bool scan_scheduled_ = false;
 };
 

@@ -6,7 +6,10 @@
 //    request path through client, endpoint, fabric, scheduler, Thing and VM;
 //  * the extra heap a Thing's first read on a channel costs over a steady
 //    read: the per-channel state the Thing sets up on demand;
-//  * allocations on a warm schedule/cancel/run churn of small closures.
+//  * allocations on a warm schedule/cancel/run churn of small closures;
+//  * the heap one plug flow costs, from Plug() to the advertisement that
+//    announces the peripheral: identification scan, driver activation and
+//    the (1) multicast.
 // The counter is the global allocation functions, replaced below; this file
 // is its own executable, so the replacement counts this test's allocations
 // only.
@@ -55,6 +58,19 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace micropnp {
 namespace {
 
+// Prints the block sizes allocated at least once per `unit` (one Thing, one
+// plug flow) since the histogram was last cleared, with their count per unit.
+void PrintBlocksPer(const char* unit, int units) {
+  std::printf("blocks per %s (size: count):", unit);
+  for (size_t size = 0; size <= kHistogramSizes; ++size) {
+    if (g_by_size[size] >= static_cast<size_t>(units)) {
+      std::printf(" %zu%s: %.2f", size, size == kHistogramSizes ? "+" : "",
+                  static_cast<double>(g_by_size[size]) / units);
+    }
+  }
+  std::printf("\n");
+}
+
 TEST(Footprint, HeapPerAddThing) {
   constexpr int kWarmup = 100;
   constexpr int kThings = 1000;
@@ -65,6 +81,7 @@ TEST(Footprint, HeapPerAddThing) {
 
   const size_t bytes_before = g_bytes;
   const size_t allocations_before = g_allocations;
+  g_by_size.fill(0);
   g_histogram_on = true;
   for (int i = 0; i < kThings; ++i) {
     deployment.AddThing(std::string("t") += std::to_string(i));
@@ -75,14 +92,7 @@ TEST(Footprint, HeapPerAddThing) {
 
   std::printf("heap per AddThing: %.0f B in %.2f allocations; sizeof(MicroPnpThing) = %zu B\n",
               bytes, allocations, sizeof(MicroPnpThing));
-  std::printf("blocks per Thing (size: count):");
-  for (size_t size = 0; size <= kHistogramSizes; ++size) {
-    if (g_by_size[size] >= kThings) {
-      std::printf(" %zu%s: %.2f", size, size == kHistogramSizes ? "+" : "",
-                  static_cast<double>(g_by_size[size]) / kThings);
-    }
-  }
-  std::printf("\n");
+  PrintBlocksPer("Thing", kThings);
 
   EXPECT_LE(bytes, 4096.0);
   EXPECT_LE(allocations, 8.0);
@@ -208,6 +218,59 @@ TEST(Footprint, FirstReadOnAChannelCostsLittleMoreThanASteadyRead) {
   const double steady = static_cast<double>(steady_total) / kSteadyReads;
   std::printf("first read on a channel: %zu B; steady read: %.1f B\n", first, steady);
   EXPECT_LE(static_cast<double>(first), steady + 64.0);
+}
+
+TEST(Footprint, AllocationsPerPlugFlow) {
+  // Preinstalled TMP36 Things on the star, plugged one per millisecond and
+  // each run until its flow has advertised.  Re-advertisement is off, so
+  // nothing but the plug flows runs.  The warm-up flows grow the
+  // scheduler's and the fabric's pools to the counted flows' peak.
+  constexpr int kWarmupPlugs = 200;
+  constexpr int kPlugs = 2000;  // over 2 s of simulated time
+  Deployment deployment;
+  ThingConfig thing_config;
+  thing_config.readvertise_min_ms = 0.0;
+  Result<DriverImage> image = CompileDriver(FindBundledDriver(kTmp36TypeId)->source);
+  ASSERT_TRUE(image.ok());
+  std::vector<MicroPnpThing*> things;
+  std::vector<Peripheral*> sensors;
+  for (int i = 0; i < kWarmupPlugs + kPlugs; ++i) {
+    MicroPnpThing& thing =
+        deployment.AddThing(std::string("t") += std::to_string(i), nullptr, thing_config);
+    ASSERT_TRUE(thing.PreinstallDriver(*image).ok());
+    things.push_back(&thing);
+    sensors.push_back(&deployment.MakeTmp36());
+  }
+  // Plugs things[from, to), then runs until the last flow has advertised
+  // (identification takes ~230 ms, the rest of the flow ~75 ms).
+  int plug_errors = 0;
+  auto plug_range = [&](int from, int to) {
+    for (int i = from; i < to; ++i) {
+      plug_errors += things[i]->Plug(0, sensors[i]).ok() ? 0 : 1;
+      deployment.RunForMillis(1.0);
+    }
+    deployment.RunForMillis(1000.0);
+  };
+  plug_range(0, kWarmupPlugs);
+
+  const size_t bytes_before = g_bytes;
+  const size_t allocations_before = g_allocations;
+  g_by_size.fill(0);
+  g_histogram_on = true;
+  plug_range(kWarmupPlugs, kWarmupPlugs + kPlugs);
+  g_histogram_on = false;
+  const double bytes = static_cast<double>(g_bytes - bytes_before) / kPlugs;
+  const double allocations = static_cast<double>(g_allocations - allocations_before) / kPlugs;
+
+  EXPECT_EQ(plug_errors, 0);
+  int ready = 0;
+  for (const MicroPnpThing* thing : things) {
+    ready += thing->advertisements_sent() == 1 ? 1 : 0;
+  }
+  EXPECT_EQ(ready, kWarmupPlugs + kPlugs);
+  std::printf("plug flow: %.0f B in %.2f allocations\n", bytes, allocations);
+  PrintBlocksPer("plug flow", kPlugs);
+  EXPECT_LE(allocations, 14.05);
 }
 
 TEST(Footprint, NoAllocationsOnWarmSchedulerChurn) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "bench/paper/energy_model.h"
 #include "bench/paper/pinout.h"
@@ -14,6 +15,7 @@
 #include "src/hw/eseries.h"
 #include "src/hw/id_codec.h"
 #include "src/hw/multivibrator.h"
+#include "tests/oracles/reference_eseries.h"
 
 namespace micropnp {
 namespace {
@@ -49,6 +51,89 @@ TEST(ESeries, LadderIndexIsInverseOfLadderValue) {
   for (int i = 0; i < 256; i += 7) {
     Ohms v = LadderValue(ESeries::kE96, Ohms(3480), i);
     EXPECT_EQ(LadderIndex(ESeries::kE96, Ohms(3480), v), i) << "index " << i;
+  }
+}
+
+// The table lookups against the seed's per-candidate search
+// (tests/oracles/reference_eseries.h).  Every comparison is exact: the
+// production code must pick the same value, not a close one.
+TEST(ESeries, TableLookupMatchesReferenceBitForBit) {
+  constexpr int kRandomInputs = 100000;
+  constexpr int kMaxSteps = 300;
+  const std::array<ESeries, 4> all_series = {ESeries::kE12, ESeries::kE24, ESeries::kE48,
+                                             ESeries::kE96};
+  // Both clamps, a value that rounds up across a decade edge, the codec's
+  // base resistor, and one between two E96 values.
+  const std::array<Ohms, 5> firsts = {Ohms(0.5), Ohms(9.9), Ohms(3480.0), Ohms(47300.0),
+                                      Ohms(2e8)};
+
+  // Log-uniform resistances over [0.5 Ohm, 2e8 Ohm], beyond both clamps.
+  std::vector<double> inputs;
+  Rng rng(0xe5e7);
+  for (int i = 0; i < kRandomInputs; ++i) {
+    inputs.push_back(std::exp(rng.Uniform(std::log(0.5), std::log(2e8))));
+  }
+  const size_t random_inputs = inputs.size();
+
+  for (ESeries series : all_series) {
+    // Every series value in decades 10^0..10^7, and the geometric midpoint
+    // between each value and the next, including the last value of a decade
+    // and the first of the next one.
+    std::vector<double> values;
+    for (int decade = 0; decade <= 8; ++decade) {
+      for (double base : ESeriesBaseValues(series)) {
+        values.push_back(base * std::pow(10.0, decade));
+      }
+    }
+    std::vector<double> structured;
+    for (size_t i = 0; i + 1 < values.size(); ++i) {
+      if (values[i] < 1e8) {
+        structured.push_back(values[i]);
+        structured.push_back(std::sqrt(values[i] * values[i + 1]));
+      }
+    }
+    inputs.resize(random_inputs);
+    inputs.insert(inputs.end(), structured.begin(), structured.end());
+
+    const int n = ESeriesSize(series);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const Ohms r(inputs[i]);
+      const Ohms first = firsts[i % firsts.size()];
+      EXPECT_EQ(NearestStandardValue(series, r).value(),
+                ReferenceNearestStandardValue(series, r).value())
+          << "E" << n << " at " << inputs[i] << " Ohm";
+      EXPECT_EQ(LadderIndex(series, first, r), ReferenceLadderIndex(series, first, r))
+          << "E" << n << " at " << inputs[i] << " Ohm from " << first.value() << " Ohm";
+      if (HasFailure()) {
+        return;  // one input's report, not a flood of them
+      }
+    }
+    for (Ohms first : firsts) {
+      for (int step = -kMaxSteps; step <= kMaxSteps; ++step) {
+        EXPECT_EQ(LadderValue(series, first, step).value(),
+                  ReferenceLadderValue(series, first, step).value())
+            << "E" << n << " step " << step << " from " << first.value() << " Ohm";
+        if (HasFailure()) {
+          return;
+        }
+      }
+    }
+  }
+
+  // The four resistors a plug is made from: one decomposition of the base,
+  // four steps up from it.
+  const IdentCodec codec{IdentCircuitConfig{}};
+  for (int i = 0; i < 10000; ++i) {
+    const DeviceTypeId id = rng.NextU32();
+    const std::array<Ohms, 4> resistors = codec.ResistorsForId(id);
+    for (int b = 0; b < 4; ++b) {
+      EXPECT_EQ(resistors[b].value(),
+                ReferenceLadderValue(ESeries::kE96, Ohms(3480.0), DeviceTypeByte(id, b)).value())
+          << "id " << id << " byte " << b;
+    }
+    if (HasFailure()) {
+      return;
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <compare>
 #include <set>
 #include <string>
 #include <utility>
@@ -51,6 +52,64 @@ TEST(Ip6, PrefixContains) {
   EXPECT_TRUE(prefix.Contains(*Ip6Address::Parse("2001:db8::42")));
   EXPECT_TRUE(prefix.Contains(*Ip6Address::Parse("2001:db8:0:1::9")));
   EXPECT_FALSE(prefix.Contains(*Ip6Address::Parse("2001:db9::1")));
+}
+
+TEST(Ip6, OrderingIsLexicographicByteOrder) {
+  // ==, < and <=> against a byte-by-byte lexicographic compare, both ways
+  // round: maps keyed by address iterate in this order.
+  auto check = [](const std::array<uint8_t, 16>& x, const std::array<uint8_t, 16>& y) {
+    const Ip6Address a(x);
+    const Ip6Address b(y);
+    const bool less = std::lexicographical_compare(x.begin(), x.end(), y.begin(), y.end());
+    const bool greater = std::lexicographical_compare(y.begin(), y.end(), x.begin(), x.end());
+    const std::strong_ordering want = less      ? std::strong_ordering::less
+                                      : greater ? std::strong_ordering::greater
+                                                : std::strong_ordering::equal;
+    EXPECT_EQ(a == b, !less && !greater) << a.ToString() << " vs " << b.ToString();
+    EXPECT_EQ(a < b, less) << a.ToString() << " vs " << b.ToString();
+    EXPECT_TRUE((a <=> b) == want) << a.ToString() << " vs " << b.ToString();
+    EXPECT_TRUE((b <=> a) == 0 <=> (a <=> b)) << a.ToString() << " vs " << b.ToString();
+  };
+
+  const std::array<uint8_t, 16> base = Ip6Address::Parse("2001:db8::7:ad1c:1")->bytes();
+  check(base, base);
+  std::array<uint8_t, 16> last = base;  // differs only in byte 15
+  last[15] = 0x02;
+  check(base, last);
+  check(last, base);
+  // Bytes 7 and 8 straddle the two words and disagree: byte 7 decides.
+  std::array<uint8_t, 16> straddle_lo = base;
+  std::array<uint8_t, 16> straddle_hi = base;
+  straddle_lo[7] = 0x01;
+  straddle_lo[8] = 0xff;
+  straddle_hi[7] = 0x02;
+  straddle_hi[8] = 0x00;
+  check(straddle_lo, straddle_hi);
+  check(straddle_hi, straddle_lo);
+  // The top byte compares unsigned: 0x00 sorts before 0xff.
+  std::array<uint8_t, 16> top_lo{};
+  std::array<uint8_t, 16> top_hi{};
+  top_hi[0] = 0xff;
+  check(top_lo, top_hi);
+  check(top_hi, top_lo);
+
+  // Random pairs that share a prefix of random length (all 16 bytes makes
+  // an equal pair), so every byte position decides some of them.
+  Rng rng(6);
+  for (int i = 0; i < 20000; ++i) {
+    std::array<uint8_t, 16> x;
+    for (uint8_t& byte : x) {
+      byte = static_cast<uint8_t>(rng.NextU32());
+    }
+    std::array<uint8_t, 16> y = x;
+    for (size_t k = rng.UniformInt(0, 16); k < y.size(); ++k) {
+      y[k] = static_cast<uint8_t>(rng.NextU32());
+    }
+    check(x, y);
+    if (HasFailure()) {
+      return;  // one pair's report, not a flood of them
+    }
+  }
 }
 
 // --------------------------------------------------------------- schema ----
