@@ -7,6 +7,10 @@
 // image costs zero chunks (the manager short-circuits with an up-to-date
 // offer), and an interrupted transfer resumes from its gaps instead of
 // restarting.  The run reports how much image traffic that saves.
+//
+// After each settle window every Thing's channel 0 must have a driver host
+// exactly when its plug flow is ready; the run exits nonzero, naming the
+// Thing on stderr, when one does not.
 
 #include <cstdio>
 #include <string>
@@ -20,9 +24,10 @@ namespace {
 struct ChurnStats {
   int plugs = 0;
   int settled = 0;  // plug flows that ended with an active driver host
+  int inconsistent = 0;  // channels whose driver host disagrees with their phase
 };
 
-void Run() {
+int Run() {
   std::printf("=== A5: plug/unplug churn under loss (resume machinery) ===\n\n");
 
   DeploymentConfig config;
@@ -52,7 +57,15 @@ void Run() {
   auto settle_and_count = [&](double window_ms) {
     deployment.RunForMillis(window_ms);
     for (MicroPnpThing* thing : things) {
-      if (thing->drivers().HostForChannel(0) != nullptr) {
+      const bool hosted = thing->drivers().HostForChannel(0) != nullptr;
+      const ChannelPhase phase = thing->phase(0);
+      if (hosted != (phase == ChannelPhase::kReady)) {
+        std::fprintf(stderr, "%s: channel 0 in phase %d %s a driver host\n",
+                     thing->node().name().c_str(), static_cast<int>(phase),
+                     hosted ? "has" : "lacks");
+        ++stats.inconsistent;
+      }
+      if (hosted) {
         ++stats.settled;
       }
     }
@@ -122,12 +135,10 @@ void Run() {
   std::printf("   zero chunks (the (18) offer answers \"up to date\"), so sustained churn\n");
   std::printf("   costs advertisement and offer traffic only — the image crosses the\n");
   std::printf("   lossy fabric once per Thing, not once per plug.\n");
+  return stats.inconsistent == 0 ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace micropnp
 
-int main() {
-  micropnp::Run();
-  return 0;
-}
+int main() { return micropnp::Run(); }

@@ -1,6 +1,8 @@
 #include "src/proto/thing.h"
 
 #include <algorithm>
+#include <cmath>
+#include <type_traits>
 
 #include "src/common/crc.h"
 #include "src/common/logging.h"
@@ -30,8 +32,8 @@ constexpr double kDriverRequestBackoffMs = 400.0;
 // loss over multiple hops, attempt count dominates convergence.
 constexpr double kDriverRequestBackoffMultiplier = 1.7;
 // A failed (4) re-arms with capped exponential backoff — the link may
-// heal — instead of leaving the channel identified-but-driverless
-// forever.  Bounded so a manager-less deployment still drains.
+// heal — instead of giving up at once.  Bounded so a manager-less
+// deployment still drains: a spent budget leaves the channel failed.
 constexpr double kDriverRetryInitialMs = 2000.0;
 constexpr double kDriverRetryMaxMs = 30000.0;
 constexpr int kDriverRetryLimit = 100;
@@ -96,23 +98,21 @@ Status MicroPnpThing::PreinstallDriver(const DriverImage& image) {
 
 std::vector<AdvertisedPeripheral> MicroPnpThing::ConnectedPeripherals() const {
   std::vector<AdvertisedPeripheral> out;
-  auto& self = const_cast<MicroPnpThing&>(*this);
-  for (ChannelId ch = 0; ch < self.controller_.num_channels(); ++ch) {
-    std::optional<DeviceTypeId> id = self.controller_.identified(ch);
-    if (!id.has_value()) {
+  for (ChannelId ch = 0; ch < channels_.size(); ++ch) {
+    const Channel& c = channels_[ch];
+    if (c.phase == ChannelPhase::kEmpty) {
       continue;
     }
     AdvertisedPeripheral p;
-    p.type = *id;
+    p.type = c.device;
     p.info.AddU8(TlvType::kChannel, ch);
-    Peripheral* peripheral = self.controller_.peripheral(ch);
-    if (peripheral != nullptr) {
+    if (const Peripheral* peripheral = controller_.peripheral(ch)) {
       p.info.AddString(TlvType::kFriendlyName, peripheral->name());
       p.info.AddU8(TlvType::kBusKind, static_cast<uint8_t>(peripheral->bus()));
     }
     // Model facets from the installed driver's handled events, so a gateway
     // can type this peripheral without ever having seen its driver.
-    const std::vector<EventId> events = self.driver_manager_.HandledEventsFor(*id);
+    const std::vector<EventId> events = driver_manager_.HandledEventsFor(c.device);
     if (!events.empty()) {
       p.info.AddU16(TlvType::kModelFacets, FacetsFromHandledEvents(events).Encode());
     }
@@ -123,37 +123,40 @@ std::vector<AdvertisedPeripheral> MicroPnpThing::ConnectedPeripherals() const {
 
 // --------------------------------------------------------- plug-in flow ----
 
+template <void (MicroPnpThing::*Step)(ChannelId)>
+void MicroPnpThing::After(double delay_ms, ChannelId channel) {
+  auto step = [this, channel, generation = channels_[channel].generation] {
+    if (Current(channel, generation)) {
+      (this->*Step)(channel);
+    }
+  };
+  static_assert(sizeof(step) <= 16 && std::is_trivially_copyable_v<decltype(step)>);
+  scheduler_.ScheduleAfter(SimTime::FromMillis(delay_ms), step);
+}
+
 void MicroPnpThing::OnPeripheralChange(ChannelId channel, DeviceTypeId id, bool connected) {
-  FlowState& flow = flows_[channel];
-  ++flow.generation;  // stale request completions and retries die here
-  flow.retry_delay_ms = 0.0;
-  flow.retries = 0;
+  Channel& c = channels_[channel];
+  ++c.generation;  // every step scheduled for the old peripheral dies here
+  c.retries = 0;
   ResetTrickle();  // any peripheral change restarts the re-advertisement ladder
 
   if (!connected) {
-    StreamState& stream = streams_[channel];
-    if (stream.active) {
+    if (c.streaming) {
       // Subscribers would otherwise wait until their deadlines:
       // disconnect-while-streaming notifies the group with (15).
-      endpoint_.Send(stream.group, MessageType::kStreamClosed, 0, DeviceTargetPayload{id});
+      endpoint_.Send(c.stream_group, MessageType::kStreamClosed, 0, DeviceTargetPayload{id});
     }
-    stream.active = false;
-    stream.generation++;
-    pending_reads_[channel].clear();
-    if (driver_manager_.HostForChannel(channel) != nullptr) {
+    c.streaming = false;
+    c.pending_reads.clear();
+    // Nothing is pending or streaming, so destroy's return value goes nowhere.
+    if (c.phase == ChannelPhase::kReady) {
       (void)driver_manager_.Deactivate(channel);
     }
-    // Leave the peripheral group only when no other connected channel still
-    // serves this device type — otherwise the Thing goes deaf to
-    // discovery/read for the remaining peripheral.
-    bool type_still_served = false;
-    for (ChannelId ch = 0; ch < controller_.num_channels(); ++ch) {
-      if (ch != channel && controller_.identified(ch) == id) {
-        type_still_served = true;
-        break;
-      }
-    }
-    if (!type_still_served) {
+    c.phase = ChannelPhase::kEmpty;
+    // Leave the peripheral group only when no other channel still serves
+    // this device type — otherwise the Thing goes deaf to discovery/read for
+    // the remaining peripheral.
+    if (ChannelFor(id) == kInvalidChannel) {
       node_->LeaveGroup(PeripheralGroup(node_->prefix(), id));
     }
     // Unsolicited advertisement reflecting the new peripheral set
@@ -163,152 +166,141 @@ void MicroPnpThing::OnPeripheralChange(ChannelId channel, DeviceTypeId id, bool 
     return;
   }
 
+  c.phase = ChannelPhase::kJoining;
+  c.device = id;
   if (PlugFlowMarks* marks = MarkFlow(channel, &PlugFlowMarks::identified)) {
     marks->device = id;
   }
   // Step 1: derive the peripheral's multicast address (Table 4 row 1).
-  scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(kGenerateAddressCpuMs)),
-                           [this, channel, id] {
-                             MarkFlow(channel, &PlugFlowMarks::address_generated);
-                             ContinueFlowJoinGroup(channel, id);
-                           });
+  After<&MicroPnpThing::OnAddressGenerated>(Jitter(kGenerateAddressCpuMs), channel);
 }
 
-void MicroPnpThing::ContinueFlowJoinGroup(ChannelId channel, DeviceTypeId id) {
+void MicroPnpThing::OnAddressGenerated(ChannelId channel) {
+  MarkFlow(channel, &PlugFlowMarks::address_generated);
   // Step 2: join the peripheral group (Table 4 row 2).
-  scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(kJoinGroupCpuMs)),
-                           [this, channel, id] {
-                             node_->JoinGroup(PeripheralGroup(node_->prefix(), id));
-                             MarkFlow(channel, &PlugFlowMarks::group_joined);
-                             ContinueFlowEnsureDriver(channel, id);
-                           });
+  After<&MicroPnpThing::JoinPeripheralGroup>(Jitter(kJoinGroupCpuMs), channel);
 }
 
-void MicroPnpThing::ContinueFlowEnsureDriver(ChannelId channel, DeviceTypeId id) {
-  if (driver_manager_.HasDriverFor(id)) {
-    if (driver_manager_.HostForChannel(channel) != nullptr) {
-      return;  // a late (4) retry landed after the channel was fully plumbed
-    }
+void MicroPnpThing::JoinPeripheralGroup(ChannelId channel) {
+  node_->JoinGroup(PeripheralGroup(node_->prefix(), channels_[channel].device));
+  MarkFlow(channel, &PlugFlowMarks::group_joined);
+  EnsureDriver(channel);
+}
+
+void MicroPnpThing::EnsureDriver(ChannelId channel) {
+  Channel& c = channels_[channel];
+  if (c.phase != ChannelPhase::kJoining && c.phase != ChannelPhase::kAwaitingDriver) {
+    return;  // the image reached the channel another way, or the channel gave up
+  }
+  if (driver_manager_.HasDriverFor(c.device)) {
     if (PlugFlowMarks* marks = MarkFlow(channel, &PlugFlowMarks::driver_received)) {
       marks->driver_was_cached = true;
       marks->driver_requested = marks->driver_received;
     }
-    ActivateAndAdvertise(channel, id);
+    ActivateAndAdvertise(channel);
     return;
   }
-  // Step 3: request the driver from the manager's anycast address (4).  The
-  // endpoint owns the transaction: the (18) offer comes from the manager's
-  // unicast address, hence match_any_source, and lossy links are covered by
-  // retransmit-with-backoff up to the deadline.
-  scheduler_.ScheduleAfter(
-      SimTime::FromMillis(Jitter(kRequestBuildCpuMs)), [this, channel, id] {
-        if (controller_.identified(channel) != id) {
-          return;  // unplugged while the request was being built
-        }
-        MarkFlow(channel, &PlugFlowMarks::driver_requested);
-        RequestOptions options;
-        options.deadline_ms = kDriverRequestDeadlineMs;
-        options.max_retransmits = kDriverRequestRetransmits;
-        options.initial_backoff_ms = kDriverRequestBackoffMs;
-        options.backoff_multiplier = kDriverRequestBackoffMultiplier;
-        options.match_any_source = true;
-        // A reply for a different device (e.g. a stale manager-side cache
-        // entry) must not consume this transaction — drop it and keep
-        // retransmitting.
-        options.accept = [id](const Message& reply) {
-          const auto* offer = reply.payload_as<DriverOfferPayload>();
-          return offer != nullptr && offer->device_id == id;
-        };
-        // The (4) carries the resume state of any held partial (or full)
-        // image: the manager streams only the gaps, or short-circuits to
-        // "already up to date" with zero chunks.
-        DriverRequestPayload request;
-        request.device_id = id;
-        auto held = transfers_.find(id);
-        if (held != transfers_.end() && held->second.have_count > 0) {
-          DriverTransfer& t = held->second;
-          t.channel = channel;
-          // Reaching here means no driver is installed for `id`, so even a
-          // complete cached image needs (re-)installation once validated.
-          t.install_started = false;
-          request.cached_crc = t.crc;
-          request.cached_chunk_count = t.chunk_count;
-          request.have_bitmap.assign((t.chunk_count + 7u) / 8u, 0);
-          for (uint16_t i = 0; i < t.chunk_count; ++i) {
-            if (t.have[i]) {
-              request.have_bitmap[i / 8u] |= static_cast<uint8_t>(1u << (i % 8u));
-            }
-          }
-        }
-        const uint64_t flow_generation = flows_[channel].generation;
-        endpoint_.SendRequest(
-            ManagerAnycastAddress(), MessageType::kDriverInstallRequest, std::move(request),
-            {MessageType::kDriverUploadOffer},
-            [this, channel, id, flow_generation](Result<Message> reply) {
-              OnDriverRequestComplete(channel, id, flow_generation, std::move(reply));
-            },
-            options);
-      });
+  // Step 3: request the driver from the manager's anycast address (4).
+  c.phase = ChannelPhase::kAwaitingDriver;
+  After<&MicroPnpThing::SendDriverRequest>(Jitter(kRequestBuildCpuMs), channel);
 }
 
-void MicroPnpThing::OnDriverRequestComplete(ChannelId channel, DeviceTypeId id,
-                                            uint64_t flow_generation, Result<Message> reply) {
-  if (flows_[channel].generation != flow_generation) {
-    return;  // the channel was unplugged (or re-plugged) since this (4) went out
+void MicroPnpThing::SendDriverRequest(ChannelId channel) {
+  const DeviceTypeId id = channels_[channel].device;
+  MarkFlow(channel, &PlugFlowMarks::driver_requested);
+  // The endpoint owns the transaction: the (18) offer comes from the
+  // manager's unicast address, hence match_any_source, and lossy links are
+  // covered by retransmit-with-backoff up to the deadline.
+  RequestOptions options;
+  options.deadline_ms = kDriverRequestDeadlineMs;
+  options.max_retransmits = kDriverRequestRetransmits;
+  options.initial_backoff_ms = kDriverRequestBackoffMs;
+  options.backoff_multiplier = kDriverRequestBackoffMultiplier;
+  options.match_any_source = true;
+  // A reply for a different device (e.g. a stale manager-side cache entry)
+  // must not consume this transaction — drop it and keep retransmitting.
+  options.accept = [id](const Message& reply) {
+    const auto* offer = reply.payload_as<DriverOfferPayload>();
+    return offer != nullptr && offer->device_id == id;
+  };
+  // The (4) carries the resume state of any held partial (or full) image:
+  // the manager streams only the gaps, or short-circuits to "already up to
+  // date" with zero chunks.
+  DriverRequestPayload request;
+  request.device_id = id;
+  auto held = transfers_.find(id);
+  if (held != transfers_.end() && held->second.have_count > 0) {
+    DriverTransfer& t = held->second;
+    // Reaching here means no driver is installed for `id`, so even a
+    // complete cached image needs (re-)installation once validated.
+    t.install_started = false;
+    request.cached_crc = t.crc;
+    request.cached_chunk_count = t.chunk_count;
+    request.have_bitmap.assign((t.chunk_count + 7u) / 8u, 0);
+    for (uint16_t i = 0; i < t.chunk_count; ++i) {
+      if (t.have[i]) {
+        request.have_bitmap[i / 8u] |= static_cast<uint8_t>(1u << (i % 8u));
+      }
+    }
   }
+  endpoint_.SendRequest(
+      ManagerAnycastAddress(), MessageType::kDriverInstallRequest, std::move(request),
+      {MessageType::kDriverUploadOffer},
+      [this, channel, generation = channels_[channel].generation](Result<Message> reply) {
+        if (Current(channel, generation)) {
+          OnDriverRequestComplete(channel, std::move(reply));
+        }
+      },
+      options);
+}
+
+void MicroPnpThing::OnDriverRequestComplete(ChannelId channel, Result<Message> reply) {
   if (!reply.ok()) {
     ++driver_requests_failed_;
-    MLOG(kWarning, "thing") << "driver request for " << FormatDeviceTypeId(id)
+    MLOG(kWarning, "thing") << "driver request for "
+                            << FormatDeviceTypeId(channels_[channel].device)
                             << " failed: " << reply.status().ToString();
     // The manager (or the path to it) may heal: re-arm with capped
-    // exponential backoff rather than staying identified-but-driverless
-    // forever.  Any chunks that did arrive are kept and resumed.
-    ScheduleDriverRetry(channel, id);
+    // exponential backoff rather than giving up at once.  Any chunks that
+    // did arrive are kept and resumed.
+    ScheduleDriverRetry(channel);
     return;
   }
-  // `accept` admitted only an (18) offer for `id`.
-  ProcessOffer(channel, id, *reply->payload_as<DriverOfferPayload>());
+  // `accept` admitted only an (18) offer for the channel's device.
+  ProcessOffer(channel, *reply->payload_as<DriverOfferPayload>());
 }
 
-void MicroPnpThing::ScheduleDriverRetry(ChannelId channel, DeviceTypeId id) {
-  FlowState& flow = flows_[channel];
-  if (flow.retries >= kDriverRetryLimit) {
-    MLOG(kWarning, "thing") << "driver retry budget exhausted for " << FormatDeviceTypeId(id);
+void MicroPnpThing::ScheduleDriverRetry(ChannelId channel) {
+  Channel& c = channels_[channel];
+  if (c.retries >= kDriverRetryLimit) {
+    MLOG(kWarning, "thing") << "driver retry budget exhausted for " << FormatDeviceTypeId(c.device);
+    if (c.phase == ChannelPhase::kAwaitingDriver) {
+      c.phase = ChannelPhase::kFailed;
+    }
     return;
   }
-  ++flow.retries;
   ++driver_request_retries_;
-  flow.retry_delay_ms = flow.retry_delay_ms <= 0.0
-                            ? kDriverRetryInitialMs
-                            : std::min(flow.retry_delay_ms * 2.0, kDriverRetryMaxMs);
-  const uint64_t flow_generation = flow.generation;
-  scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(flow.retry_delay_ms)),
-                           [this, channel, id, flow_generation] {
-                             if (flows_[channel].generation != flow_generation ||
-                                 controller_.identified(channel) != id) {
-                               return;
-                             }
-                             ContinueFlowEnsureDriver(channel, id);
-                           });
+  const double delay_ms = std::min(std::ldexp(kDriverRetryInitialMs, c.retries), kDriverRetryMaxMs);
+  ++c.retries;
+  After<&MicroPnpThing::EnsureDriver>(Jitter(delay_ms), channel);
 }
 
 // --------------------------------------------- chunked driver transfer ----
 
-void MicroPnpThing::ProcessOffer(ChannelId channel, DeviceTypeId id,
-                                 const DriverOfferPayload& offer) {
+void MicroPnpThing::ProcessOffer(ChannelId channel, const DriverOfferPayload& offer) {
+  const DeviceTypeId id = offer.device_id;
   DriverTransfer& t = transfers_[id];
   if (t.crc != offer.image_crc || t.chunk_count != offer.chunk_count) {
     // First offer, or the repository image changed since our cache was
     // built: what we hold is useless, restart from scratch.
     ResetTransfer(t, offer.image_crc, offer.chunk_count);
   }
-  t.channel = channel;
   const bool up_to_date = (offer.flags & kDriverOfferUpToDate) != 0;
   if (up_to_date && !t.complete) {
     // The manager judged us complete but we are not (cache lost between
     // the (4) and its answer): drop the claim and request again.
     transfers_.erase(id);
-    ScheduleDriverRetry(channel, id);
+    ScheduleDriverRetry(channel);
     return;
   }
   if (t.complete) {
@@ -321,18 +313,11 @@ void MicroPnpThing::ProcessOffer(ChannelId channel, DeviceTypeId id,
       if (marks != nullptr && up_to_date) {
         marks->driver_was_cached = true;
       }
-      InstallReceivedDriver(channel, id, AssembleTransfer(t));
-    } else if (driver_manager_.HasDriverFor(id)) {
-      // Another channel's flow already installed this image (two
-      // same-type peripherals plugged concurrently): this channel only
-      // needs activation.
-      if (driver_manager_.HostForChannel(channel) == nullptr) {
-        ActivateAndAdvertise(channel, id);
-      }
-    } else {
-      // The install is still in flight (flash write): retry later; by
-      // then the cached-driver fast path activates this channel.
-      ScheduleDriverRetry(channel, id);
+      InstallReceivedDriver(id, AssembleTransfer(t));
+    } else if (!driver_manager_.HasDriverFor(id)) {
+      // The install is still in flight (flash write): retry later.  An
+      // install that is done has activated every channel waiting for it.
+      ScheduleDriverRetry(channel);
     }
     return;
   }
@@ -393,10 +378,9 @@ void MicroPnpThing::MaybeCompleteTransfer(DeviceTypeId id, DriverTransfer& t) {
   std::vector<uint8_t> image = AssembleTransfer(t);
   if (Crc32(ByteSpan(image.data(), image.size())) != t.crc) {
     MLOG(kWarning, "thing") << "assembled driver image failed CRC; restarting transfer";
-    const ChannelId channel = t.channel;
     ResetTransfer(t, 0, 0);
-    if (channel != kInvalidChannel && controller_.identified(channel).has_value()) {
-      ScheduleDriverRetry(channel, *controller_.identified(channel));
+    if (const ChannelId channel = ChannelFor(id); channel != kInvalidChannel) {
+      ScheduleDriverRetry(channel);
     }
     return;
   }
@@ -404,25 +388,20 @@ void MicroPnpThing::MaybeCompleteTransfer(DeviceTypeId id, DriverTransfer& t) {
   t.nack_armed = false;
   ++t.generation;  // cancels any armed NACK tick
   ++transfers_completed_;
-  // A transfer created by chunks alone (the offer never arrived) has no
-  // channel binding yet: find the channel serving this device type.
-  if (t.channel == kInvalidChannel || controller_.identified(t.channel) != id) {
-    t.channel = ChannelFor(id);
-  }
-  if (t.channel == kInvalidChannel) {
-    return;  // peripheral gone; the verified cache waits for the next plug
-  }
-  if (!t.install_started) {
+  // With the peripheral gone, the verified cache waits for the next plug.
+  const ChannelId channel = ChannelFor(id);
+  if (channel != kInvalidChannel && !t.install_started) {
     t.install_started = true;
-    MarkFlow(t.channel, &PlugFlowMarks::driver_received);
-    InstallReceivedDriver(t.channel, id, std::move(image));
+    MarkFlow(channel, &PlugFlowMarks::driver_received);
+    InstallReceivedDriver(id, std::move(image));
   }
 }
 
-ChannelId MicroPnpThing::ChannelFor(DeviceTypeId id, bool with_driver) {
-  for (ChannelId ch = 0; ch < controller_.num_channels(); ++ch) {
-    if (controller_.identified(ch) == id &&
-        (!with_driver || driver_manager_.HostForChannel(ch) != nullptr)) {
+ChannelId MicroPnpThing::ChannelFor(DeviceTypeId id, bool with_driver) const {
+  for (ChannelId ch = 0; ch < channels_.size(); ++ch) {
+    const Channel& c = channels_[ch];
+    if (c.phase != ChannelPhase::kEmpty && c.device == id &&
+        (!with_driver || c.phase == ChannelPhase::kReady)) {
       return ch;
     }
   }
@@ -448,12 +427,12 @@ void MicroPnpThing::ArmNackTimer(DeviceTypeId id) {
     return;
   }
   t.nack_armed = true;
-  const uint64_t generation = t.generation;
+  const uint32_t generation = t.generation;
   scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(t.nack_delay_ms)),
                            [this, id, generation] { NackTick(id, generation); });
 }
 
-void MicroPnpThing::NackTick(DeviceTypeId id, uint64_t generation) {
+void MicroPnpThing::NackTick(DeviceTypeId id, uint32_t generation) {
   auto it = transfers_.find(id);
   if (it == transfers_.end() || it->second.generation != generation || it->second.complete) {
     return;
@@ -463,11 +442,8 @@ void MicroPnpThing::NackTick(DeviceTypeId id, uint64_t generation) {
   if (t.nacks_sent >= kChunkNackBudget) {
     // Gap repair exhausted its budget; fall back to a fresh (4), which
     // resumes from the bitmap under the capped-backoff retry policy.
-    if (t.channel == kInvalidChannel || controller_.identified(t.channel) != id) {
-      t.channel = ChannelFor(id);
-    }
-    if (t.channel != kInvalidChannel) {
-      ScheduleDriverRetry(t.channel, id);
+    if (const ChannelId channel = ChannelFor(id); channel != kInvalidChannel) {
+      ScheduleDriverRetry(channel);
     }
     return;
   }
@@ -494,8 +470,7 @@ void MicroPnpThing::NackTick(DeviceTypeId id, uint64_t generation) {
 
 // ----------------------------------------------------- install/advertise ----
 
-void MicroPnpThing::InstallReceivedDriver(ChannelId channel, DeviceTypeId id,
-                                          std::vector<uint8_t> image_bytes) {
+void MicroPnpThing::InstallReceivedDriver(DeviceTypeId id, std::vector<uint8_t> image_bytes) {
   // Step 4: parse, CRC-check and flash the image (Table 4 row 4).  Flash
   // writes carry high variance (page boundaries, erase cycles), which is
   // what drives Table 4's large install stddev.
@@ -504,52 +479,60 @@ void MicroPnpThing::InstallReceivedDriver(ChannelId channel, DeviceTypeId id,
                           (1.0 + kFlashJitterFraction * rng_.Uniform(-1.0, 1.0));
   const double install_ms = Jitter(kInstallParseCpuMs) + flash_ms;
   scheduler_.ScheduleAfter(
-      SimTime::FromMillis(install_ms), [this, channel, id, image_bytes = std::move(image_bytes)] {
+      SimTime::FromMillis(install_ms), [this, id, image_bytes = std::move(image_bytes)] {
         Result<DriverImage> image = DriverImage::Parse(ByteSpan(image_bytes.data(), image_bytes.size()));
-        if (!image.ok()) {
-          MLOG(kWarning, "thing") << "driver image rejected: " << image.status().ToString();
-          return;
+        Status installed = image.status();
+        if (installed.ok()) {
+          installed = image->device_id == id ? driver_manager_.InstallImage(*image)
+                                             : InvalidArgument("driver image device mismatch");
         }
-        if (image->device_id != id) {
-          MLOG(kWarning, "thing") << "driver image device mismatch";
-          return;
-        }
-        Status installed = driver_manager_.InstallImage(*image);
         if (!installed.ok()) {
           MLOG(kWarning, "thing") << "driver install failed: " << installed.ToString();
-          return;
         }
-        // Activate every channel waiting on this image — two same-type
-        // peripherals plugged concurrently share one transfer, and only one
-        // channel's flow carried the install.
-        for (ChannelId ch = 0; ch < controller_.num_channels(); ++ch) {
-          if (controller_.identified(ch) == id && driver_manager_.HostForChannel(ch) == nullptr) {
-            ActivateAndAdvertise(ch, id);
+        // Every channel waiting on this image moves on, a failed one too: two
+        // same-type peripherals plugged concurrently share one transfer, and
+        // only one channel's flow carried the install.
+        for (ChannelId ch = 0; ch < channels_.size(); ++ch) {
+          Channel& c = channels_[ch];
+          if (c.device != id || (c.phase != ChannelPhase::kJoining &&
+                                 c.phase != ChannelPhase::kAwaitingDriver &&
+                                 c.phase != ChannelPhase::kFailed)) {
+            continue;
+          }
+          if (installed.ok()) {
+            ActivateAndAdvertise(ch);
+          } else if (c.phase == ChannelPhase::kAwaitingDriver) {
+            c.phase = ChannelPhase::kFailed;
           }
         }
       });
 }
 
-void MicroPnpThing::ActivateAndAdvertise(ChannelId channel, DeviceTypeId id) {
-  scheduler_.ScheduleAfter(
-      SimTime::FromMillis(Jitter(kInstallActivateCpuMs)), [this, channel, id] {
-        Status activated = driver_manager_.Activate(channel, id, controller_.bus(channel));
-        if (!activated.ok()) {
-          MLOG(kWarning, "thing") << "driver activation failed: " << activated.ToString();
-          return;
-        }
-        DriverHost* host = driver_manager_.HostForChannel(channel);
-        host->set_result_handler(
-            [this, channel](const ProducedValue& v) { OnProduced(channel, v); });
-        MarkFlow(channel, &PlugFlowMarks::driver_installed);
-        // Step 5: unsolicited advertisement to all μPnP clients (Table 4
-        // row 5, message (1) of Figure 10).
-        scheduler_.ScheduleAfter(SimTime::FromMillis(Jitter(kAdvertBuildCpuMs)),
-                                 [this, channel] {
-                                   SendUnsolicitedAdvertisement();
-                                   MarkFlow(channel, &PlugFlowMarks::advertised);
-                                 });
-      });
+void MicroPnpThing::ActivateAndAdvertise(ChannelId channel) {
+  channels_[channel].phase = ChannelPhase::kActivating;
+  After<&MicroPnpThing::ActivateDriver>(Jitter(kInstallActivateCpuMs), channel);
+}
+
+void MicroPnpThing::ActivateDriver(ChannelId channel) {
+  Channel& c = channels_[channel];
+  Status activated = driver_manager_.Activate(channel, c.device, controller_.bus(channel));
+  if (!activated.ok()) {
+    MLOG(kWarning, "thing") << "driver activation failed: " << activated.ToString();
+    c.phase = ChannelPhase::kFailed;
+    return;
+  }
+  c.phase = ChannelPhase::kReady;
+  driver_manager_.HostForChannel(channel)->set_result_handler(
+      [this, channel](const ProducedValue& v) { OnProduced(channel, v); });
+  MarkFlow(channel, &PlugFlowMarks::driver_installed);
+  // Step 5: unsolicited advertisement to all μPnP clients (Table 4 row 5,
+  // message (1) of Figure 10).
+  After<&MicroPnpThing::AdvertiseDriver>(Jitter(kAdvertBuildCpuMs), channel);
+}
+
+void MicroPnpThing::AdvertiseDriver(ChannelId channel) {
+  SendUnsolicitedAdvertisement();
+  MarkFlow(channel, &PlugFlowMarks::advertised);
 }
 
 void MicroPnpThing::SendUnsolicitedAdvertisement() {
@@ -659,36 +642,32 @@ void MicroPnpThing::HandleRead(const Ip6Address& src, const Message& m) {
   // the next value the driver produces to this orphan.  Stay silent instead:
   // the client's retransmit or deadline takes over.
   if (router_.Post(ch, Event::Of(kEventRead))) {
-    pending_reads_[ch].push_back(PendingRead{src, m.sequence});
+    channels_[ch].pending_reads.push_back(PendingRead{src, m.sequence});
   }
 }
 
 void MicroPnpThing::OnProduced(ChannelId channel, const ProducedValue& value) {
+  Channel& c = channels_[channel];
   WireValue wire;
   wire.is_array = value.is_array;
   wire.scalar = value.scalar;
   wire.bytes = value.bytes;
-  const std::optional<DeviceTypeId> id = controller_.identified(channel);
-  if (!id.has_value()) {
-    return;
-  }
 
-  std::vector<PendingRead>& queue = pending_reads_[channel];
+  std::vector<PendingRead>& queue = c.pending_reads;
   if (!queue.empty()) {
     const PendingRead pending = queue.front();
     queue.erase(queue.begin());
     ++reads_served_;
     // (11) echoes the read's sequence.
     ReplyAfterBuild(pending.client, MessageType::kData, pending.sequence,
-                    ValuePayload{*id, std::move(wire)});
+                    ValuePayload{c.device, std::move(wire)});
     return;
   }
-  StreamState& stream = streams_[channel];
-  if (stream.active) {
+  if (c.streaming) {
     scheduler_.ScheduleAfter(
         SimTime::FromMillis(Jitter(kReplyBuildCpuMs)),
-        [this, group = stream.group, id, wire] {
-          endpoint_.SendOneWay(group, MessageType::kStreamData, ValuePayload{*id, wire});
+        [this, group = c.stream_group, id = c.device, wire] {
+          endpoint_.SendOneWay(group, MessageType::kStreamData, ValuePayload{id, wire});
         });
   }
 }
@@ -700,16 +679,11 @@ void MicroPnpThing::HandleStream(const Ip6Address& src, const Message& m) {
     // lost retransmits the (12), and an unanswered retransmit would stall
     // it until its deadline — so a reply is always produced, active stream
     // or not.
-    for (ChannelId ch = 0; ch < controller_.num_channels(); ++ch) {
-      if (controller_.identified(ch) != request->device_id) {
-        continue;
-      }
-      StreamState& stream = streams_[ch];
-      if (stream.active) {
-        stream.active = false;
-        ++stream.generation;
+    for (Channel& c : channels_) {
+      if (c.device == request->device_id && c.streaming) {  // only a ready channel streams
+        c.streaming = false;
         // (15) to the group: every subscriber learns the stream is gone.
-        endpoint_.Send(stream.group, MessageType::kStreamClosed, m.sequence,
+        endpoint_.Send(c.stream_group, MessageType::kStreamClosed, m.sequence,
                        DeviceTargetPayload{request->device_id});
       }
     }
@@ -723,26 +697,26 @@ void MicroPnpThing::HandleStream(const Ip6Address& src, const Message& m) {
   if (ch == kInvalidChannel) {
     return;
   }
-  StreamState& stream = streams_[ch];
-  stream.active = true;
-  stream.period_ms = request->period_ms;
-  stream.group = StreamGroup(node_->address(), request->device_id);
-  const uint64_t generation = ++stream.generation;
+  Channel& c = channels_[ch];
+  c.streaming = true;
+  c.stream_period_ms = request->period_ms;
+  c.stream_group = StreamGroup(node_->address(), request->device_id);
+  const uint32_t generation = ++c.stream_generation;
   // (13) established: tell the client which group carries the values.
   endpoint_.Send(src, MessageType::kStreamEstablished, m.sequence,
-                 StreamEstablishedPayload{request->device_id, stream.group});
+                 StreamEstablishedPayload{request->device_id, c.stream_group});
   // Periodic reads drive (14) data messages.
-  scheduler_.ScheduleAfter(SimTime::FromMillis(stream.period_ms),
+  scheduler_.ScheduleAfter(SimTime::FromMillis(c.stream_period_ms),
                            [this, ch, generation] { StreamTick(ch, generation); });
 }
 
-void MicroPnpThing::StreamTick(ChannelId channel, uint64_t generation) {
-  StreamState& stream = streams_[channel];
-  if (!stream.active || stream.generation != generation) {
+void MicroPnpThing::StreamTick(ChannelId channel, uint32_t generation) {
+  const Channel& c = channels_[channel];
+  if (!c.streaming || c.stream_generation != generation) {
     return;
   }
   router_.Post(channel, Event::Of(kEventRead));
-  scheduler_.ScheduleAfter(SimTime::FromMillis(stream.period_ms),
+  scheduler_.ScheduleAfter(SimTime::FromMillis(c.stream_period_ms),
                            [this, channel, generation] { StreamTick(channel, generation); });
 }
 

@@ -27,9 +27,10 @@
 //    failed request re-arms with capped exponential backoff instead of
 //    giving up, and a re-plug resumes from the held chunk bitmap.
 //
-// Per-channel protocol state (pending reads, stream, plug flow) sits in
-// arrays indexed by channel, one entry per connector of the control board,
-// so a Thing allocates nothing for a channel until a read waits on it.
+// Each connector of the control board has one record (device, plug-flow
+// phase, retry backoff, stream, pending reads).  A plug-flow step drops itself
+// once its channel's peripheral has changed, so no step of an unplugged
+// peripheral, a driver activation among them, outlives it.
 
 #ifndef SRC_PROTO_THING_H_
 #define SRC_PROTO_THING_H_
@@ -52,6 +53,16 @@ namespace micropnp {
 // <= 0 disables the schedule (benchmarks that only measure the read path).
 struct ThingConfig {
   double readvertise_min_ms = 1000.0;
+};
+
+// Where a channel is in the plug flow: one phase per Table 4 step it waits in.
+enum class ChannelPhase : uint8_t {
+  kEmpty,           // nothing identified
+  kJoining,         // identified: address and group join (Table 4 rows 1-2)
+  kAwaitingDriver,  // the (4) and the image transfer (row 3)
+  kActivating,      // image installed: VM setup and init (row 4)
+  kReady,           // driver host active; the (1) follows (row 5)
+  kFailed,          // retry budget spent, image rejected or activation failed
 };
 
 // Simulation-time marks of the most recent plug-in flow (consumed by the
@@ -80,6 +91,7 @@ class MicroPnpThing {
   // --- local hardware access ------------------------------------------------
   Status Plug(ChannelId channel, Peripheral* peripheral);
   Status Unplug(ChannelId channel);
+  ChannelPhase phase(ChannelId channel) const { return channels_[channel].phase; }
   PeripheralController& controller() { return controller_; }
   DriverManager& drivers() { return driver_manager_; }
   NetNode& node() { return *node_; }
@@ -108,11 +120,20 @@ class MicroPnpThing {
     Ip6Address client;
     SequenceNumber sequence;
   };
-  struct StreamState {
-    bool active = false;
-    uint32_t period_ms = 0;
-    Ip6Address group;
-    uint64_t generation = 0;
+  // One connector's protocol state.
+  struct Channel {
+    ChannelPhase phase = ChannelPhase::kEmpty;
+    bool streaming = false;
+    DeviceTypeId device = 0;  // the identified device, unless kEmpty
+    uint32_t generation = 0;  // bumped at every peripheral change
+    int retries = 0;          // (4) retry backoff; resets on every (re-)plug
+    uint32_t stream_period_ms = 0;
+    uint32_t stream_generation = 0;  // a restart invalidates the old stream's ticks
+    Ip6Address stream_group;
+    // Reads awaiting the channel's next value, oldest first.  Nothing bounds
+    // them, so this is a vector that pops from the front and keeps its
+    // capacity: only a channel's first read allocates.
+    std::vector<PendingRead> pending_reads;
   };
   // One chunked driver transfer, which doubles as the resume cache: chunks
   // survive unplug/deadline, so the next (4) advertises them in its bitmap
@@ -123,46 +144,49 @@ class MicroPnpThing {
     std::vector<std::vector<uint8_t>> chunks;
     std::vector<bool> have;
     uint16_t have_count = 0;
-    ChannelId channel = kInvalidChannel;  // most recent requesting channel
     bool complete = false;  // all chunks held and CRC verified
     bool install_started = false;
     bool nack_armed = false;
     int nacks_sent = 0;
     double nack_delay_ms = 0.0;
-    uint64_t generation = 0;  // bump invalidates armed NACK timers
-  };
-  // Per-channel plug-flow bookkeeping: the generation invalidates stale
-  // request completions and scheduled retries across unplug/re-plug; the
-  // retry backoff resets on every (re-)plug.
-  struct FlowState {
-    uint64_t generation = 0;
-    double retry_delay_ms = 0.0;
-    int retries = 0;
+    uint32_t generation = 0;  // bump invalidates armed NACK timers
   };
 
-  // Plug-in network flow (Figure 10/11), chained on the scheduler.
+  // Schedules `Step` for `channel` after `delay_ms`, dropped if the channel's
+  // generation has moved by then.  The closure is 16 B: this, channel, generation.
+  template <void (MicroPnpThing::*Step)(ChannelId)>
+  void After(double delay_ms, ChannelId channel);
+  // Whether `generation` is still `channel`'s: no peripheral change since.
+  bool Current(ChannelId channel, uint32_t generation) const {
+    return channels_[channel].generation == generation;
+  }
+
+  // Plug-in network flow (Figure 10/11): channel steps chained through After().
   void OnPeripheralChange(ChannelId channel, DeviceTypeId id, bool connected);
-  void ContinueFlowJoinGroup(ChannelId channel, DeviceTypeId id);
-  void ContinueFlowEnsureDriver(ChannelId channel, DeviceTypeId id);
-  void OnDriverRequestComplete(ChannelId channel, DeviceTypeId id, uint64_t flow_generation,
-                               Result<Message> reply);
-  void ScheduleDriverRetry(ChannelId channel, DeviceTypeId id);
-  void InstallReceivedDriver(ChannelId channel, DeviceTypeId id, std::vector<uint8_t> image);
-  void ActivateAndAdvertise(ChannelId channel, DeviceTypeId id);
+  void OnAddressGenerated(ChannelId channel);
+  void JoinPeripheralGroup(ChannelId channel);
+  void EnsureDriver(ChannelId channel);
+  void SendDriverRequest(ChannelId channel);
+  void OnDriverRequestComplete(ChannelId channel, Result<Message> reply);
+  void ScheduleDriverRetry(ChannelId channel);
+  void InstallReceivedDriver(DeviceTypeId id, std::vector<uint8_t> image);
+  void ActivateAndAdvertise(ChannelId channel);
+  void ActivateDriver(ChannelId channel);
+  void AdvertiseDriver(ChannelId channel);
   void SendUnsolicitedAdvertisement();
   void SendSolicitedAdvertisement(const Ip6Address& client, SequenceNumber seq);
 
   // Chunked driver transfer (18)/(19)/(20).
-  void ProcessOffer(ChannelId channel, DeviceTypeId id, const DriverOfferPayload& offer);
+  void ProcessOffer(ChannelId channel, const DriverOfferPayload& offer);
   void HandleDriverChunk(const Message& m);
   void ResetTransfer(DriverTransfer& t, uint32_t crc, uint16_t chunk_count);
   void MaybeCompleteTransfer(DeviceTypeId id, DriverTransfer& t);
   // The lowest channel whose identified peripheral is `id` and, with
-  // `with_driver`, has an active driver host; kInvalidChannel when none.
-  ChannelId ChannelFor(DeviceTypeId id, bool with_driver = false);
+  // `with_driver`, is ready; kInvalidChannel when none.
+  ChannelId ChannelFor(DeviceTypeId id, bool with_driver = false) const;
   std::vector<uint8_t> AssembleTransfer(const DriverTransfer& t) const;
   void ArmNackTimer(DeviceTypeId id);
-  void NackTick(DeviceTypeId id, uint64_t generation);
+  void NackTick(DeviceTypeId id, uint32_t generation);
 
   // Trickle re-advertisement.
   void ResetTrickle();
@@ -183,7 +207,7 @@ class MicroPnpThing {
 
   // Driver result routing (read replies and stream data).
   void OnProduced(ChannelId channel, const ProducedValue& value);
-  void StreamTick(ChannelId channel, uint64_t generation);
+  void StreamTick(ChannelId channel, uint32_t generation);
 
   std::vector<AdvertisedPeripheral> ConnectedPeripherals() const;
   double Jitter(double nominal_ms);
@@ -200,12 +224,7 @@ class MicroPnpThing {
   PeripheralController controller_;
   ProtoEndpoint endpoint_;
 
-  // Reads awaiting their channel's next value, oldest first.  Nothing bounds
-  // them, so each is a vector that pops from the front and keeps its
-  // capacity: only a channel's first read allocates.
-  std::array<std::vector<PendingRead>, ControlBoard::kNumChannels> pending_reads_;
-  std::array<StreamState, ControlBoard::kNumChannels> streams_;
-  std::array<FlowState, ControlBoard::kNumChannels> flows_;
+  std::array<Channel, ControlBoard::kNumChannels> channels_;
   // Keyed by device type: one transfer serves every channel of that type.
   std::map<DeviceTypeId, DriverTransfer> transfers_;
   std::optional<PlugFlowMarks> last_flow_;

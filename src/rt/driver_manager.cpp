@@ -65,8 +65,8 @@ Status DriverManager::RemoveImage(DeviceTypeId device_id) {
   if (it == images_.end()) {
     return NotFound("no driver installed for " + FormatDeviceTypeId(device_id));
   }
-  for (const auto& [channel, host] : hosts_) {
-    if (host->device_id() == device_id) {
+  for (size_t channel = 0; channel < hosts_.size(); ++channel) {
+    if (hosts_[channel] != nullptr && hosts_[channel]->device_id() == device_id) {
       return BusyError("driver in use on channel " + std::to_string(channel));
     }
   }
@@ -95,37 +95,35 @@ std::vector<DeviceTypeId> DriverManager::InstalledDrivers() const {
 }
 
 Status DriverManager::Activate(ChannelId channel, DeviceTypeId device_id, ChannelBus& bus) {
+  if (channel >= hosts_.size()) {
+    return OutOfRange("channel out of range");
+  }
   std::shared_ptr<const DecodedImage> decoded = DecodedFor(device_id);
   if (decoded == nullptr) {
     return NotFound("no driver for " + FormatDeviceTypeId(device_id));
   }
-  if (hosts_.count(channel) != 0) {
+  if (hosts_[channel] != nullptr) {
     return AlreadyExists("channel already has an active driver");
   }
-  auto host = std::make_unique<DriverHost>(std::move(decoded), channel, scheduler_, bus, router_);
-  hosts_[channel] = std::move(host);
+  hosts_[channel] =
+      std::make_unique<DriverHost>(std::move(decoded), channel, scheduler_, bus, router_);
   router_.Post(channel, Event::Of(kEventInit));
   SchedulePump();
   return OkStatus();
 }
 
 Status DriverManager::Deactivate(ChannelId channel) {
-  auto it = hosts_.find(channel);
-  if (it == hosts_.end()) {
+  DriverHost* host = HostForChannel(channel);
+  if (host == nullptr) {
     return NotFound("no active driver on channel");
   }
   // Destroy runs synchronously so the driver can release hardware before the
   // host disappears (Section 4.1: destroy fires when the peripheral is
   // unplugged).
-  it->second->HandleEvent(Event::Of(kEventDestroy));
-  it->second->Teardown();
-  hosts_.erase(it);
+  host->HandleEvent(Event::Of(kEventDestroy));
+  host->Teardown();
+  hosts_[channel].reset();
   return OkStatus();
-}
-
-DriverHost* DriverManager::HostForChannel(ChannelId channel) {
-  auto it = hosts_.find(channel);
-  return it == hosts_.end() ? nullptr : it->second.get();
 }
 
 size_t DriverManager::DispatchPending() {

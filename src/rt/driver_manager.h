@@ -7,7 +7,8 @@
 //
 // Images are stored by device type id (DEPLOY/REMOVE/DISCOVER of Figure 8's
 // manager API); activation binds an image to a channel as a DriverHost and
-// fires init/destroy lifecycle events (Section 4.1).
+// fires init/destroy lifecycle events (Section 4.1).  Hosts sit in an array
+// indexed by channel, so routing an event to its driver is an index.
 //
 // Installation runs the load-time verifier (src/rt/decoded_image.h): a
 // malformed image is rejected with a Status at DEPLOY time — over the air or
@@ -19,11 +20,14 @@
 #ifndef SRC_RT_DRIVER_MANAGER_H_
 #define SRC_RT_DRIVER_MANAGER_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
 
+#include "src/hw/control_board.h"
 #include "src/rt/decoded_image.h"
 #include "src/rt/driver_host.h"
 
@@ -76,12 +80,17 @@ class DriverManager {
   }
 
   // ---- activation ----------------------------------------------------------
-  // Binds the stored image for `device_id` to `channel`, fires init.
+  // Binds the stored image for `device_id` to `channel` (OutOfRange past the
+  // board's connectors), fires init.
   Status Activate(ChannelId channel, DeviceTypeId device_id, ChannelBus& bus);
   // Fires destroy, tears down libraries, releases the slot.
   Status Deactivate(ChannelId channel);
-  DriverHost* HostForChannel(ChannelId channel);
-  size_t active_hosts() const { return hosts_.size(); }
+  DriverHost* HostForChannel(ChannelId channel) {
+    return channel < hosts_.size() ? hosts_[channel].get() : nullptr;
+  }
+  size_t active_hosts() const {
+    return std::count_if(hosts_.begin(), hosts_.end(), [](const auto& h) { return h != nullptr; });
+  }
 
   // Drains the event router into the active hosts, each pump bounded to the
   // number of events pending at entry (newly posted errors may still
@@ -105,7 +114,7 @@ class DriverManager {
   // free.
   DecodeCache& decode_cache_;
   std::map<DeviceTypeId, std::shared_ptr<const DecodedImage>> images_;
-  std::map<ChannelId, std::unique_ptr<DriverHost>> hosts_;
+  std::array<std::unique_ptr<DriverHost>, ControlBoard::kNumChannels> hosts_;
   bool pump_scheduled_ = false;
   uint64_t decode_cache_hits_ = 0;
 };

@@ -49,7 +49,7 @@ std::optional<DeviceTypeId> PeripheralController::identified(ChannelId channel) 
   return channel < identified_.size() ? identified_[channel] : std::nullopt;
 }
 
-Peripheral* PeripheralController::peripheral(ChannelId channel) {
+Peripheral* PeripheralController::peripheral(ChannelId channel) const {
   return channel < plugged_.size() ? plugged_[channel] : nullptr;
 }
 

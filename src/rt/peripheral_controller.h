@@ -39,7 +39,6 @@ class PeripheralController {
  public:
   PeripheralController(Scheduler& scheduler, Rng& rng);
 
-  int num_channels() const { return ControlBoard::kNumChannels; }
   ChannelBus& bus(ChannelId channel) { return buses_[channel]; }
   const ControlBoard& board() const { return board_; }
   ControlBoard& board() { return board_; }
@@ -53,7 +52,7 @@ class PeripheralController {
   // Identified device on a channel (nullopt before identification or when
   // empty).
   std::optional<DeviceTypeId> identified(ChannelId channel) const;
-  Peripheral* peripheral(ChannelId channel);
+  Peripheral* peripheral(ChannelId channel) const;
 
   // Fired after each scan, once per changed channel.
   // connected=true: `id` was identified on `channel` (bus already muxed).

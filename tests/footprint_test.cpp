@@ -270,7 +270,7 @@ TEST(Footprint, AllocationsPerPlugFlow) {
   EXPECT_EQ(ready, kWarmupPlugs + kPlugs);
   std::printf("plug flow: %.0f B in %.2f allocations\n", bytes, allocations);
   PrintBlocksPer("plug flow", kPlugs);
-  EXPECT_LE(allocations, 14.05);
+  EXPECT_LE(allocations, 13.05);
 }
 
 TEST(Footprint, NoAllocationsOnWarmSchedulerChurn) {

@@ -1,6 +1,7 @@
 // Lossy-network plug-in flow: trickle re-advertisement, chunked
 // selective-repeat driver transfer, CRC-resume, and the plug-flow edge cases
-// (driver-request re-arm, per-type group membership, stream teardown).
+// (driver-request re-arm and exhaustion, per-type group membership, stream
+// teardown, an unplug at any step of the flow).
 //
 // Everything here is deterministic: fixed deployment seeds, simulated time.
 // The fake-manager tests bind a bare relay node to the manager anycast
@@ -479,6 +480,78 @@ TEST(PlugFlowRecovery, DuplicateStopStreamCompletesIdempotently) {
 
   // Both stops completed on a (15) answer, not by timing out.
   EXPECT_EQ(client.endpoint().counters().deadline_exceeded, 0u);
+}
+
+TEST(PlugFlowRecovery, UnplugAtAnyPointLeavesTheChannelClean) {
+  // Regression: an unplug landing in the driver activation step (a 9 ms CPU
+  // cost) used to leave the unplugged BMP180's driver host on the empty
+  // channel, so the next peripheral there was advertised but never got its
+  // own driver.  Now every plug-flow step of a channel dies with its
+  // peripheral.  The first sweep unplugs at every point of an over-the-air
+  // flow, the second at every point of a flow whose drivers are installed.
+  const DriverImage bmp180_image = CompiledBundledDriver(kBmp180TypeId);
+  const DriverImage tmp36_image = CompiledBundledDriver(kTmp36TypeId);
+  ThingConfig thing_config;
+  thing_config.readvertise_min_ms = 0.0;
+  // Every run's Thing shares this decode cache, so each image is verified
+  // once; with a cache per run the verifier, not the simulation, would
+  // dominate the sweep's host time.
+  DecodeCache decode_cache;
+  auto unplug_then_replug = [&](bool over_the_air, int unplug_ms) {
+    SCOPED_TRACE(std::string(over_the_air ? "over the air" : "cached") + ", unplugged at " +
+                 std::to_string(unplug_ms) + " ms");
+    Deployment deployment(SeededConfig(71100));
+    if (over_the_air) {
+      deployment.AddManager();
+    }
+    MicroPnpThing thing(deployment.scheduler(), deployment.AddRelayNode("thing"), 71100,
+                        decode_cache, thing_config);
+    if (!over_the_air) {
+      ASSERT_TRUE(thing.PreinstallDriver(bmp180_image).ok());
+      ASSERT_TRUE(thing.PreinstallDriver(tmp36_image).ok());
+    }
+    ASSERT_TRUE(thing.Plug(0, &deployment.MakeBmp180()).ok());
+    deployment.RunForMillis(unplug_ms);
+    ASSERT_TRUE(thing.Unplug(0).ok());
+    deployment.RunForMillis(500);
+    EXPECT_EQ(thing.drivers().HostForChannel(0), nullptr);
+    EXPECT_EQ(thing.phase(0), ChannelPhase::kEmpty);
+    EXPECT_FALSE(thing.node().InGroup(PeripheralGroup(thing.node().prefix(), kBmp180TypeId)));
+
+    ASSERT_TRUE(thing.Plug(0, &deployment.MakeTmp36()).ok());
+    deployment.RunForMillis(1000);
+    EXPECT_EQ(thing.phase(0), ChannelPhase::kReady);
+    const DriverHost* host = thing.drivers().HostForChannel(0);
+    ASSERT_NE(host, nullptr);
+    EXPECT_EQ(host->device_id(), kTmp36TypeId);
+  };
+  for (int unplug_ms = 0; unplug_ms <= 800; unplug_ms += 2) {
+    unplug_then_replug(/*over_the_air=*/true, unplug_ms);
+  }
+  for (int unplug_ms = 0; unplug_ms <= 300; unplug_ms += 2) {
+    unplug_then_replug(/*over_the_air=*/false, unplug_ms);
+  }
+}
+
+TEST(PlugFlowRecovery, ExhaustedDriverRetriesEndInFailedPhase) {
+  // With no manager every (4) dies at its 15 s deadline.  The retries back
+  // off to 30 s apart, and the budget of 100 is spent after about 4,800 s:
+  // the channel stays identified, counted as failed, and an unplug still
+  // empties it.
+  Deployment deployment(SeededConfig(71101));
+  MicroPnpThing& thing = deployment.AddThing("thing");
+  Tmp36& sensor = deployment.MakeTmp36();
+  ASSERT_TRUE(thing.Plug(0, &sensor).ok());
+  deployment.RunForMillis(5'000'000);
+
+  EXPECT_EQ(thing.phase(0), ChannelPhase::kFailed);
+  EXPECT_EQ(thing.driver_request_retries(), 100u);
+  EXPECT_EQ(thing.driver_requests_failed(), 101u);
+  EXPECT_EQ(thing.drivers().HostForChannel(0), nullptr);
+
+  ASSERT_TRUE(thing.Unplug(0).ok());
+  deployment.RunForMillis(1000);
+  EXPECT_EQ(thing.phase(0), ChannelPhase::kEmpty);
 }
 
 // Plug/unplug/re-plug churn while several gateway clients keep closed read

@@ -810,6 +810,21 @@ TEST(DriverManager, ActivateWithoutImageFails) {
   EXPECT_EQ(manager.Activate(0, 0xdeadbeef, bus).code(), StatusCode::kNotFound);
 }
 
+TEST(DriverManager, ActivateOnAChannelTheBoardLacksFails) {
+  Scheduler sched;
+  EventRouter router;
+  DecodeCache cache;
+  DriverManager manager(sched, router, cache);
+  ChannelBus bus(sched);
+  Result<DriverImage> image = CompileDriver(BundledDrivers()[0].source);
+  ASSERT_TRUE(image.ok());
+  ASSERT_TRUE(manager.InstallImage(*image).ok());
+  EXPECT_EQ(manager.Activate(ControlBoard::kNumChannels, image->device_id, bus).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(manager.HostForChannel(ControlBoard::kNumChannels), nullptr);
+  EXPECT_EQ(manager.active_hosts(), 0u);
+}
+
 // Deactivation destroys the driver's native libraries.  A completion one of
 // them scheduled and that is still pending must die with it: it must neither
 // run on the freed library nor reach the next driver activated on the channel.
