@@ -73,7 +73,9 @@ int Run(bool smoke, const std::string& out_path) {
     lossy.loss_rate = 0.1;
     cells.push_back(lossy);
   } else {
-    // The M sweep from the ISSUE: {100, 1k, 10k} clients over 64 Things.
+    // The M sweep: {100, 1k, 10k} clients over 64 Things.  Its
+    // deterministic half is the committed BENCH_model.json, which the
+    // golden_bench_model_json ctest entry regenerates byte for byte.
     for (int m : {100, 1000, 10000}) {
       ModelBenchOptions opt;
       opt.num_clients = m;

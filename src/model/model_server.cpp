@@ -33,37 +33,56 @@ ModelServer::ModelServer(Scheduler& scheduler, MicroPnpClient& client, ModelCata
 
 void ModelServer::ObserveAdvertisement(const Ip6Address& thing,
                                        const std::vector<AdvertisedPeripheral>& peripherals) {
-  std::map<DeviceTypeId, DeviceModel> devices;
+  std::map<DeviceTypeId, DeviceModel> models;
   for (const AdvertisedPeripheral& peripheral : peripherals) {
     // Catalog first (richest: real names and arities), the advertised
     // facets TLV second (lets the gateway type a driver it has never
     // seen), and a read-only protocol-default model last — every μPnP
     // peripheral answers (10) reads once its driver is installed.
     if (const DeviceModel* known = catalog_.Find(peripheral.type)) {
-      devices.emplace(peripheral.type, *known);
+      models.emplace(peripheral.type, *known);
       continue;
     }
     ModelFacets facets;
     if (!FindFacetsTlv(peripheral.info, &facets)) {
       facets.readable = true;
     }
-    devices.emplace(peripheral.type, ModelFromFacets(peripheral.type, facets));
+    models.emplace(peripheral.type, ModelFromFacets(peripheral.type, facets));
   }
 
-  // Peripherals no longer advertised were unplugged: their cached values
-  // and fan-outs are now about a device that is gone.
-  auto fleet_it = fleet_.find(thing);
-  if (fleet_it != fleet_.end()) {
-    for (const auto& [device, model] : fleet_it->second) {
-      if (!devices.contains(device)) {
-        DropDevice(Key{thing, device});
-      }
+  // Peripherals no longer advertised were unplugged: their records are
+  // about a device that is gone.  Each leaves the fleet before its waiters
+  // hear of it, so a waiter that reads again finds no model.
+  std::map<DeviceTypeId, Device>& devices = fleet_[thing];
+  std::vector<std::pair<DeviceTypeId, Device>> dropped;
+  for (auto it = devices.begin(); it != devices.end();) {
+    if (models.contains(it->first)) {
+      ++it;
+      continue;
+    }
+    dropped.emplace_back(it->first, std::move(it->second));
+    it = devices.erase(it);
+  }
+  for (auto& [device, model] : models) {
+    auto [it, created] = devices.try_emplace(device);
+    it->second.model = std::move(model);
+    if (created) {
+      it->second.life = ++lives_;
     }
   }
   if (devices.empty()) {
     fleet_.erase(thing);
-  } else {
-    fleet_[thing] = std::move(devices);
+  }
+  for (auto& [device, record] : dropped) {
+    for (ReadCallback& waiter : record.waiters) {
+      if (waiter) {
+        waiter(Unavailable("device unplugged"));
+      }
+    }
+    if (!record.fanout.subscribers.empty()) {
+      counters_.dropped_subscribers += record.fanout.subscribers.size();
+      client_.StopStream(thing, device);
+    }
   }
 }
 
@@ -87,18 +106,22 @@ void ModelServer::RefreshFleet(DeviceTypeId device, double window_ms,
                    });
 }
 
-const DeviceModel* ModelServer::ModelFor(const Ip6Address& thing, DeviceTypeId device) const {
+ModelServer::Device* ModelServer::Find(const Ip6Address& thing, DeviceTypeId device,
+                                       uint64_t life) {
   auto fleet_it = fleet_.find(thing);
   if (fleet_it == fleet_.end()) {
     return nullptr;
   }
   auto device_it = fleet_it->second.find(device);
-  return device_it == fleet_it->second.end() ? nullptr : &device_it->second;
+  if (device_it == fleet_it->second.end() || (life != 0 && device_it->second.life != life)) {
+    return nullptr;
+  }
+  return &device_it->second;
 }
 
-double ModelServer::TtlFor(DeviceTypeId device) const {
-  auto it = ttl_overrides_.find(device);
-  return it == ttl_overrides_.end() ? config_.default_ttl_ms : it->second;
+const DeviceModel* ModelServer::ModelFor(const Ip6Address& thing, DeviceTypeId device) const {
+  const Device* record = const_cast<ModelServer*>(this)->Find(thing, device);
+  return record == nullptr ? nullptr : &record->model;
 }
 
 RequestOptions ModelServer::DeviceOptions() const {
@@ -112,65 +135,61 @@ RequestOptions ModelServer::DeviceOptions() const {
 
 void ModelServer::ReadValue(const Ip6Address& thing, DeviceTypeId device,
                             ReadCallback callback) {
-  const DeviceModel* model = ModelFor(thing, device);
-  if (model == nullptr) {
+  Device* record = Find(thing, device);
+  if (record == nullptr) {
     ++counters_.model_misses;
     callback(NotFound("no model for thing/device"));
     return;
   }
-  if (!model->readable) {
+  if (!record->model.readable) {
     ++counters_.model_misses;
     callback(FailedPrecondition("property is not readable"));
     return;
   }
   ++counters_.reads;
 
-  const Key key{thing, device};
-  CacheEntry& entry = cache_[key];
-  const double ttl_ms = TtlFor(device);
-  const bool fresh = entry.has_value && ttl_ms > 0.0 &&
-                     (scheduler_.now() - entry.fetched_at) <= SimTime::FromMillis(ttl_ms);
+  const double ttl_ms = config_.default_ttl_ms;
+  const bool fresh = record->has_value && ttl_ms > 0.0 &&
+                     (scheduler_.now() - record->fetched_at) <= SimTime::FromMillis(ttl_ms);
   if (fresh) {
     ++counters_.cache_hits;
-    callback(entry.value);
+    callback(record->value);
     return;
   }
 
   ++counters_.cache_misses;
-  if (entry.fetching) {
+  record->waiters.push_back(std::move(callback));
+  if (record->fetching) {
     // Single-flight: a fetch is already in the air; join its cohort.
     ++counters_.coalesced_reads;
-    entry.waiters.push_back(std::move(callback));
     return;
   }
   ++counters_.device_reads;
-  entry.fetching = true;
-  entry.waiters.push_back(std::move(callback));
+  record->fetching = true;
   client_.Read(
       thing, device,
-      [this, key](Result<WireValue> result) { OnFetchDone(key, std::move(result)); },
+      [this, thing, device, life = record->life](Result<WireValue> result) {
+        OnFetchDone(thing, device, life, std::move(result));
+      },
       DeviceOptions());
 }
 
-void ModelServer::OnFetchDone(const Key& key, Result<WireValue> result) {
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    // Device dropped while the fetch was in the air; DropDevice already
-    // failed the waiters.
+void ModelServer::OnFetchDone(const Ip6Address& thing, DeviceTypeId device, uint64_t life,
+                              Result<WireValue> result) {
+  Device* record = Find(thing, device, life);
+  if (record == nullptr) {
+    // Dropped while the fetch was in the air; the drop failed the waiters.
     return;
   }
-  CacheEntry& entry = it->second;
-  entry.fetching = false;
+  record->fetching = false;
   if (result.ok()) {
-    entry.value = *result;
-    entry.fetched_at = scheduler_.now();
-    entry.has_value = true;
+    record->Store(*result, scheduler_.now());
   } else {
     ++counters_.read_failures;
   }
   // Waiters may re-enter ReadValue; drain from a local copy.
-  std::vector<ReadCallback> waiters = std::move(entry.waiters);
-  entry.waiters.clear();
+  std::vector<ReadCallback> waiters = std::move(record->waiters);
+  record->waiters.clear();
   for (ReadCallback& waiter : waiters) {
     if (waiter) {
       waiter(result);
@@ -180,31 +199,31 @@ void ModelServer::OnFetchDone(const Key& key, Result<WireValue> result) {
 
 void ModelServer::WriteValue(const Ip6Address& thing, DeviceTypeId device, int32_t value,
                              WriteCallback callback) {
-  const DeviceModel* model = ModelFor(thing, device);
-  if (model == nullptr) {
+  const Device* record = Find(thing, device);
+  if (record == nullptr) {
     ++counters_.model_misses;
     callback(NotFound("no model for thing/device"));
     return;
   }
-  if (!model->writable) {
+  if (!record->model.writable) {
     ++counters_.model_misses;
     callback(FailedPrecondition("property is not writable"));
     return;
   }
   ++counters_.writes;
   ++counters_.device_writes;
-  const Key key{thing, device};
   client_.Write(
       thing, device, value,
-      [this, key, value, callback = std::move(callback)](Status status) {
-        if (status.ok()) {
+      [this, thing, device, life = record->life, value,
+       callback = std::move(callback)](Status status) {
+        if (!status.ok()) {
+          ++counters_.write_failures;
+        } else if (Device* live = Find(thing, device, life)) {
           // Write-through: the acked value is the device's current state,
           // so the next read inside the TTL is a hit.
           WireValue written;
           written.scalar = value;
-          StoreValue(key, written);
-        } else {
-          ++counters_.write_failures;
+          live->Store(written, scheduler_.now());
         }
         if (callback) {
           callback(status);
@@ -213,173 +232,134 @@ void ModelServer::WriteValue(const Ip6Address& thing, DeviceTypeId device, int32
       DeviceOptions());
 }
 
-void ModelServer::StoreValue(const Key& key, const WireValue& value) {
-  CacheEntry& entry = cache_[key];
-  entry.value = value;
-  entry.fetched_at = scheduler_.now();
-  entry.has_value = true;
-}
-
 // --- fan-out -----------------------------------------------------------------
 
 Result<SubscriptionId> ModelServer::Subscribe(const Ip6Address& thing, DeviceTypeId device,
                                               ValueCallback on_value) {
-  const DeviceModel* model = ModelFor(thing, device);
-  if (model == nullptr) {
+  Device* record = Find(thing, device);
+  if (record == nullptr) {
     ++counters_.model_misses;
     return NotFound("no model for thing/device");
   }
-  if (!model->streamable()) {
+  if (!record->model.streamable()) {
     ++counters_.model_misses;
     return FailedPrecondition("device has no telemetry channel");
   }
-  const Key key{thing, device};
-  Fanout& fanout = fanouts_[key];
-  const bool first = fanout.subscribers.empty();
   const SubscriptionId id = next_subscription_++;
-  fanout.subscribers.emplace(id, std::move(on_value));
-  if (first) {
-    StartUpstream(key);
+  record->fanout.subscribers.emplace(id, std::move(on_value));
+  if (record->fanout.subscribers.size() == 1) {
+    StartUpstream(thing, device, record->fanout);
   }
   return id;
 }
 
 void ModelServer::Unsubscribe(const Ip6Address& thing, DeviceTypeId device, SubscriptionId id) {
-  const Key key{thing, device};
-  auto it = fanouts_.find(key);
-  if (it == fanouts_.end() || it->second.subscribers.erase(id) == 0) {
+  Device* record = Find(thing, device);
+  if (record == nullptr || record->fanout.subscribers.erase(id) == 0 ||
+      !record->fanout.subscribers.empty()) {
     return;
   }
-  if (!it->second.subscribers.empty()) {
-    return;
-  }
-  // Last subscriber gone: erasing the fanout makes every pending upstream
+  // Last subscriber gone: emptying the fan-out makes every pending upstream
   // callback stale, then stop the stream.  A (14) racing the stop is
   // recovered inside OnUpstreamValue (it re-issues the stop; the Thing's
   // stop is idempotent).
-  fanouts_.erase(it);
+  record->fanout = Fanout{};
   client_.StopStream(thing, device);
 }
 
-void ModelServer::StartUpstream(const Key& key) {
-  auto it = fanouts_.find(key);
-  if (it == fanouts_.end()) {
-    return;
-  }
-  Fanout& fanout = it->second;
-  const uint64_t generation = ++upstream_generation_;
+void ModelServer::StartUpstream(const Ip6Address& thing, DeviceTypeId device, Fanout& fanout) {
+  const uint64_t generation = ++lives_;
   fanout.generation = generation;
   fanout.retry_pending = false;
   client_.StartStream(
-      key.first, key.second, config_.stream_period_ms,
-      [this, key, generation](const WireValue& value) {
-        OnUpstreamValue(key, generation, value);
+      thing, device, config_.stream_period_ms,
+      [this, thing, device, generation](const WireValue& value) {
+        OnUpstreamValue(thing, device, generation, value);
       },
-      [this, key, generation]() { OnUpstreamClosed(key, generation); }, DeviceOptions());
+      [this, thing, device, generation]() { OnUpstreamClosed(thing, device, generation); },
+      DeviceOptions());
 }
 
-void ModelServer::OnUpstreamValue(const Key& key, uint64_t generation, const WireValue& value) {
-  auto it = fanouts_.find(key);
-  if (it == fanouts_.end()) {
+void ModelServer::OnUpstreamValue(const Ip6Address& thing, DeviceTypeId device,
+                                  uint64_t generation, const WireValue& value) {
+  Device* record = Find(thing, device);
+  if (record == nullptr || record->fanout.subscribers.empty()) {
     // A (14) from an upstream life we already abandoned: the client-side
     // subscription survived our teardown race — close it for real.
-    client_.StopStream(key.first, key.second);
+    client_.StopStream(thing, device);
     return;
   }
-  if (it->second.generation != generation) {
-    // A newer upstream life is in progress for this key; its own (13) or
+  Fanout& fanout = record->fanout;
+  if (fanout.generation != generation) {
+    // A newer upstream life is in progress for this record; its own (13) or
     // stop transaction will replace/close the subscription that delivered
     // this stale value.
     return;
   }
-  Fanout& fanout = it->second;
   ++fanout.upstream_events;
   ++counters_.upstream_events;
-  // Telemetry is a fresh device value: feed the last-value cache so
-  // subscribed properties read as hits without any device transaction.
-  StoreValue(key, value);
+  // Telemetry is a fresh device value: subscribed properties read as hits
+  // without any device transaction.
+  record->Store(value, scheduler_.now());
   // First delivery after (re)establish: the upstream is healthy again.
   fanout.backoff_ms = 0.0;
-  // Subscribers may unsubscribe (or subscribe) from inside the callback;
-  // deliver to a snapshot and re-check membership per subscriber.
+  // Subscribers may unsubscribe (or subscribe, or drop the device) from
+  // inside the callback; deliver to a snapshot and re-check per subscriber.
   std::vector<SubscriptionId> ids;
   ids.reserve(fanout.subscribers.size());
   for (const auto& [id, callback] : fanout.subscribers) {
     ids.push_back(id);
   }
   for (const SubscriptionId id : ids) {
-    auto fanout_it = fanouts_.find(key);
-    if (fanout_it == fanouts_.end() || fanout_it->second.generation != generation) {
+    Device* live = Find(thing, device);
+    if (live == nullptr || live->fanout.generation != generation) {
       break;
     }
-    auto sub_it = fanout_it->second.subscribers.find(id);
-    if (sub_it == fanout_it->second.subscribers.end() || !sub_it->second) {
+    auto sub_it = live->fanout.subscribers.find(id);
+    if (sub_it == live->fanout.subscribers.end() || !sub_it->second) {
       continue;
     }
-    ++fanout_it->second.delivered;
+    ++live->fanout.delivered;
     ++counters_.fanout_delivered;
     sub_it->second(value);
   }
 }
 
-void ModelServer::OnUpstreamClosed(const Key& key, uint64_t generation) {
-  auto it = fanouts_.find(key);
-  if (it == fanouts_.end() || it->second.generation != generation) {
-    return;
-  }
-  Fanout& fanout = it->second;
-  if (fanout.subscribers.empty() || fanout.retry_pending) {
+void ModelServer::OnUpstreamClosed(const Ip6Address& thing, DeviceTypeId device,
+                                   uint64_t generation) {
+  // An emptied fan-out's generation is 0, so a match means subscribers remain.
+  Device* record = Find(thing, device);
+  if (record == nullptr || record->fanout.generation != generation ||
+      record->fanout.retry_pending) {
     return;
   }
   // The upstream died while subscribers remain ((15) from an unplug, a lost
   // (13), another client's stop): re-establish on a capped doubling ladder.
+  Fanout& fanout = record->fanout;
   fanout.backoff_ms = fanout.backoff_ms <= 0.0
                           ? kRestreamBackoffMinMs
                           : std::min(fanout.backoff_ms * 2.0, kRestreamBackoffMaxMs);
   fanout.retry_pending = true;
   ++counters_.upstream_restarts;
-  scheduler_.ScheduleAfter(SimTime::FromMillis(fanout.backoff_ms), [this, key, generation] {
-    auto retry_it = fanouts_.find(key);
-    if (retry_it == fanouts_.end() || retry_it->second.generation != generation ||
-        retry_it->second.subscribers.empty()) {
-      return;
-    }
-    StartUpstream(key);
-  });
-}
-
-// --- teardown ----------------------------------------------------------------
-
-void ModelServer::DropDevice(const Key& key) {
-  auto cache_it = cache_.find(key);
-  if (cache_it != cache_.end()) {
-    std::vector<ReadCallback> waiters = std::move(cache_it->second.waiters);
-    cache_.erase(cache_it);
-    for (ReadCallback& waiter : waiters) {
-      if (waiter) {
-        waiter(Unavailable("device unplugged"));
-      }
-    }
-  }
-  auto fanout_it = fanouts_.find(key);
-  if (fanout_it != fanouts_.end()) {
-    counters_.dropped_subscribers += fanout_it->second.subscribers.size();
-    fanouts_.erase(fanout_it);  // pending stream/retry callbacks go stale
-    client_.StopStream(key.first, key.second);
-  }
+  scheduler_.ScheduleAfter(SimTime::FromMillis(fanout.backoff_ms),
+                           [this, thing, device, generation] {
+                             Device* retry = Find(thing, device);
+                             if (retry != nullptr && retry->fanout.generation == generation) {
+                               StartUpstream(thing, device, retry->fanout);
+                             }
+                           });
 }
 
 std::vector<ModelServer::FanoutStat> ModelServer::FanoutStats() const {
   std::vector<FanoutStat> stats;
-  stats.reserve(fanouts_.size());
-  for (const auto& [key, fanout] : fanouts_) {
-    FanoutStat stat;
-    stat.thing = key.first;
-    stat.device = key.second;
-    stat.subscribers = fanout.subscribers.size();
-    stat.upstream_events = fanout.upstream_events;
-    stat.delivered = fanout.delivered;
-    stats.push_back(stat);
+  for (const auto& [thing, devices] : fleet_) {
+    for (const auto& [device, record] : devices) {
+      const Fanout& fanout = record.fanout;
+      if (!fanout.subscribers.empty()) {
+        stats.push_back(FanoutStat{thing, device, fanout.subscribers.size(),
+                                   fanout.upstream_events, fanout.delivered});
+      }
+    }
   }
   return stats;
 }

@@ -2,24 +2,28 @@
 //
 // A ModelServer sits on top of one MicroPnpClient and serves the fleet to
 // many concurrent ModelClients, decoupling client load from constrained-
-// device capacity:
+// device capacity.  It keeps ONE record per advertised (Thing, device):
 //
 //  * Fleet tracking: every advertisement (unsolicited (1) or discovered (3))
-//    updates a typed catalog of Things and their DeviceModels — resolved
-//    from the built-in catalog when the driver is known, else from the
-//    kModelFacets TLV the Thing advertises.
-//  * Last-value cache: property reads are answered from a per-(Thing,
-//    device) cache while the value is fresher than the property's TTL.
-//    Concurrent reads of a stale value coalesce into ONE device
-//    transaction (single-flight): the first miss issues the μPnP read,
-//    everyone else joins its waiter list.
-//  * Write-through: property writes ride (16)/(17) and update the cache on
+//    creates, refreshes or drops the Thing's records.  A record's model is
+//    resolved from the built-in catalog when the driver is known, else from
+//    the kModelFacets TLV the Thing advertises.
+//  * Last-value cache: property reads are answered from the record while
+//    its value is fresher than the TTL.  Concurrent reads of a stale value
+//    coalesce into ONE device transaction (single-flight): the first miss
+//    issues the μPnP read, everyone else joins its waiter list.
+//  * Write-through: property writes ride (16)/(17) and update the record on
 //    ack, so a read after a successful write is a hit.
-//  * Subscription fan-out: one upstream μPnP stream (12)..(15) per (Thing,
-//    device) fans out to any number of subscribers.  Upstream telemetry
-//    also feeds the last-value cache.  A dropped upstream ((15), lost (13),
-//    deadline) re-establishes with capped doubling backoff for as long as
+//  * Subscription fan-out: one upstream μPnP stream (12)..(15) per record
+//    fans out to any number of subscribers.  Upstream telemetry also feeds
+//    the last value.  A dropped upstream ((15), lost (13), deadline)
+//    re-establishes with capped doubling backoff for as long as
 //    subscribers remain.
+//
+// Each record has a life, drawn when it is created; a fetch or write ack
+// lands only on the record of the life that issued it.  A record dropped
+// by an advertisement and re-created by the next one is a new life, so the
+// old one's late completions neither answer nor revive it.
 //
 // Counter invariants (checked by tests and the bench):
 //   cache_hits + cache_misses == reads
@@ -43,7 +47,6 @@ namespace micropnp {
 
 struct ModelServerConfig {
   // Freshness budget for cached property values; <= 0 disables caching.
-  // Per-device overrides via ModelServer::SetTtl.
   double default_ttl_ms = 1000.0;
   // Period requested from upstream streams backing subscriptions.
   uint32_t stream_period_ms = 1000;
@@ -88,9 +91,9 @@ class ModelServer {
 
   // --- fleet ------------------------------------------------------------------
   // Ingests an advertisement: models every listed peripheral (catalog first,
-  // facets TLV fallback) and drops state for peripherals no longer listed
-  // (their cache entries are invalidated, in-flight readers fail with
-  // kUnavailable, and their fan-outs are torn down).
+  // facets TLV fallback) and drops the record of every peripheral no longer
+  // listed (its in-flight readers fail with kUnavailable, and its fan-out
+  // is torn down).
   void ObserveAdvertisement(const Ip6Address& thing,
                             const std::vector<AdvertisedPeripheral>& peripherals);
   // Active discovery sweep for `device`; every response feeds
@@ -117,10 +120,6 @@ class ModelServer {
   void Unsubscribe(const Ip6Address& thing, DeviceTypeId device, SubscriptionId id);
 
   // --- introspection ----------------------------------------------------------
-  // TTL override for one device type (e.g. a fast-moving sensor).
-  void SetTtl(DeviceTypeId device, double ttl_ms) { ttl_overrides_[device] = ttl_ms; }
-  double TtlFor(DeviceTypeId device) const;
-
   struct FanoutStat {
     Ip6Address thing;
     DeviceTypeId device = 0;
@@ -133,22 +132,11 @@ class ModelServer {
   const ModelServerCounters& counters() const { return counters_; }
 
  private:
-  using Key = std::pair<Ip6Address, DeviceTypeId>;
-
-  struct CacheEntry {
-    WireValue value;
-    SimTime fetched_at;
-    bool has_value = false;
-    bool fetching = false;  // single-flight: one (10) in the air, max
-    std::vector<ReadCallback> waiters;
-  };
-
   struct Fanout {
     std::map<SubscriptionId, ValueCallback> subscribers;
-    // Guard against stale stream callbacks: every upstream (re)start takes
-    // a fresh value from the server-wide generation counter, so callbacks
-    // from a previous upstream life — even one belonging to an erased and
-    // re-created fanout of the same key — can never alias a live one.
+    // Every upstream (re)start takes a fresh value from lives_, so
+    // callbacks from a previous upstream life, even one of a dropped and
+    // re-created record, can never alias the live one.
     uint64_t generation = 0;
     double backoff_ms = 0.0;
     bool retry_pending = false;
@@ -156,24 +144,45 @@ class ModelServer {
     uint64_t delivered = 0;
   };
 
-  void StartUpstream(const Key& key);
-  void OnUpstreamValue(const Key& key, uint64_t generation, const WireValue& value);
-  void OnUpstreamClosed(const Key& key, uint64_t generation);
-  void OnFetchDone(const Key& key, Result<WireValue> result);
-  void StoreValue(const Key& key, const WireValue& value);
-  void DropDevice(const Key& key);
+  // Everything the server holds about one advertised device.
+  struct Device {
+    DeviceModel model;
+    uint64_t life = 0;
+    // Last value and its single-flight fetch: one (10) in the air, max.
+    WireValue value;
+    SimTime fetched_at;
+    bool has_value = false;
+    bool fetching = false;
+    std::vector<ReadCallback> waiters;
+    Fanout fanout;  // empty again once its last subscriber leaves
+
+    void Store(const WireValue& fresh, SimTime now) {
+      value = fresh;
+      fetched_at = now;
+      has_value = true;
+    }
+  };
+
+  // The record for (thing, device), or nullptr.  A non-zero `life` also
+  // yields nullptr unless the record is that life: the check every
+  // completion makes before touching a record.
+  Device* Find(const Ip6Address& thing, DeviceTypeId device, uint64_t life = 0);
+  void StartUpstream(const Ip6Address& thing, DeviceTypeId device, Fanout& fanout);
+  void OnUpstreamValue(const Ip6Address& thing, DeviceTypeId device, uint64_t generation,
+                       const WireValue& value);
+  void OnUpstreamClosed(const Ip6Address& thing, DeviceTypeId device, uint64_t generation);
+  void OnFetchDone(const Ip6Address& thing, DeviceTypeId device, uint64_t life,
+                   Result<WireValue> result);
   RequestOptions DeviceOptions() const;
 
   Scheduler& scheduler_;
   MicroPnpClient& client_;
   ModelCatalog catalog_;
   ModelServerConfig config_;
-  std::map<Ip6Address, std::map<DeviceTypeId, DeviceModel>> fleet_;
-  std::map<Key, CacheEntry> cache_;
-  std::map<Key, Fanout> fanouts_;
-  std::map<DeviceTypeId, double> ttl_overrides_;
+  std::map<Ip6Address, std::map<DeviceTypeId, Device>> fleet_;
   SubscriptionId next_subscription_ = 1;
-  uint64_t upstream_generation_ = 0;
+  // Numbers record lives and upstream lives alike, so no two share a value.
+  uint64_t lives_ = 0;
   ModelServerCounters counters_;
 };
 

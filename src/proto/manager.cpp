@@ -35,22 +35,30 @@ Status MicroPnpManager::AddDriver(const DriverImage& image) {
   if (image.device_id == kDeviceTypeAllPeripherals || image.device_id == kDeviceTypeAllClients) {
     return InvalidArgument("reserved device type id");
   }
-  repository_[image.device_id] = image;
-  prepared_.erase(image.device_id);  // geometry/CRC must match the new image
+  PreparedImage& img = repository_[image.device_id];
+  img.bytes = image.Serialize();
+  img.crc = Crc32(ByteSpan(img.bytes.data(), img.bytes.size()));
+  img.chunk_size = kChunkPayloadBytes;
+  img.chunk_count =
+      static_cast<uint16_t>((img.bytes.size() + img.chunk_size - 1) / img.chunk_size);
   return OkStatus();
 }
 
-Status MicroPnpManager::AddDriverSource(const std::string& dsl_source) {
-  Result<DriverImage> image = CompileDriver(dsl_source);
-  if (!image.ok()) {
-    return image.status();
-  }
-  return AddDriver(*image);
-}
-
 Status MicroPnpManager::PreloadBundledDrivers() {
-  for (const BundledDriver& d : BundledDrivers()) {
-    MICROPNP_RETURN_IF_ERROR(AddDriverSource(d.source));
+  // The bundled sources are compiled into the binary, so every manager in
+  // the process can share one compile of them.
+  static const std::vector<Result<DriverImage>> kCompiled = [] {
+    std::vector<Result<DriverImage>> images;
+    for (const BundledDriver& d : BundledDrivers()) {
+      images.push_back(CompileDriver(d.source));
+    }
+    return images;
+  }();
+  for (const Result<DriverImage>& image : kCompiled) {
+    if (!image.ok()) {
+      return image.status();
+    }
+    MICROPNP_RETURN_IF_ERROR(AddDriver(*image));
   }
   return OkStatus();
 }
@@ -129,20 +137,21 @@ void MicroPnpManager::HandleInstallRequest(const Ip6Address& src, const Message&
       return;
     }
   }
-  const PreparedImage* img = Prepare(request->device_id);
-  if (img == nullptr) {
+  auto entry = repository_.find(request->device_id);
+  if (entry == repository_.end()) {
     MLOG(kWarning, "manager") << "no driver in repository for "
                               << FormatDeviceTypeId(request->device_id);
     return;
   }
+  const PreparedImage& img = entry->second;
   // Which chunks the Thing still needs.  The bitmap is only honoured when
   // the request's CRC and geometry match the repository's current image —
   // a partial transfer of a since-replaced image restarts from scratch.
   std::vector<uint16_t> missing;
   const bool resume =
-      request->cached_crc == img->crc && request->cached_chunk_count == img->chunk_count;
+      request->cached_crc == img.crc && request->cached_chunk_count == img.chunk_count;
   if (resume) {
-    for (uint16_t i = 0; i < img->chunk_count; ++i) {
+    for (uint16_t i = 0; i < img.chunk_count; ++i) {
       const size_t byte = i / 8u;
       const bool have = byte < request->have_bitmap.size() &&
                         ((request->have_bitmap[byte] >> (i % 8u)) & 1u) != 0;
@@ -151,8 +160,8 @@ void MicroPnpManager::HandleInstallRequest(const Ip6Address& src, const Message&
       }
     }
   } else {
-    missing.resize(img->chunk_count);
-    for (uint16_t i = 0; i < img->chunk_count; ++i) {
+    missing.resize(img.chunk_count);
+    for (uint16_t i = 0; i < img.chunk_count; ++i) {
       missing[i] = i;
     }
   }
@@ -160,10 +169,10 @@ void MicroPnpManager::HandleInstallRequest(const Ip6Address& src, const Message&
   // endpoint can match it.
   DriverOfferPayload offer;
   offer.device_id = request->device_id;
-  offer.image_crc = img->crc;
-  offer.total_size = static_cast<uint32_t>(img->bytes.size());
-  offer.chunk_size = img->chunk_size;
-  offer.chunk_count = img->chunk_count;
+  offer.image_crc = img.crc;
+  offer.total_size = static_cast<uint32_t>(img.bytes.size());
+  offer.chunk_size = img.chunk_size;
+  offer.chunk_count = img.chunk_count;
   if (resume && missing.empty()) {
     offer.flags = kDriverOfferUpToDate;  // re-plug with a complete cache: zero chunks
     ++upload_short_circuits_;
@@ -180,48 +189,31 @@ void MicroPnpManager::HandleInstallRequest(const Ip6Address& src, const Message&
   for (uint16_t index : missing) {
     at_ms += kChunkIntervalMs;
     ++chunks_sent_;
-    SendChunkAfter(at_ms, src, request->device_id, *img, index);
+    SendChunkAfter(at_ms, src, request->device_id, img, index);
   }
 }
 
 void MicroPnpManager::HandleChunkRequest(const Ip6Address& src, const Message& m) {
   const auto* request = m.payload_as<DriverChunkRequestPayload>();
-  const PreparedImage* img = Prepare(request->device_id);
-  if (img == nullptr || img->crc != request->image_crc) {
+  auto entry = repository_.find(request->device_id);
+  if (entry == repository_.end() || entry->second.crc != request->image_crc) {
     // Stale NACK for an image no longer (or never) served; the Thing's own
     // (4) retry machinery restarts the transfer against the current image.
     MLOG(kDebug, "manager") << "ignoring stale chunk request for "
                             << FormatDeviceTypeId(request->device_id);
     return;
   }
+  const PreparedImage& img = entry->second;
   double at_ms = 0.0;
   for (uint16_t index : request->chunk_indices) {
-    if (index >= img->chunk_count) {
+    if (index >= img.chunk_count) {
       continue;
     }
     at_ms += kChunkIntervalMs;
     ++chunks_sent_;
     ++chunk_retransmissions_;
-    SendChunkAfter(at_ms, src, request->device_id, *img, index);
+    SendChunkAfter(at_ms, src, request->device_id, img, index);
   }
-}
-
-const MicroPnpManager::PreparedImage* MicroPnpManager::Prepare(DeviceTypeId id) {
-  auto cached = prepared_.find(id);
-  if (cached != prepared_.end()) {
-    return &cached->second;
-  }
-  auto repo = repository_.find(id);
-  if (repo == repository_.end()) {
-    return nullptr;
-  }
-  PreparedImage img;
-  img.bytes = repo->second.Serialize();
-  img.crc = Crc32(ByteSpan(img.bytes.data(), img.bytes.size()));
-  img.chunk_size = kChunkPayloadBytes;
-  img.chunk_count =
-      static_cast<uint16_t>((img.bytes.size() + img.chunk_size - 1) / img.chunk_size);
-  return &(prepared_[id] = std::move(img));
 }
 
 void MicroPnpManager::SendChunkAfter(double delay_ms, const Ip6Address& thing, DeviceTypeId id,

@@ -44,8 +44,8 @@ class MicroPnpManager {
 
   // --- repository (the micropnp.com driver store, Section 3.3) --------------
   Status AddDriver(const DriverImage& image);
-  Status AddDriverSource(const std::string& dsl_source);  // compiles then adds
-  // Compiles and adds every bundled driver (TMP36, HIH-4030, ...).
+  // Adds every bundled driver (TMP36, HIH-4030, ...), compiled once per
+  // process; returns the first compile error.
   Status PreloadBundledDrivers();
   bool HasDriver(DeviceTypeId id) const { return repository_.count(id) != 0; }
   size_t repository_size() const { return repository_.size(); }
@@ -74,9 +74,9 @@ class MicroPnpManager {
   uint64_t upload_short_circuits() const { return upload_short_circuits_; }
 
  private:
-  // A repository entry lowered to its wire form once: serialized bytes,
-  // their CRC-32 and the chunk geometry every offer/chunk for this device
-  // quotes.  Invalidated when AddDriver replaces the image.
+  // A repository entry in its wire form, lowered once by AddDriver:
+  // serialized bytes, their CRC-32 and the chunk geometry every offer/chunk
+  // for this device quotes.
   struct PreparedImage {
     std::vector<uint8_t> bytes;
     uint32_t crc = 0;
@@ -88,7 +88,6 @@ class MicroPnpManager {
   void OnMessage(const Ip6Address& src, const Message& m);
   void HandleInstallRequest(const Ip6Address& src, const Message& m);
   void HandleChunkRequest(const Ip6Address& src, const Message& m);
-  const PreparedImage* Prepare(DeviceTypeId id);
   // Schedules the (19) carrying chunk `index` of `img`, built now so a later
   // repository change cannot alter it.
   void SendChunkAfter(double delay_ms, const Ip6Address& thing, DeviceTypeId id,
@@ -99,8 +98,7 @@ class MicroPnpManager {
   Scheduler& scheduler_;
   NetNode* node_;
   ProtoEndpoint endpoint_;
-  std::map<DeviceTypeId, DriverImage> repository_;
-  std::map<DeviceTypeId, PreparedImage> prepared_;
+  std::map<DeviceTypeId, PreparedImage> repository_;
   // Recently served (4)s, keyed by (thing, sequence), with the (18) offer
   // kept for cheap re-serve when the Thing retransmits.  The chunks
   // themselves are not replayed on a duplicate (4): the Thing's

@@ -1,6 +1,7 @@
 // Northbound model tier: typed model derivation from driver metadata, the
 // ModelServer's last-value cache (single-flight, TTL, write-through),
-// subscription fan-out over one shared upstream stream, and unplug teardown.
+// subscription fan-out over one shared upstream stream, unplug teardown, and
+// drops and re-advertisements while device transactions are in flight.
 //
 // Everything runs on seeded deployments in simulated time; every counter
 // assertion below is exact, not a threshold.
@@ -8,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/deployment.h"
 #include "src/core/driver_sources.h"
 #include "src/dsl/compiler.h"
@@ -194,6 +197,11 @@ class ModelGateway : public ::testing::Test {
     ASSERT_EQ(server_.fleet_size(), 2u);
   }
 
+  static AdvertisedPeripheral Advertised(DeviceTypeId type) {
+    AdvertisedPeripheral peripheral;
+    peripheral.type = type;
+    return peripheral;
+  }
   Ip6Address sensor_address() { return sensor_thing_.node().address(); }
   Ip6Address relay_address() { return relay_thing_.node().address(); }
 
@@ -324,21 +332,6 @@ TEST_F(ModelGateway, TtlExpiryForcesRefetch) {
   read_once();  // device read #2
   EXPECT_EQ(server_.counters().device_reads, 2u);
   EXPECT_EQ(server_.counters().cache_misses, 2u);
-}
-
-TEST_F(ModelGateway, PerDeviceTtlOverrideWins) {
-  BringUp();
-  server_.SetTtl(kTmp36TypeId, 50.0);
-  EXPECT_EQ(server_.TtlFor(kTmp36TypeId), 50.0);
-  EXPECT_EQ(server_.TtlFor(kRelayTypeId), 500.0);
-
-  bool done = false;
-  server_.ReadValue(sensor_address(), kTmp36TypeId, [&](Result<WireValue>) { done = true; });
-  deployment_.RunForMillis(200);  // fetch lands, then the 50ms TTL lapses
-  ASSERT_TRUE(done);
-  server_.ReadValue(sensor_address(), kTmp36TypeId, [](Result<WireValue>) {});
-  deployment_.RunForMillis(200);
-  EXPECT_EQ(server_.counters().device_reads, 2u);  // override expired the entry
 }
 
 TEST_F(ModelGateway, WriteThroughMakesNextReadAHit) {
@@ -529,6 +522,147 @@ TEST_F(ModelGateway, UnplugFailsInFlightWaitersWithUnavailable) {
   deployment_.fabric().set_link(LinkModel{});
   deployment_.RunForMillis(3000);
   EXPECT_EQ(codes.size(), 3u);
+}
+
+// A write acked after its device was dropped leaves nothing behind: the
+// re-advertised relay is a new record, so its first read goes to the device.
+TEST_F(ModelGateway, WriteAckAfterDropDoesNotRecreateTheCacheEntry) {
+  BringUp();
+  bool acked = false;
+  server_.WriteValue(relay_address(), kRelayTypeId, 1,
+                     [&](Status status) { acked = status.ok(); });
+  server_.ObserveAdvertisement(relay_address(), {});  // before the (17) lands
+  deployment_.RunForMillis(500);
+  ASSERT_TRUE(acked);
+
+  server_.ObserveAdvertisement(relay_address(), {Advertised(kRelayTypeId)});
+  bool read_done = false;
+  server_.ReadValue(relay_address(), kRelayTypeId,
+                    [&](Result<WireValue> value) { read_done = value.ok(); });
+  EXPECT_FALSE(read_done);
+  deployment_.RunForMillis(500);
+  EXPECT_TRUE(read_done);
+  EXPECT_EQ(server_.counters().cache_hits, 0u);
+  EXPECT_EQ(server_.counters().device_reads, 1u);
+}
+
+// A fetch still in the air when its device is dropped belongs to that
+// device's life: its deadline neither fails nor un-flights the reads of the
+// re-advertised device.
+TEST_F(ModelGateway, FetchOfADroppedDeviceDoesNotAnswerItsSuccessor) {
+  BringUp();
+  LinkModel black_hole;
+  black_hole.loss_rate = 1.0;
+  deployment_.fabric().set_link(black_hole);
+
+  std::vector<StatusCode> first;
+  server_.ReadValue(sensor_address(), kTmp36TypeId,
+                    [&](Result<WireValue> value) { first.push_back(value.status().code()); });
+  server_.ObserveAdvertisement(sensor_address(), {});
+  deployment_.RunForMillis(1500);
+
+  server_.ObserveAdvertisement(sensor_address(), {Advertised(kTmp36TypeId)});
+  std::vector<StatusCode> second;
+  server_.ReadValue(sensor_address(), kTmp36TypeId,
+                    [&](Result<WireValue> value) { second.push_back(value.status().code()); });
+  deployment_.RunForMillis(600);  // past the first fetch's 2 s deadline
+  EXPECT_TRUE(second.empty());
+  EXPECT_EQ(server_.counters().read_failures, 0u);
+
+  deployment_.fabric().set_link(LinkModel{});
+  deployment_.RunForMillis(3000);
+  EXPECT_EQ(second, std::vector<StatusCode>{StatusCode::kOk});
+  EXPECT_EQ(first, std::vector<StatusCode>{StatusCode::kUnavailable});
+  EXPECT_EQ(server_.counters().device_reads, 2u);
+}
+
+// A waiter failed by a drop that reads again finds the device gone, instead
+// of opening a fetch for it.
+TEST_F(ModelGateway, RetryFromAFailedWaiterSeesTheDeviceGone) {
+  BringUp();
+  LinkModel black_hole;
+  black_hole.loss_rate = 1.0;
+  deployment_.fabric().set_link(black_hole);
+
+  std::vector<StatusCode> codes;
+  server_.ReadValue(sensor_address(), kTmp36TypeId, [&](Result<WireValue> value) {
+    codes.push_back(value.status().code());
+    if (value.status().code() == StatusCode::kUnavailable) {
+      server_.ReadValue(sensor_address(), kTmp36TypeId,
+                        [&](Result<WireValue> retry) { codes.push_back(retry.status().code()); });
+    }
+  });
+  server_.ObserveAdvertisement(sensor_address(), {});
+  EXPECT_EQ(codes, (std::vector<StatusCode>{StatusCode::kUnavailable, StatusCode::kNotFound}));
+  EXPECT_EQ(server_.counters().device_reads, 1u);
+}
+
+// Seeded churn at 20% loss: devices drop and come back while reads, writes
+// and streams are in flight.  After each seed drains, every read and write
+// has completed exactly once, the cache ledgers balance, and every fan-out
+// belongs to a modeled device.
+TEST_F(ModelGateway, ChurnKeepsLedgersAndCompletionsExact) {
+  BringUp();
+  LinkModel lossy;
+  lossy.loss_rate = 0.2;
+  deployment_.fabric().set_link(lossy);
+  const Ip6Address things[] = {sensor_address(), relay_address()};
+  const DeviceTypeId devices[] = {kTmp36TypeId, kRelayTypeId};
+
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    std::vector<int> fired;  // per read or write: callbacks seen
+    std::function<void(size_t, bool)> read = [&](size_t t, bool retry) {
+      const size_t slot = fired.size();
+      fired.push_back(0);
+      server_.ReadValue(things[t], devices[t], [&, t, retry, slot](Result<WireValue> value) {
+        ++fired[slot];
+        if (retry && value.status().code() == StatusCode::kUnavailable) {
+          read(t, false);
+        }
+      });
+    };
+    for (int step = 0; step < 300; ++step) {
+      const size_t t = rng.UniformInt(0, 1);
+      switch (rng.UniformInt(0, 4)) {
+        case 0:
+          if (rng.UniformInt(0, 1) == 0) {
+            server_.ObserveAdvertisement(things[t], {});
+          } else {
+            server_.ObserveAdvertisement(things[t], {Advertised(devices[t])});
+          }
+          break;
+        case 1:
+          read(t, true);
+          break;
+        case 2: {
+          const size_t slot = fired.size();
+          fired.push_back(0);
+          server_.WriteValue(relay_address(), kRelayTypeId, static_cast<int32_t>(step % 2),
+                             [&fired, slot](Status) { ++fired[slot]; });
+          break;
+        }
+        case 3:
+          (void)server_.Subscribe(things[t], devices[t], [](const WireValue&) {});
+          break;
+        default:
+          deployment_.RunForMillis(static_cast<double>(rng.UniformInt(0, 300)));
+          break;
+      }
+    }
+    deployment_.RunForMillis(20000);
+
+    for (size_t slot = 0; slot < fired.size(); ++slot) {
+      ASSERT_EQ(fired[slot], 1) << "seed " << seed << ", operation " << slot;
+    }
+    const ModelServerCounters& counters = server_.counters();
+    ASSERT_EQ(counters.cache_hits + counters.cache_misses, counters.reads) << "seed " << seed;
+    ASSERT_EQ(counters.coalesced_reads + counters.device_reads, counters.cache_misses)
+        << "seed " << seed;
+    for (const ModelServer::FanoutStat& stat : server_.FanoutStats()) {
+      ASSERT_NE(server_.ModelFor(stat.thing, stat.device), nullptr) << "seed " << seed;
+    }
+  }
 }
 
 // ------------------------------------------------------------- ModelClient ---
